@@ -21,7 +21,7 @@ struct Fixture {
     model = std::make_unique<halk::core::HalkModel>(config, nullptr);
   }
 
-  halk::core::ArcBatch Anchors(int64_t batch) {
+  halk::core::EmbeddingBatch Anchors(int64_t batch) {
     std::vector<int64_t> ids(static_cast<size_t>(batch));
     for (auto& id : ids) {
       id = static_cast<int64_t>(rng.UniformInt(
@@ -91,8 +91,7 @@ void BM_Negation(benchmark::State& state) {
 }
 
 void BM_DistancesToAllEntities(benchmark::State& state) {
-  auto a = F().model->Projection(F().Anchors(1), F().Relations(1));
-  halk::core::EmbeddingBatch emb{a.center, a.length};
+  auto emb = F().model->Projection(F().Anchors(1), F().Relations(1));
   std::vector<float> out;
   for (auto _ : state) {
     F().model->DistancesToAll(emb, 0, &out);

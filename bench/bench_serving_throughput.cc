@@ -1,9 +1,9 @@
 // Serving-engine throughput study: single-threaded unbatched evaluation
 // (today's Evaluator loop, as every example drives it) vs. the QueryServer
-// with micro-batching, and with the canonical-fingerprint answer cache on
-// top. The workload is a skewed stream over a pool of distinct queries —
-// the traffic shape a production endpoint sees, where popular queries
-// repeat. Prints a human-readable table, the server's metrics dump, and a
+// with planned request chunks, and with the canonical-fingerprint answer
+// cache on top. The workload is a skewed stream over a pool of distinct
+// queries — the traffic shape a production endpoint sees, where popular
+// queries repeat. Prints a human-readable table, the server's metrics dump, and a
 // final machine-readable JSON line for longitudinal perf tracking.
 //
 //   $ ./bench/bench_serving_throughput            # full scale
@@ -147,8 +147,8 @@ int AddLibraryChain(halk::query::QueryGraph* g, int i, int64_t num_entities,
 // Diverse workload: every request is a *distinct* ipp-over-3p-chains query
 // p(i(chain_i, chain_j, chain_k), tail) — the answer cache never hits —
 // but the chains come from a small shared library, so subtrees recur
-// heavily across requests. This is the traffic shape the planner is built
-// for; the legacy path re-embeds every branch from scratch.
+// heavily across requests. This is the traffic shape the planner's
+// cross-request dedup and subtree cache are built for.
 std::vector<halk::query::QueryGraph> MakeDiverseWorkload(
     int64_t num_entities, int64_t num_relations, int num_requests) {
   std::vector<halk::query::QueryGraph> queries;
@@ -233,7 +233,7 @@ int main() {
   batch_only.num_workers = 4;
   batch_only.max_batch_size = 16;
   batch_only.queue_capacity = static_cast<size_t>(num_requests);
-  batch_only.enable_cache = false;
+  batch_only.cache_capacity = 0;
   double qps_batched = 0.0;
   {
     serving::QueryServer server(&model, &dataset.train, batch_only);
@@ -292,40 +292,30 @@ int main() {
               qps_scrape_on / qps_scrape_off);
 
   serving::ServerOptions full = batch_only;
-  full.enable_cache = true;
   full.cache_capacity = 4096;
   serving::QueryServer server(&model, &dataset.train, full);
   const double qps_served = RunServed(&server, workload, k);
   std::printf("served    (4 workers, batch 16, cache on): %8.1f qps (%.2fx)\n",
               qps_served, qps_served / qps_baseline);
 
-  // Diverse low-cache-hit A/B: distinct large queries built from a shared
-  // subtree library, served once each. The answer cache is useless here;
-  // the gap between the two runs is pure planner work (cross-request
-  // dedup + warm subtree cache).
+  // Diverse low-cache-hit stream: distinct large queries built from a
+  // shared subtree library, served once each. The answer cache is useless
+  // here; what carries the work is the planner (cross-request dedup + warm
+  // subtree cache).
   const std::vector<query::QueryGraph> diverse = MakeDiverseWorkload(
       config.num_entities, config.num_relations, num_requests);
   // A production-sized operator stack: with dim 16 the per-entity scoring
-  // pass (shared by both paths) swamps the embedding work the planner
-  // saves, so the A/B runs its own wider model. Both sides use it, so the
-  // comparison stays apples-to-apples.
+  // pass swamps the embedding work the planner saves, so the diverse runs
+  // use their own wider model.
   core::ModelConfig diverse_config = config;
   diverse_config.dim = 64;
   diverse_config.hidden = 128;
   diverse_config.seed = 11;
   core::HalkModel diverse_model(diverse_config, nullptr);
   serving::ServerOptions diverse_opt = full;
-  serving::ServerOptions legacy_opt = diverse_opt;
-  legacy_opt.use_planner = false;
-  double qps_diverse_legacy = 0.0;
-  {
-    serving::QueryServer legacy(&diverse_model, &dataset.train, legacy_opt);
-    qps_diverse_legacy = RunDiverse(&legacy, diverse, k);
-  }
   serving::QueryServer planner_server(&diverse_model, &dataset.train,
                                       diverse_opt);
   const double qps_diverse_planner = RunDiverse(&planner_server, diverse, k);
-  const double speedup_diverse = qps_diverse_planner / qps_diverse_legacy;
   serving::MetricsRegistry* plan_metrics = planner_server.metrics();
   const int64_t plan_total = plan_metrics->CounterValue("plan.nodes");
   const int64_t plan_unique = plan_metrics->CounterValue("plan.unique_nodes");
@@ -344,10 +334,8 @@ int main() {
                 static_cast<double>(sub_hits + sub_misses);
   std::printf(
       "\ndiverse   (%zu distinct 3ipp queries, shared subtree library)\n"
-      "  legacy  (use_planner=off)               : %8.1f qps\n"
-      "  planner (dedup %.2f, subtree hits %.2f) : %8.1f qps (%.2fx)\n",
-      diverse.size(), qps_diverse_legacy, dedup_ratio, subtree_hit_rate,
-      qps_diverse_planner, speedup_diverse);
+      "  planner (dedup %.2f, subtree hits %.2f) : %8.1f qps\n",
+      diverse.size(), dedup_ratio, subtree_hit_rate, qps_diverse_planner);
 
   // Analytics-plane overhead A/B, identical config on both sides: the
   // diverse stream once with the query-stats plane off, once with it on
@@ -424,9 +412,7 @@ int main() {
   json.Set("cache_hit_rate", hit_rate)
       .Set("mean_batch_size", batch_size->mean(), 2)
       .Set("diverse_requests", static_cast<int>(diverse.size()))
-      .Set("qps_diverse_legacy", qps_diverse_legacy, 1)
       .Set("qps_diverse_planner", qps_diverse_planner, 1)
-      .Set("speedup_diverse_planner", speedup_diverse)
       .Set("dedup_ratio", dedup_ratio)
       .Set("subtree_cache_hit_rate", subtree_hit_rate)
       .Set("qps_analytics_off", qps_analytics_off, 1)

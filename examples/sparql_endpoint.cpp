@@ -2,8 +2,8 @@
 // the query Adaptor into a HaLk computation graph, then answered both by
 // the exact executor and by a trained HaLk model behind the concurrent
 // QueryServer — the same serving engine a production endpoint would sit
-// on, with micro-batching, answer caching, sharded ranking, and latency
-// metrics.
+// on, with planned request chunks, answer caching, sharded ranking, and
+// latency metrics.
 //
 //   $ ./examples/sparql_endpoint
 //   $ ./examples/sparql_endpoint --checkpoint /tmp/sparql_model.bin

@@ -5,7 +5,7 @@
 
 namespace halk::baselines {
 
-using core::ArcBatch;
+using core::EmbeddingBatch;
 using tensor::Tensor;
 
 namespace {
@@ -20,7 +20,8 @@ HalkV1Model::HalkV1Model(const core::ModelConfig& config,
       std::vector<int64_t>{config.hidden, config.dim}, &rng_);
 }
 
-ArcBatch HalkV1Model::Difference(const std::vector<ArcBatch>& inputs) {
+EmbeddingBatch HalkV1Model::Difference(
+    const std::vector<EmbeddingBatch>& inputs) {
   HALK_CHECK_GE(inputs.size(), 2u);
   // Centers: same attention machinery as HaLk.
   std::vector<Tensor> scores;
@@ -36,8 +37,8 @@ ArcBatch HalkV1Model::Difference(const std::vector<ArcBatch>& inputs) {
   std::vector<Tensor> features;
   for (size_t j = 1; j < inputs.size(); ++j) {
     features.push_back(tensor::Concat(
-        {tensor::Sub(inputs[0].center, inputs[j].center),
-         tensor::Sub(inputs[0].length, inputs[j].length)},
+        {tensor::Sub(inputs[0].a, inputs[j].a),
+         tensor::Sub(inputs[0].b, inputs[j].b)},
         1));
   }
   Tensor length = tensor::MulScalar(
@@ -55,11 +56,11 @@ HalkV2Model::HalkV2Model(const core::ModelConfig& config,
                          const kg::NodeGrouping* grouping)
     : HalkModel(config, grouping) {}
 
-ArcBatch HalkV2Model::Negation(const ArcBatch& input) {
+EmbeddingBatch HalkV2Model::Negation(const EmbeddingBatch& input) {
   // Eq. (13) only — the linear transformation, no Eq. (14) correction.
   Tensor center = tensor::Mod2Pi(
-      tensor::AddScalar(input.center, kTwoPi / 2.0f));
-  Tensor length = tensor::AddScalar(tensor::Neg(input.length),
+      tensor::AddScalar(input.a, kTwoPi / 2.0f));
+  Tensor length = tensor::AddScalar(tensor::Neg(input.b),
                                     kTwoPi * config_.rho);
   return {center, length};
 }
@@ -76,13 +77,13 @@ HalkV3Model::HalkV3Model(const core::ModelConfig& config,
   v3_length_->ZeroInitFinalLayer();
 }
 
-ArcBatch HalkV3Model::Projection(const ArcBatch& input,
-                                 const std::vector<int64_t>& relations) {
+EmbeddingBatch HalkV3Model::Projection(
+    const EmbeddingBatch& input, const std::vector<int64_t>& relations) {
   constexpr float kPi = 3.14159265358979f;
   Tensor r_center = tensor::Gather(rel_center_, relations);
   Tensor r_length = tensor::Gather(rel_length_, relations);
-  Tensor approx_center = tensor::Add(input.center, r_center);
-  Tensor approx_length = tensor::Add(input.length, r_length);
+  Tensor approx_center = tensor::Add(input.a, r_center);
+  Tensor approx_length = tensor::Add(input.b, r_length);
   // Center and length refined independently of each other — no start/end
   // coordination (same residual parameterization as the full model, minus
   // the coordinated pair).

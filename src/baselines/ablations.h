@@ -18,8 +18,8 @@ class HalkV1Model : public core::HalkModel {
   HalkV1Model(const core::ModelConfig& config,
               const kg::NodeGrouping* grouping);
   std::string name() const override { return "HaLk-V1"; }
-  core::ArcBatch Difference(
-      const std::vector<core::ArcBatch>& inputs) override;
+  core::EmbeddingBatch Difference(
+      const std::vector<core::EmbeddingBatch>& inputs) override;
   std::vector<tensor::Tensor> Parameters() const override;
 
  private:
@@ -34,7 +34,7 @@ class HalkV2Model : public core::HalkModel {
   HalkV2Model(const core::ModelConfig& config,
               const kg::NodeGrouping* grouping);
   std::string name() const override { return "HaLk-V2"; }
-  core::ArcBatch Negation(const core::ArcBatch& input) override;
+  core::EmbeddingBatch Negation(const core::EmbeddingBatch& input) override;
 };
 
 /// HaLk-V3 (Table V, projection ablation): the coordinated start/end-point
@@ -45,8 +45,9 @@ class HalkV3Model : public core::HalkModel {
   HalkV3Model(const core::ModelConfig& config,
               const kg::NodeGrouping* grouping);
   std::string name() const override { return "HaLk-V3"; }
-  core::ArcBatch Projection(const core::ArcBatch& input,
-                            const std::vector<int64_t>& relations) override;
+  core::EmbeddingBatch Projection(
+      const core::EmbeddingBatch& input,
+      const std::vector<int64_t>& relations) override;
   std::vector<tensor::Tensor> Parameters() const override;
 
  private:

@@ -51,7 +51,8 @@ EmbeddingBatch BetaEModel::Projection(const EmbeddingBatch& input,
 }
 
 EmbeddingBatch BetaEModel::Intersection(
-    const std::vector<EmbeddingBatch>& inputs) {
+    const std::vector<EmbeddingBatch>& inputs,
+    const std::vector<Tensor>& /*z*/) {
   HALK_CHECK_GE(inputs.size(), 2u);
   std::vector<Tensor> scores;
   for (const EmbeddingBatch& in : inputs) {
@@ -75,52 +76,6 @@ EmbeddingBatch BetaEModel::Negation(const EmbeddingBatch& input) {
   Tensor one_a = tensor::Div(Tensor::Full({1}, 1.0f), input.a);
   Tensor one_b = tensor::Div(Tensor::Full({1}, 1.0f), input.b);
   return {one_a, one_b};
-}
-
-EmbeddingBatch BetaEModel::EmbedQueries(
-    const std::vector<const query::QueryGraph*>& queries) {
-  HALK_CHECK(!queries.empty());
-  const query::QueryGraph& proto = *queries[0];
-  std::vector<EmbeddingBatch> nodes(static_cast<size_t>(proto.num_nodes()));
-  for (int id : proto.TopologicalOrder()) {
-    const query::QueryNode& n = proto.nodes()[static_cast<size_t>(id)];
-    switch (n.op) {
-      case query::OpType::kAnchor: {
-        std::vector<int64_t> entities;
-        for (const query::QueryGraph* q : queries) {
-          entities.push_back(q->nodes()[static_cast<size_t>(id)].anchor_entity);
-        }
-        nodes[static_cast<size_t>(id)] = EmbedAnchors(entities);
-        break;
-      }
-      case query::OpType::kProjection: {
-        std::vector<int64_t> relations;
-        for (const query::QueryGraph* q : queries) {
-          relations.push_back(q->nodes()[static_cast<size_t>(id)].relation);
-        }
-        nodes[static_cast<size_t>(id)] =
-            Projection(nodes[static_cast<size_t>(n.inputs[0])], relations);
-        break;
-      }
-      case query::OpType::kIntersection: {
-        std::vector<EmbeddingBatch> inputs;
-        for (int in : n.inputs) inputs.push_back(nodes[static_cast<size_t>(in)]);
-        nodes[static_cast<size_t>(id)] = Intersection(inputs);
-        break;
-      }
-      case query::OpType::kNegation:
-        nodes[static_cast<size_t>(id)] =
-            Negation(nodes[static_cast<size_t>(n.inputs[0])]);
-        break;
-      case query::OpType::kDifference:
-        HALK_CHECK(false) << "BetaE does not support the difference operator";
-        break;
-      case query::OpType::kUnion:
-        HALK_CHECK(false) << "union must be lifted out by ToDnf";
-        break;
-    }
-  }
-  return nodes[static_cast<size_t>(proto.target())];
 }
 
 Tensor BetaEModel::Distance(const std::vector<int64_t>& entities,
@@ -160,7 +115,9 @@ void BetaEModel::DistancesToAll(const EmbeddingBatch& embedding, int64_t row,
   std::vector<float> log_beta_q(static_cast<size_t>(d));
   for (int64_t i = 0; i < d; ++i) {
     log_beta_q[static_cast<size_t>(i)] =
-        std::lgamma(qa[i]) + std::lgamma(qb[i]) - std::lgamma(qa[i] + qb[i]);
+        tensor::special::LgammaScalar(qa[i]) +
+        tensor::special::LgammaScalar(qb[i]) -
+        tensor::special::LgammaScalar(qa[i] + qb[i]);
   }
   for (int64_t e = 0; e < config_.num_entities; ++e) {
     const float* r = raw + e * 2 * d;
@@ -169,7 +126,9 @@ void BetaEModel::DistancesToAll(const EmbeddingBatch& embedding, int64_t row,
       const float a1 = softplus(r[i]);
       const float b1 = softplus(r[d + i]);
       const float log_beta_e =
-          std::lgamma(a1) + std::lgamma(b1) - std::lgamma(a1 + b1);
+          tensor::special::LgammaScalar(a1) +
+          tensor::special::LgammaScalar(b1) -
+          tensor::special::LgammaScalar(a1 + b1);
       total += log_beta_q[static_cast<size_t>(i)] - log_beta_e +
                (a1 - qa[i]) * tensor::special::DigammaScalar(a1) +
                (b1 - qb[i]) * tensor::special::DigammaScalar(b1) +

@@ -32,9 +32,6 @@ class BetaEModel : public core::QueryModel {
 
   std::string name() const override { return "BetaE"; }
 
-  core::EmbeddingBatch EmbedQueries(
-      const std::vector<const query::QueryGraph*>& queries) override;
-
   tensor::Tensor Distance(const std::vector<int64_t>& entities,
                           const core::EmbeddingBatch& embedding) override;
 
@@ -47,13 +44,18 @@ class BetaEModel : public core::QueryModel {
     return op != query::OpType::kDifference;
   }
 
-  // Operators; EmbeddingBatch.a = α, .b = β (both > kMinParam).
-  core::EmbeddingBatch EmbedAnchors(const std::vector<int64_t>& entities);
-  core::EmbeddingBatch Projection(const core::EmbeddingBatch& input,
-                                  const std::vector<int64_t>& relations);
+  // Operators; EmbeddingBatch.a = α, .b = β (both > kMinParam). No
+  // difference: the default OperatorModel::Difference fails.
+  core::EmbeddingBatch EmbedAnchors(
+      const std::vector<int64_t>& entities) override;
+  core::EmbeddingBatch Projection(
+      const core::EmbeddingBatch& input,
+      const std::vector<int64_t>& relations) override;
+  /// Ignores `z`: BetaE has no group-similarity factor.
   core::EmbeddingBatch Intersection(
-      const std::vector<core::EmbeddingBatch>& inputs);
-  core::EmbeddingBatch Negation(const core::EmbeddingBatch& input);
+      const std::vector<core::EmbeddingBatch>& inputs,
+      const std::vector<tensor::Tensor>& z) override;
+  core::EmbeddingBatch Negation(const core::EmbeddingBatch& input) override;
 
   /// Lower bound on Beta parameters (keeps KL and its gradients finite).
   static constexpr float kMinParam = 0.05f;

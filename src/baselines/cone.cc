@@ -7,7 +7,6 @@
 
 namespace halk::baselines {
 
-using core::ArcBatch;
 using core::EmbeddingBatch;
 using tensor::Tensor;
 
@@ -44,19 +43,19 @@ ConeModel::ConeModel(const core::ModelConfig& config,
                                                &rng_);
 }
 
-ArcBatch ConeModel::EmbedAnchors(const std::vector<int64_t>& entities) {
+EmbeddingBatch ConeModel::EmbedAnchors(const std::vector<int64_t>& entities) {
   Tensor center = tensor::Gather(entity_angles_, entities);
   Tensor length =
       Tensor::Zeros({static_cast<int64_t>(entities.size()), config_.dim});
   return {center, length};
 }
 
-ArcBatch ConeModel::Projection(const ArcBatch& input,
-                               const std::vector<int64_t>& relations) {
+EmbeddingBatch ConeModel::Projection(const EmbeddingBatch& input,
+                                     const std::vector<int64_t>& relations) {
   constexpr float kPi = 3.14159265358979f;
-  Tensor axis = tensor::Add(input.center, tensor::Gather(rel_axis_, relations));
+  Tensor axis = tensor::Add(input.a, tensor::Gather(rel_axis_, relations));
   Tensor aperture =
-      tensor::Add(input.length, tensor::Gather(rel_aperture_, relations));
+      tensor::Add(input.b, tensor::Gather(rel_aperture_, relations));
   // Axis and aperture are refined *independently* (bounded residuals fed
   // only their own component) — the decoupling the HaLk paper identifies
   // as a source of cascading error.
@@ -74,95 +73,49 @@ ArcBatch ConeModel::Projection(const ArcBatch& input,
   return {new_axis, new_aperture};
 }
 
-ArcBatch ConeModel::Intersection(const std::vector<ArcBatch>& inputs) {
+EmbeddingBatch ConeModel::Intersection(
+    const std::vector<EmbeddingBatch>& inputs,
+    const std::vector<Tensor>& /*z*/) {
   HALK_CHECK_GE(inputs.size(), 2u);
   std::vector<Tensor> scores;
-  for (const ArcBatch& in : inputs) {
+  for (const EmbeddingBatch& in : inputs) {
     scores.push_back(
-        inter_att_->Forward(tensor::Concat({in.center, in.length}, 1)));
+        inter_att_->Forward(tensor::Concat({in.a, in.b}, 1)));
   }
   std::vector<Tensor> weights = nn::SoftmaxAcross(scores);
   // Raw-value angle averaging (periodicity-unsafe, per the paper's
   // critique of rotation baselines).
   Tensor axis;
   for (size_t i = 0; i < inputs.size(); ++i) {
-    Tensor term = tensor::Mul(weights[i], inputs[i].center);
+    Tensor term = tensor::Mul(weights[i], inputs[i].a);
     axis = axis.defined() ? tensor::Add(axis, term) : term;
   }
-  Tensor min_aperture = inputs[0].length;
+  Tensor min_aperture = inputs[0].b;
   for (size_t i = 1; i < inputs.size(); ++i) {
-    min_aperture = tensor::Minimum(min_aperture, inputs[i].length);
+    min_aperture = tensor::Minimum(min_aperture, inputs[i].b);
   }
   std::vector<Tensor> pairs;
-  for (const ArcBatch& in : inputs) {
-    pairs.push_back(tensor::Concat({in.center, in.length}, 1));
+  for (const EmbeddingBatch& in : inputs) {
+    pairs.push_back(tensor::Concat({in.a, in.b}, 1));
   }
   Tensor aperture = tensor::Mul(
       min_aperture, tensor::Sigmoid(inter_sets_->Forward(pairs)));
   return {axis, aperture};
 }
 
-ArcBatch ConeModel::Negation(const ArcBatch& input) {
+EmbeddingBatch ConeModel::Negation(const EmbeddingBatch& input) {
   // Pure linear transformation assumption: antipodal axis, complementary
   // aperture, no learned correction.
-  Tensor axis = tensor::Mod2Pi(tensor::AddScalar(input.center, kPi));
-  Tensor aperture = tensor::AddScalar(tensor::Neg(input.length),
+  Tensor axis = tensor::Mod2Pi(tensor::AddScalar(input.a, kPi));
+  Tensor aperture = tensor::AddScalar(tensor::Neg(input.b),
                                       kTwoPi * config_.rho);
   return {axis, aperture};
-}
-
-EmbeddingBatch ConeModel::EmbedQueries(
-    const std::vector<const query::QueryGraph*>& queries) {
-  HALK_CHECK(!queries.empty());
-  const query::QueryGraph& proto = *queries[0];
-  std::vector<ArcBatch> node_arcs(static_cast<size_t>(proto.num_nodes()));
-  for (int id : proto.TopologicalOrder()) {
-    const query::QueryNode& n = proto.nodes()[static_cast<size_t>(id)];
-    switch (n.op) {
-      case query::OpType::kAnchor: {
-        std::vector<int64_t> entities;
-        for (const query::QueryGraph* q : queries) {
-          entities.push_back(q->nodes()[static_cast<size_t>(id)].anchor_entity);
-        }
-        node_arcs[static_cast<size_t>(id)] = EmbedAnchors(entities);
-        break;
-      }
-      case query::OpType::kProjection: {
-        std::vector<int64_t> relations;
-        for (const query::QueryGraph* q : queries) {
-          relations.push_back(q->nodes()[static_cast<size_t>(id)].relation);
-        }
-        node_arcs[static_cast<size_t>(id)] = Projection(
-            node_arcs[static_cast<size_t>(n.inputs[0])], relations);
-        break;
-      }
-      case query::OpType::kIntersection: {
-        std::vector<ArcBatch> inputs;
-        for (int in : n.inputs) inputs.push_back(node_arcs[static_cast<size_t>(in)]);
-        node_arcs[static_cast<size_t>(id)] = Intersection(inputs);
-        break;
-      }
-      case query::OpType::kNegation:
-        node_arcs[static_cast<size_t>(id)] =
-            Negation(node_arcs[static_cast<size_t>(n.inputs[0])]);
-        break;
-      case query::OpType::kDifference:
-        HALK_CHECK(false) << "ConE does not support the difference operator";
-        break;
-      case query::OpType::kUnion:
-        HALK_CHECK(false) << "union must be lifted out by ToDnf";
-        break;
-    }
-  }
-  const ArcBatch& t = node_arcs[static_cast<size_t>(proto.target())];
-  return {t.center, t.length};
 }
 
 Tensor ConeModel::Distance(const std::vector<int64_t>& entities,
                            const EmbeddingBatch& embedding) {
   Tensor points = tensor::Gather(entity_angles_, entities);
-  return core::ArcDistance(points, {embedding.a, embedding.b}, config_.rho,
-                           config_.eta);
+  return core::ArcDistance(points, embedding, config_.rho, config_.eta);
 }
 
 void ConeModel::DistancesToAll(const EmbeddingBatch& embedding, int64_t row,

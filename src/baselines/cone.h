@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/arc.h"
 #include "core/query_model.h"
 #include "nn/deepsets.h"
 #include "nn/mlp.h"
@@ -30,9 +29,6 @@ class ConeModel : public core::QueryModel {
 
   std::string name() const override { return "ConE"; }
 
-  core::EmbeddingBatch EmbedQueries(
-      const std::vector<const query::QueryGraph*>& queries) override;
-
   tensor::Tensor Distance(const std::vector<int64_t>& entities,
                           const core::EmbeddingBatch& embedding) override;
 
@@ -45,12 +41,18 @@ class ConeModel : public core::QueryModel {
     return op != query::OpType::kDifference;
   }
 
-  // Operators (public for tests).
-  core::ArcBatch EmbedAnchors(const std::vector<int64_t>& entities);
-  core::ArcBatch Projection(const core::ArcBatch& input,
-                            const std::vector<int64_t>& relations);
-  core::ArcBatch Intersection(const std::vector<core::ArcBatch>& inputs);
-  core::ArcBatch Negation(const core::ArcBatch& input);
+  // Operators; EmbeddingBatch.a = cone axis, .b = aperture. No
+  // difference: the default OperatorModel::Difference fails.
+  core::EmbeddingBatch EmbedAnchors(
+      const std::vector<int64_t>& entities) override;
+  core::EmbeddingBatch Projection(
+      const core::EmbeddingBatch& input,
+      const std::vector<int64_t>& relations) override;
+  /// Ignores `z`: ConE has no group-similarity factor.
+  core::EmbeddingBatch Intersection(
+      const std::vector<core::EmbeddingBatch>& inputs,
+      const std::vector<tensor::Tensor>& z) override;
+  core::EmbeddingBatch Negation(const core::EmbeddingBatch& input) override;
 
  private:
   Rng rng_;

@@ -10,6 +10,15 @@ namespace halk::baselines {
 using core::EmbeddingBatch;
 using tensor::Tensor;
 
+namespace {
+
+// MLPMix embeddings are plain vectors; the second component stays zero.
+EmbeddingBatch WithZeros(const Tensor& vec) {
+  return {vec, Tensor::Zeros({vec.shape().dim(0), vec.shape().dim(1)})};
+}
+
+}  // namespace
+
 MlpMixModel::MlpMixModel(const core::ModelConfig& config,
                          const kg::NodeGrouping* /*grouping*/)
     : QueryModel(config), rng_(config.seed) {
@@ -27,79 +36,33 @@ MlpMixModel::MlpMixModel(const core::ModelConfig& config,
   neg_ = std::make_unique<nn::Linear>(d, d, &rng_);
 }
 
-Tensor MlpMixModel::EmbedAnchors(const std::vector<int64_t>& entities) {
-  return tensor::Gather(entity_vecs_, entities);
+EmbeddingBatch MlpMixModel::EmbedAnchors(
+    const std::vector<int64_t>& entities) {
+  return WithZeros(tensor::Gather(entity_vecs_, entities));
 }
 
-Tensor MlpMixModel::Projection(const Tensor& input,
-                               const std::vector<int64_t>& relations) {
+EmbeddingBatch MlpMixModel::Projection(const EmbeddingBatch& input,
+                                       const std::vector<int64_t>& relations) {
   Tensor rel = tensor::Gather(rel_vecs_, relations);
-  return proj_->Forward(tensor::Concat({input, rel}, 1));
+  return WithZeros(proj_->Forward(tensor::Concat({input.a, rel}, 1)));
 }
 
-Tensor MlpMixModel::Intersection(const std::vector<Tensor>& inputs) {
+EmbeddingBatch MlpMixModel::Intersection(
+    const std::vector<EmbeddingBatch>& inputs,
+    const std::vector<Tensor>& /*z*/) {
   HALK_CHECK_GE(inputs.size(), 2u);
   Tensor acc;
-  for (const Tensor& in : inputs) {
-    Tensor h = inter_pre_->Forward(in);
+  for (const EmbeddingBatch& in : inputs) {
+    Tensor h = inter_pre_->Forward(in.a);
     acc = acc.defined() ? tensor::Add(acc, h) : h;
   }
   acc = tensor::MulScalar(acc, 1.0f / static_cast<float>(inputs.size()));
-  return inter_post_->Forward(acc);
+  return WithZeros(inter_post_->Forward(acc));
 }
 
-Tensor MlpMixModel::Negation(const Tensor& input) {
+EmbeddingBatch MlpMixModel::Negation(const EmbeddingBatch& input) {
   // The linear transformation assumption, verbatim.
-  return neg_->Forward(input);
-}
-
-EmbeddingBatch MlpMixModel::EmbedQueries(
-    const std::vector<const query::QueryGraph*>& queries) {
-  HALK_CHECK(!queries.empty());
-  const query::QueryGraph& proto = *queries[0];
-  std::vector<Tensor> nodes(static_cast<size_t>(proto.num_nodes()));
-  for (int id : proto.TopologicalOrder()) {
-    const query::QueryNode& n = proto.nodes()[static_cast<size_t>(id)];
-    switch (n.op) {
-      case query::OpType::kAnchor: {
-        std::vector<int64_t> entities;
-        for (const query::QueryGraph* q : queries) {
-          entities.push_back(q->nodes()[static_cast<size_t>(id)].anchor_entity);
-        }
-        nodes[static_cast<size_t>(id)] = EmbedAnchors(entities);
-        break;
-      }
-      case query::OpType::kProjection: {
-        std::vector<int64_t> relations;
-        for (const query::QueryGraph* q : queries) {
-          relations.push_back(q->nodes()[static_cast<size_t>(id)].relation);
-        }
-        nodes[static_cast<size_t>(id)] =
-            Projection(nodes[static_cast<size_t>(n.inputs[0])], relations);
-        break;
-      }
-      case query::OpType::kIntersection: {
-        std::vector<Tensor> inputs;
-        for (int in : n.inputs) inputs.push_back(nodes[static_cast<size_t>(in)]);
-        nodes[static_cast<size_t>(id)] = Intersection(inputs);
-        break;
-      }
-      case query::OpType::kNegation:
-        nodes[static_cast<size_t>(id)] =
-            Negation(nodes[static_cast<size_t>(n.inputs[0])]);
-        break;
-      case query::OpType::kDifference:
-        HALK_CHECK(false) << "MLPMix does not support the difference operator";
-        break;
-      case query::OpType::kUnion:
-        HALK_CHECK(false) << "union must be lifted out by ToDnf";
-        break;
-    }
-  }
-  Tensor target = nodes[static_cast<size_t>(proto.target())];
-  Tensor zeros = Tensor::Zeros(
-      {target.shape().dim(0), target.shape().dim(1)});
-  return {target, zeros};
+  return WithZeros(neg_->Forward(input.a));
 }
 
 Tensor MlpMixModel::Distance(const std::vector<int64_t>& entities,

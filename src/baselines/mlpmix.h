@@ -25,9 +25,6 @@ class MlpMixModel : public core::QueryModel {
 
   std::string name() const override { return "MLPMix"; }
 
-  core::EmbeddingBatch EmbedQueries(
-      const std::vector<const query::QueryGraph*>& queries) override;
-
   tensor::Tensor Distance(const std::vector<int64_t>& entities,
                           const core::EmbeddingBatch& embedding) override;
 
@@ -40,13 +37,18 @@ class MlpMixModel : public core::QueryModel {
     return op != query::OpType::kDifference;
   }
 
-  // Vector operators; EmbeddingBatch.a is the query vector, .b is unused
-  // (zeros).
-  tensor::Tensor EmbedAnchors(const std::vector<int64_t>& entities);
-  tensor::Tensor Projection(const tensor::Tensor& input,
-                            const std::vector<int64_t>& relations);
-  tensor::Tensor Intersection(const std::vector<tensor::Tensor>& inputs);
-  tensor::Tensor Negation(const tensor::Tensor& input);
+  // Vector operators; EmbeddingBatch.a is the query vector, .b is zeros.
+  // No difference: the default OperatorModel::Difference fails.
+  core::EmbeddingBatch EmbedAnchors(
+      const std::vector<int64_t>& entities) override;
+  core::EmbeddingBatch Projection(
+      const core::EmbeddingBatch& input,
+      const std::vector<int64_t>& relations) override;
+  /// Ignores `z`: MLPMix has no group-similarity factor.
+  core::EmbeddingBatch Intersection(
+      const std::vector<core::EmbeddingBatch>& inputs,
+      const std::vector<tensor::Tensor>& z) override;
+  core::EmbeddingBatch Negation(const core::EmbeddingBatch& input) override;
 
  private:
   Rng rng_;

@@ -65,7 +65,8 @@ EmbeddingBatch NewLookModel::Projection(
 }
 
 EmbeddingBatch NewLookModel::Intersection(
-    const std::vector<EmbeddingBatch>& inputs) {
+    const std::vector<EmbeddingBatch>& inputs,
+    const std::vector<Tensor>& /*z*/) {
   HALK_CHECK_GE(inputs.size(), 2u);
   std::vector<Tensor> scores;
   for (const EmbeddingBatch& in : inputs) {
@@ -117,55 +118,6 @@ EmbeddingBatch NewLookModel::Difference(
   Tensor offset =
       tensor::Mul(inputs[0].b, tensor::Sigmoid(diff_sets_->Forward(features)));
   return {center, offset};
-}
-
-EmbeddingBatch NewLookModel::EmbedQueries(
-    const std::vector<const query::QueryGraph*>& queries) {
-  HALK_CHECK(!queries.empty());
-  const query::QueryGraph& proto = *queries[0];
-  std::vector<EmbeddingBatch> nodes(static_cast<size_t>(proto.num_nodes()));
-  for (int id : proto.TopologicalOrder()) {
-    const query::QueryNode& n = proto.nodes()[static_cast<size_t>(id)];
-    switch (n.op) {
-      case query::OpType::kAnchor: {
-        std::vector<int64_t> entities;
-        for (const query::QueryGraph* q : queries) {
-          entities.push_back(q->nodes()[static_cast<size_t>(id)].anchor_entity);
-        }
-        nodes[static_cast<size_t>(id)] = EmbedAnchors(entities);
-        break;
-      }
-      case query::OpType::kProjection: {
-        std::vector<int64_t> relations;
-        for (const query::QueryGraph* q : queries) {
-          relations.push_back(q->nodes()[static_cast<size_t>(id)].relation);
-        }
-        nodes[static_cast<size_t>(id)] =
-            Projection(nodes[static_cast<size_t>(n.inputs[0])], relations);
-        break;
-      }
-      case query::OpType::kIntersection: {
-        std::vector<EmbeddingBatch> inputs;
-        for (int in : n.inputs) inputs.push_back(nodes[static_cast<size_t>(in)]);
-        nodes[static_cast<size_t>(id)] = Intersection(inputs);
-        break;
-      }
-      case query::OpType::kDifference: {
-        std::vector<EmbeddingBatch> inputs;
-        for (int in : n.inputs) inputs.push_back(nodes[static_cast<size_t>(in)]);
-        nodes[static_cast<size_t>(id)] = Difference(inputs);
-        break;
-      }
-      case query::OpType::kNegation:
-        HALK_CHECK(false)
-            << "NewLook does not support the negation operator";
-        break;
-      case query::OpType::kUnion:
-        HALK_CHECK(false) << "union must be lifted out by ToDnf";
-        break;
-    }
-  }
-  return nodes[static_cast<size_t>(proto.target())];
 }
 
 Tensor NewLookModel::Distance(const std::vector<int64_t>& entities,

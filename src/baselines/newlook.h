@@ -26,9 +26,6 @@ class NewLookModel : public core::QueryModel {
 
   std::string name() const override { return "NewLook"; }
 
-  core::EmbeddingBatch EmbedQueries(
-      const std::vector<const query::QueryGraph*>& queries) override;
-
   tensor::Tensor Distance(const std::vector<int64_t>& entities,
                           const core::EmbeddingBatch& embedding) override;
 
@@ -41,14 +38,19 @@ class NewLookModel : public core::QueryModel {
     return op != query::OpType::kNegation;
   }
 
-  // Box operators; EmbeddingBatch.a = center, .b = offset (>= 0).
-  core::EmbeddingBatch EmbedAnchors(const std::vector<int64_t>& entities);
-  core::EmbeddingBatch Projection(const core::EmbeddingBatch& input,
-                                  const std::vector<int64_t>& relations);
+  // Box operators; EmbeddingBatch.a = center, .b = offset (>= 0). No
+  // negation: the default OperatorModel::Negation fails.
+  core::EmbeddingBatch EmbedAnchors(
+      const std::vector<int64_t>& entities) override;
+  core::EmbeddingBatch Projection(
+      const core::EmbeddingBatch& input,
+      const std::vector<int64_t>& relations) override;
+  /// Ignores `z`: NewLook has no group-similarity factor.
   core::EmbeddingBatch Intersection(
-      const std::vector<core::EmbeddingBatch>& inputs);
+      const std::vector<core::EmbeddingBatch>& inputs,
+      const std::vector<tensor::Tensor>& z) override;
   core::EmbeddingBatch Difference(
-      const std::vector<core::EmbeddingBatch>& inputs);
+      const std::vector<core::EmbeddingBatch>& inputs) override;
 
  private:
   Rng rng_;

@@ -6,17 +6,17 @@ namespace halk::core {
 
 using tensor::Tensor;
 
-Tensor StartPoint(const ArcBatch& arc, float rho) {
-  return tensor::Sub(arc.center,
-                     tensor::MulScalar(arc.length, 1.0f / (2.0f * rho)));
+Tensor StartPoint(const EmbeddingBatch& arc, float rho) {
+  return tensor::Sub(arc.a,
+                     tensor::MulScalar(arc.b, 1.0f / (2.0f * rho)));
 }
 
-Tensor EndPoint(const ArcBatch& arc, float rho) {
-  return tensor::Add(arc.center,
-                     tensor::MulScalar(arc.length, 1.0f / (2.0f * rho)));
+Tensor EndPoint(const EmbeddingBatch& arc, float rho) {
+  return tensor::Add(arc.a,
+                     tensor::MulScalar(arc.b, 1.0f / (2.0f * rho)));
 }
 
-Tensor StartEndPair(const ArcBatch& arc, float rho) {
+Tensor StartEndPair(const EmbeddingBatch& arc, float rho) {
   return tensor::Concat({StartPoint(arc, rho), EndPoint(arc, rho)}, 1);
 }
 

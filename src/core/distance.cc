@@ -8,10 +8,10 @@ namespace halk::core {
 
 using tensor::Tensor;
 
-Tensor ArcDistance(const Tensor& point, const ArcBatch& arc, float rho,
+Tensor ArcDistance(const Tensor& point, const EmbeddingBatch& arc, float rho,
                    float eta) {
-  HALK_CHECK(point.shape() == arc.center.shape())
-      << point.shape().ToString() << " vs " << arc.center.shape().ToString();
+  HALK_CHECK(point.shape() == arc.a.shape())
+      << point.shape().ToString() << " vs " << arc.a.shape().ToString();
 
   // Chord from the point to the closer arc endpoint.
   Tensor to_start = ChordLength(point, StartPoint(arc, rho), rho);
@@ -19,11 +19,11 @@ Tensor ArcDistance(const Tensor& point, const ArcBatch& arc, float rho,
   Tensor outside_raw = tensor::Minimum(to_start, to_end);
 
   // Chord to the center vs. the half-arc chord.
-  Tensor to_center = ChordLength(point, arc.center, rho);
+  Tensor to_center = ChordLength(point, arc.a, rho);
   // |sin((A_l / 2ρ) / 2)| scaled to a chord: the arc's half-width.
   Tensor half_width = tensor::MulScalar(
       tensor::Abs(tensor::Sin(
-          tensor::MulScalar(arc.length, 1.0f / (4.0f * rho)))),
+          tensor::MulScalar(arc.b, 1.0f / (4.0f * rho)))),
       2.0f * rho);
 
   // Inside mask: to_center <= half_width, per coordinate, as a constant.

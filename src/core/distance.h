@@ -16,8 +16,8 @@ namespace halk::core {
 /// The outside indicator (chord-to-center exceeding the half-arc chord)
 /// zeroes d_o for points inside the arc; it is treated as a constant in
 /// backward (standard subgradient practice).
-tensor::Tensor ArcDistance(const tensor::Tensor& point, const ArcBatch& arc,
-                           float rho, float eta);
+tensor::Tensor ArcDistance(const tensor::Tensor& point,
+                           const EmbeddingBatch& arc, float rho, float eta);
 
 /// Tape-free scalar twin of ArcDistance for one (entity, arc) pair of raw
 /// angle/length buffers of width `dim`; used for ranking all entities at

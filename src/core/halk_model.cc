@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "core/distance.h"
 #include "core/entity_source.h"
-#include "core/query_groups.h"
 #include "nn/attention.h"
 #include "nn/init.h"
 
@@ -91,7 +90,7 @@ HalkModel::HalkModel(const ModelConfig& config,
   neg_length_->ZeroInitFinalLayer();
 }
 
-ArcBatch HalkModel::EmbedAnchors(const std::vector<int64_t>& entities) {
+EmbeddingBatch HalkModel::EmbedAnchors(const std::vector<int64_t>& entities) {
   Tensor center = GatherEntityRows(entities);
   Tensor length =
       Tensor::Zeros({static_cast<int64_t>(entities.size()), config_.dim});
@@ -113,13 +112,13 @@ Tensor HalkModel::GatherEntityRows(const std::vector<int64_t>& entities) const {
   return out;
 }
 
-ArcBatch HalkModel::Projection(const ArcBatch& input,
-                               const std::vector<int64_t>& relations) {
+EmbeddingBatch HalkModel::Projection(const EmbeddingBatch& input,
+                                     const std::vector<int64_t>& relations) {
   // Rotate by the relation arc to get the approximate result arc.
   Tensor r_center = tensor::Gather(rel_center_, relations);
   Tensor r_length = tensor::Gather(rel_length_, relations);
-  ArcBatch approx{tensor::Add(input.center, r_center),
-                  tensor::Add(input.length, r_length)};
+  EmbeddingBatch approx{tensor::Add(input.a, r_center),
+                        tensor::Add(input.b, r_length)};
   // Adjust start and end points cooperatively (Eq. 2), parameterized as a
   // bounded residual around the rotation: the MLP (fed the coordinated
   // [A_S ‖ A_E] pair) rotates the center by up to ±π·tanh(λ·) and rescales
@@ -128,13 +127,13 @@ ArcBatch HalkModel::Projection(const ArcBatch& input,
   // while preserving Eq. (2)'s joint center/cardinality adjustment.
   Tensor pair = StartEndPair(approx, config_.rho);
   Tensor center = tensor::Mod2Pi(tensor::Add(
-      approx.center,
+      approx.a,
       tensor::MulScalar(
           tensor::Tanh(tensor::MulScalar(proj_center_->Forward(pair),
                                          config_.lambda)),
           kPi)));
   Tensor length = tensor::Clamp(
-      tensor::Add(approx.length,
+      tensor::Add(approx.b,
                   tensor::MulScalar(
                       tensor::Tanh(proj_length_->Forward(pair)),
                       kPi / 4.0f)),
@@ -143,15 +142,15 @@ ArcBatch HalkModel::Projection(const ArcBatch& input,
 }
 
 Tensor HalkModel::SemanticAverageCenter(
-    const std::vector<ArcBatch>& inputs,
+    const std::vector<EmbeddingBatch>& inputs,
     const std::vector<Tensor>& scores) const {
   std::vector<Tensor> weights = nn::SoftmaxAcross(scores);
   Tensor x_sa;
   Tensor y_sa;
   for (size_t i = 0; i < inputs.size(); ++i) {
     // Rectangular coordinates avoid the periodic averaging problem (Eq. 4).
-    Tensor x = tensor::MulScalar(tensor::Cos(inputs[i].center), config_.rho);
-    Tensor y = tensor::MulScalar(tensor::Sin(inputs[i].center), config_.rho);
+    Tensor x = tensor::MulScalar(tensor::Cos(inputs[i].a), config_.rho);
+    Tensor y = tensor::MulScalar(tensor::Sin(inputs[i].a), config_.rho);
     Tensor wx = tensor::Mul(weights[i], x);
     Tensor wy = tensor::Mul(weights[i], y);
     x_sa = x_sa.defined() ? tensor::Add(x_sa, wx) : wx;
@@ -162,7 +161,8 @@ Tensor HalkModel::SemanticAverageCenter(
   return tensor::Mod2Pi(tensor::Atan2(y_sa, x_sa));
 }
 
-ArcBatch HalkModel::Difference(const std::vector<ArcBatch>& inputs) {
+EmbeddingBatch HalkModel::Difference(
+    const std::vector<EmbeddingBatch>& inputs) {
   HALK_CHECK_GE(inputs.size(), 2u);
   // Attention scores with the hard-coded minuend asymmetry κ (Eq. 7).
   std::vector<Tensor> scores;
@@ -180,18 +180,18 @@ ArcBatch HalkModel::Difference(const std::vector<ArcBatch>& inputs) {
   for (size_t j = 1; j < inputs.size(); ++j) {
     Tensor delta_c = tensor::MulScalar(
         tensor::Sin(tensor::MulScalar(
-            tensor::Sub(inputs[0].center, inputs[j].center), 0.5f)),
+            tensor::Sub(inputs[0].a, inputs[j].a), 0.5f)),
         2.0f * config_.rho);
-    Tensor delta_l = tensor::Sub(inputs[0].length, inputs[j].length);
+    Tensor delta_l = tensor::Sub(inputs[0].b, inputs[j].b);
     overlap_features.push_back(tensor::Concat({delta_c, delta_l}, 1));
   }
   Tensor shrink = tensor::Sigmoid(diff_sets_->Forward(overlap_features));
-  Tensor length = tensor::Mul(inputs[0].length, shrink);
+  Tensor length = tensor::Mul(inputs[0].b, shrink);
   return {center, length};
 }
 
-ArcBatch HalkModel::Intersection(const std::vector<ArcBatch>& inputs,
-                                 const std::vector<Tensor>& z) {
+EmbeddingBatch HalkModel::Intersection(
+    const std::vector<EmbeddingBatch>& inputs, const std::vector<Tensor>& z) {
   HALK_CHECK_GE(inputs.size(), 2u);
   HALK_CHECK(z.empty() || z.size() == inputs.size());
   // Attention scores scaled by group similarity (Eq. 10).
@@ -205,15 +205,14 @@ ArcBatch HalkModel::Intersection(const std::vector<ArcBatch>& inputs,
 
   // Arclength: min of input arc angles shrunk by a permutation-invariant
   // influence factor (Eqs. 11-12).
-  Tensor min_alpha =
-      tensor::MulScalar(inputs[0].length, 1.0f / config_.rho);
+  Tensor min_alpha = tensor::MulScalar(inputs[0].b, 1.0f / config_.rho);
   for (size_t i = 1; i < inputs.size(); ++i) {
     min_alpha = tensor::Minimum(
-        min_alpha, tensor::MulScalar(inputs[i].length, 1.0f / config_.rho));
+        min_alpha, tensor::MulScalar(inputs[i].b, 1.0f / config_.rho));
   }
   std::vector<Tensor> pairs;
   pairs.reserve(inputs.size());
-  for (const ArcBatch& in : inputs) {
+  for (const EmbeddingBatch& in : inputs) {
     pairs.push_back(StartEndPair(in, config_.rho));
   }
   Tensor shrink = tensor::Sigmoid(inter_sets_->Forward(pairs));
@@ -221,12 +220,12 @@ ArcBatch HalkModel::Intersection(const std::vector<ArcBatch>& inputs,
   return {center, tensor::MulScalar(alpha, config_.rho)};
 }
 
-ArcBatch HalkModel::Negation(const ArcBatch& input) {
+EmbeddingBatch HalkModel::Negation(const EmbeddingBatch& input) {
   // Linear antipodal initialization (Eq. 13): center flipped by π, length
   // complemented to the full circle.
   Tensor approx_center =
-      tensor::Mod2Pi(tensor::AddScalar(input.center, kPi));
-  Tensor approx_length = tensor::AddScalar(tensor::Neg(input.length),
+      tensor::Mod2Pi(tensor::AddScalar(input.a, kPi));
+  Tensor approx_length = tensor::AddScalar(tensor::Neg(input.b),
                                            kTwoPi * config_.rho);
   Tensor approx_alpha =
       tensor::MulScalar(approx_length, 1.0f / config_.rho);
@@ -251,101 +250,10 @@ ArcBatch HalkModel::Negation(const ArcBatch& input) {
   return {center, length};
 }
 
-EmbeddingBatch HalkModel::EmbedQueries(
-    const std::vector<const query::QueryGraph*>& queries) {
-  HALK_CHECK(!queries.empty());
-  const query::QueryGraph& proto = *queries[0];
-  const int64_t batch = static_cast<int64_t>(queries.size());
-  for (const query::QueryGraph* q : queries) {
-    HALK_CHECK_EQ(q->num_nodes(), proto.num_nodes())
-        << "EmbedQueries requires same-structure queries";
-  }
-
-  // Group vectors per query per node, for the intersection z factors.
-  std::vector<std::vector<std::vector<float>>> groups;
-  if (grouping_ != nullptr) {
-    groups.reserve(queries.size());
-    for (const query::QueryGraph* q : queries) {
-      groups.push_back(NodeGroupVectors(*q, *grouping_));
-    }
-  }
-
-  std::vector<ArcBatch> node_arcs(static_cast<size_t>(proto.num_nodes()));
-  for (int id : proto.TopologicalOrder()) {
-    const query::QueryNode& n = proto.nodes()[static_cast<size_t>(id)];
-    switch (n.op) {
-      case query::OpType::kAnchor: {
-        std::vector<int64_t> entities;
-        entities.reserve(queries.size());
-        for (const query::QueryGraph* q : queries) {
-          entities.push_back(
-              q->nodes()[static_cast<size_t>(id)].anchor_entity);
-        }
-        node_arcs[static_cast<size_t>(id)] = EmbedAnchors(entities);
-        break;
-      }
-      case query::OpType::kProjection: {
-        std::vector<int64_t> relations;
-        relations.reserve(queries.size());
-        for (const query::QueryGraph* q : queries) {
-          relations.push_back(q->nodes()[static_cast<size_t>(id)].relation);
-        }
-        node_arcs[static_cast<size_t>(id)] = Projection(
-            node_arcs[static_cast<size_t>(n.inputs[0])], relations);
-        break;
-      }
-      case query::OpType::kIntersection: {
-        std::vector<ArcBatch> inputs;
-        for (int in : n.inputs) {
-          inputs.push_back(node_arcs[static_cast<size_t>(in)]);
-        }
-        std::vector<Tensor> z;
-        if (grouping_ != nullptr) {
-          for (int in : n.inputs) {
-            std::vector<float> tiled(
-                static_cast<size_t>(batch * config_.dim));
-            for (int64_t b = 0; b < batch; ++b) {
-              const float zi = kg::NodeGrouping::Similarity(
-                  groups[static_cast<size_t>(b)][static_cast<size_t>(in)],
-                  groups[static_cast<size_t>(b)][static_cast<size_t>(id)]);
-              for (int64_t c = 0; c < config_.dim; ++c) {
-                tiled[static_cast<size_t>(b * config_.dim + c)] = zi;
-              }
-            }
-            z.push_back(Tensor::FromVector({batch, config_.dim},
-                                           std::move(tiled)));
-          }
-        }
-        node_arcs[static_cast<size_t>(id)] = Intersection(inputs, z);
-        break;
-      }
-      case query::OpType::kDifference: {
-        std::vector<ArcBatch> inputs;
-        for (int in : n.inputs) {
-          inputs.push_back(node_arcs[static_cast<size_t>(in)]);
-        }
-        node_arcs[static_cast<size_t>(id)] = Difference(inputs);
-        break;
-      }
-      case query::OpType::kNegation:
-        node_arcs[static_cast<size_t>(id)] =
-            Negation(node_arcs[static_cast<size_t>(n.inputs[0])]);
-        break;
-      case query::OpType::kUnion:
-        HALK_CHECK(false)
-            << "union must be lifted out by ToDnf before embedding";
-        break;
-    }
-  }
-  const ArcBatch& target = node_arcs[static_cast<size_t>(proto.target())];
-  return {target.center, target.length};
-}
-
 Tensor HalkModel::Distance(const std::vector<int64_t>& entities,
                            const EmbeddingBatch& embedding) {
   Tensor points = GatherEntityRows(entities);
-  return ArcDistance(points, {embedding.a, embedding.b}, config_.rho,
-                     config_.eta);
+  return ArcDistance(points, embedding, config_.rho, config_.eta);
 }
 
 void HalkModel::DistancesToAll(const EmbeddingBatch& embedding, int64_t row,
@@ -465,64 +373,6 @@ std::vector<Tensor> HalkModel::Parameters() const {
     for (const Tensor& p : m->Parameters()) out.push_back(p);
   }
   return out;
-}
-
-std::vector<ArcBatch> HalkModel::EmbedAllNodes(
-    const query::QueryGraph& query) {
-  std::vector<ArcBatch> node_arcs(static_cast<size_t>(query.num_nodes()));
-  std::vector<const query::QueryGraph*> single = {&query};
-  // Re-run the batched path with B = 1, capturing intermediates.
-  // (EmbedQueries discards them, so this mirrors its dispatch.)
-  std::vector<std::vector<float>> groups;
-  if (grouping_ != nullptr) groups = NodeGroupVectors(query, *grouping_);
-  for (int id : query.TopologicalOrder()) {
-    const query::QueryNode& n = query.nodes()[static_cast<size_t>(id)];
-    switch (n.op) {
-      case query::OpType::kAnchor:
-        node_arcs[static_cast<size_t>(id)] =
-            EmbedAnchors({n.anchor_entity});
-        break;
-      case query::OpType::kProjection:
-        node_arcs[static_cast<size_t>(id)] = Projection(
-            node_arcs[static_cast<size_t>(n.inputs[0])], {n.relation});
-        break;
-      case query::OpType::kIntersection: {
-        std::vector<ArcBatch> inputs;
-        std::vector<Tensor> z;
-        for (int in : n.inputs) {
-          inputs.push_back(node_arcs[static_cast<size_t>(in)]);
-          if (grouping_ != nullptr) {
-            const float zi = kg::NodeGrouping::Similarity(
-                groups[static_cast<size_t>(in)],
-                groups[static_cast<size_t>(id)]);
-            z.push_back(Tensor::Full({1, config_.dim}, zi));
-          }
-        }
-        node_arcs[static_cast<size_t>(id)] = Intersection(inputs, z);
-        break;
-      }
-      case query::OpType::kDifference: {
-        std::vector<ArcBatch> inputs;
-        for (int in : n.inputs) {
-          inputs.push_back(node_arcs[static_cast<size_t>(in)]);
-        }
-        node_arcs[static_cast<size_t>(id)] = Difference(inputs);
-        break;
-      }
-      case query::OpType::kNegation:
-        node_arcs[static_cast<size_t>(id)] =
-            Negation(node_arcs[static_cast<size_t>(n.inputs[0])]);
-        break;
-      case query::OpType::kUnion: {
-        // For pruning we over-approximate a union node by the input with
-        // the larger arclength (candidates are unioned downstream anyway).
-        node_arcs[static_cast<size_t>(id)] =
-            node_arcs[static_cast<size_t>(n.inputs[0])];
-        break;
-      }
-    }
-  }
-  return node_arcs;
 }
 
 }  // namespace halk::core

@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "core/arc.h"
-#include "core/operator_model.h"
 #include "core/query_model.h"
 #include "nn/deepsets.h"
 #include "nn/mlp.h"
@@ -29,11 +28,12 @@ class EntityScanSource;
 ///   * negation — antipodal linear initialization refined by a non-linear
 ///     two-branch MLP;
 ///   * union — handled outside the model by the DNF rewrite (exact).
-/// The operator methods are virtual so the Table V ablations (HaLk-V1/V2/V3)
-/// can swap in degraded variants. The model also implements OperatorModel,
-/// which lets the shared-graph executor (plan/executor.h) drive the same
-/// virtual operators node by node over a deduplicated compute DAG.
-class HalkModel : public QueryModel, public OperatorModel {
+/// The operator methods (QueryModel's OperatorModel surface) are virtual so
+/// the Table V ablations (HaLk-V1/V2/V3) can swap in degraded variants; the
+/// shared EmbedQueries fold and the shared-graph executor (plan/executor.h)
+/// drive the same virtual operators. Embeddings are arcs: `a` = center
+/// angles, `b` = arclengths.
+class HalkModel : public QueryModel {
  public:
   /// `grouping` (optional, may be null) enables the group-similarity factor
   /// z_i in the intersection attention (Eq. 10).
@@ -50,9 +50,6 @@ class HalkModel : public QueryModel, public OperatorModel {
             const EntityScanSource* entity_source = nullptr);
 
   std::string name() const override { return "HaLk"; }
-
-  EmbeddingBatch EmbedQueries(
-      const std::vector<const query::QueryGraph*>& queries) override;
 
   tensor::Tensor Distance(const std::vector<int64_t>& entities,
                           const EmbeddingBatch& embedding) override;
@@ -83,36 +80,31 @@ class HalkModel : public QueryModel, public OperatorModel {
 
   bool Supports(query::OpType) const override { return true; }
 
-  OperatorModel* AsOperatorModel() override { return this; }
-
   // --- Operators (public for unit tests, ablations, the pruner, and the
   // --- shared-graph executor via OperatorModel). ---
 
   /// Anchor entities as zero-length arcs.
-  ArcBatch EmbedAnchors(const std::vector<int64_t>& entities) override;
+  EmbeddingBatch EmbedAnchors(const std::vector<int64_t>& entities) override;
 
   /// Projection operator, Eqs. (2)-(3). `relations[i]` applies to row i.
-  ArcBatch Projection(const ArcBatch& input,
-                      const std::vector<int64_t>& relations) override;
+  EmbeddingBatch Projection(const EmbeddingBatch& input,
+                            const std::vector<int64_t>& relations) override;
 
   /// Difference operator, Eqs. (4)-(9); `inputs[0]` is the minuend.
-  ArcBatch Difference(const std::vector<ArcBatch>& inputs) override;
+  EmbeddingBatch Difference(
+      const std::vector<EmbeddingBatch>& inputs) override;
 
   /// Intersection operator, Eqs. (10)-(12). `z` holds one [B, d] constant
   /// group-similarity tensor per input (empty = all ones).
-  ArcBatch Intersection(const std::vector<ArcBatch>& inputs,
-                        const std::vector<tensor::Tensor>& z) override;
+  EmbeddingBatch Intersection(const std::vector<EmbeddingBatch>& inputs,
+                              const std::vector<tensor::Tensor>& z) override;
 
   /// Negation operator, Eqs. (13)-(14).
-  ArcBatch Negation(const ArcBatch& input) override;
+  EmbeddingBatch Negation(const EmbeddingBatch& input) override;
 
   const kg::NodeGrouping* operator_grouping() const override {
     return grouping_;
   }
-
-  /// Per-node arc embeddings of one grounded union-free query; index = node
-  /// id (unreachable nodes undefined). Drives the pruning study (Sec. IV-D).
-  std::vector<ArcBatch> EmbedAllNodes(const query::QueryGraph& query);
 
   const kg::NodeGrouping* grouping() const { return grouping_; }
 
@@ -133,7 +125,7 @@ class HalkModel : public QueryModel, public OperatorModel {
   /// Semantic-average center via attention in rectangular coordinates:
   /// Eqs. (4)-(6) with per-input score tensors.
   tensor::Tensor SemanticAverageCenter(
-      const std::vector<ArcBatch>& inputs,
+      const std::vector<EmbeddingBatch>& inputs,
       const std::vector<tensor::Tensor>& scores) const;
 
   const kg::NodeGrouping* grouping_;  // not owned, may be null

@@ -79,8 +79,8 @@ std::vector<int64_t> AngularLshIndex::Candidates(
 
 std::vector<int64_t> AngularLshIndex::TopK(const float* arc_center,
                                            const float* arc_length,
-                                           int64_t k, float rho,
-                                           float eta) const {
+                                           int64_t k, float rho, float eta,
+                                           double* scan_fraction) const {
   k = std::min(k, num_entities_);
   std::vector<int64_t> candidates = Candidates(arc_center);
   if (static_cast<int64_t>(candidates.size()) < 4 * k) {
@@ -88,8 +88,10 @@ std::vector<int64_t> AngularLshIndex::TopK(const float* arc_center,
     candidates.resize(static_cast<size_t>(num_entities_));
     std::iota(candidates.begin(), candidates.end(), 0);
   }
-  last_scan_fraction_ = static_cast<double>(candidates.size()) /
-                        static_cast<double>(num_entities_);
+  if (scan_fraction != nullptr) {
+    *scan_fraction = static_cast<double>(candidates.size()) /
+                     static_cast<double>(num_entities_);
+  }
   std::vector<std::pair<float, int64_t>> scored;
   scored.reserve(candidates.size());
   for (int64_t e : candidates) {

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/arc.h"
-#include "core/query_model.h"
 
 namespace halk::core {
 
@@ -38,11 +36,11 @@ class AngularLshIndex {
 
   /// Top-k entities by exact arc distance, searching LSH candidates first
   /// and falling back to a full scan when candidates < 4k (quality guard).
+  /// `scan_fraction` (optional) receives the fraction of entities scored.
+  /// Read-only, so one index may serve concurrent callers.
   std::vector<int64_t> TopK(const float* arc_center, const float* arc_length,
-                            int64_t k, float rho, float eta) const;
-
-  /// Fraction of entities scanned by the last TopK call (diagnostics).
-  double last_scan_fraction() const { return last_scan_fraction_; }
+                            int64_t k, float rho, float eta,
+                            double* scan_fraction = nullptr) const;
 
   int64_t num_entities() const { return num_entities_; }
 
@@ -58,7 +56,6 @@ class AngularLshIndex {
   // Buckets: per table, hash -> entity list.
   std::vector<std::vector<std::vector<int64_t>>> buckets_;
   const float* angles_;  // not owned; must outlive the index
-  mutable double last_scan_fraction_ = 0.0;
 };
 
 }  // namespace halk::core

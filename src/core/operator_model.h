@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/arc.h"
 #include "tensor/tensor.h"
 
 namespace halk::kg {
@@ -13,13 +12,22 @@ class NodeGrouping;
 
 namespace halk::core {
 
-/// Per-operator evaluation interface of an arc-embedding model. Whereas
-/// QueryModel::EmbedQueries embeds whole query graphs, this surface exposes
-/// the individual batched operators, which is what the shared-graph
-/// executor (plan/executor.h) needs: it evaluates a deduplicated compute
-/// DAG node by node, batching same-operator nodes from many requests into
-/// one call, so the operator boundary — not the query boundary — is the
-/// unit of work.
+/// A batch of query embeddings. The semantics of the two components are
+/// model-specific: HaLk/ConE use (center angles, arclengths/apertures),
+/// NewLook uses (box center, box offset), BetaE uses (α, β), MLPMix uses
+/// (vector, zeros).
+struct EmbeddingBatch {
+  tensor::Tensor a;  // [B, d]
+  tensor::Tensor b;  // [B, d]
+};
+
+/// Per-operator evaluation interface every query model implements
+/// (QueryModel extends it). Whereas QueryModel::EmbedQueries embeds whole
+/// query graphs, this surface exposes the individual batched operators,
+/// which is what the shared-graph executor (plan/executor.h) needs: it
+/// evaluates a deduplicated compute DAG node by node, batching
+/// same-operator nodes from many requests into one call, so the operator
+/// boundary — not the query boundary — is the unit of work.
 ///
 /// Contract: every method is row-independent (row i of the output depends
 /// only on row i of each input), so callers may assemble batches from
@@ -29,27 +37,30 @@ class OperatorModel {
  public:
   virtual ~OperatorModel() = default;
 
-  /// Anchor entities as arcs; one row per entity.
-  virtual ArcBatch EmbedAnchors(const std::vector<int64_t>& entities) = 0;
+  /// Anchor entities; one row per entity.
+  virtual EmbeddingBatch EmbedAnchors(const std::vector<int64_t>& entities) = 0;
 
   /// Projection; `relations[i]` applies to row i.
-  virtual ArcBatch Projection(const ArcBatch& input,
-                              const std::vector<int64_t>& relations) = 0;
+  virtual EmbeddingBatch Projection(const EmbeddingBatch& input,
+                                    const std::vector<int64_t>& relations) = 0;
 
   /// Intersection. `z` holds one [B, d] constant group-similarity tensor
-  /// per input (empty = all ones).
-  virtual ArcBatch Intersection(const std::vector<ArcBatch>& inputs,
-                                const std::vector<tensor::Tensor>& z) = 0;
+  /// per input (empty = all ones); models without a grouping ignore it.
+  virtual EmbeddingBatch Intersection(const std::vector<EmbeddingBatch>& inputs,
+                                      const std::vector<tensor::Tensor>& z) = 0;
 
-  /// Difference; `inputs[0]` is the minuend.
-  virtual ArcBatch Difference(const std::vector<ArcBatch>& inputs) = 0;
+  /// Difference; `inputs[0]` is the minuend. Only reached when the model
+  /// Supports() it; the default fails.
+  virtual EmbeddingBatch Difference(const std::vector<EmbeddingBatch>& inputs);
 
-  virtual ArcBatch Negation(const ArcBatch& input) = 0;
+  /// Negation. Only reached when the model Supports() it; the default
+  /// fails.
+  virtual EmbeddingBatch Negation(const EmbeddingBatch& input);
 
-  /// Grouping behind the intersection z factor; null disables it. The
-  /// executor recomputes per-node group vectors with the same fold the
-  /// model uses in EmbedQueries, so z stays bit-identical.
-  virtual const kg::NodeGrouping* operator_grouping() const = 0;
+  /// Grouping behind the intersection z factor; null (the default)
+  /// disables it. The executor recomputes per-node group vectors with the
+  /// same fold EmbedQueries uses, so z stays bit-identical.
+  virtual const kg::NodeGrouping* operator_grouping() const { return nullptr; }
 };
 
 }  // namespace halk::core

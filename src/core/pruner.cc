@@ -15,7 +15,7 @@ Pruner::Pruner(HalkModel* model) : model_(model) {
 PruneResult Pruner::Prune(const query::QueryGraph& query,
                           const kg::KnowledgeGraph& graph, int64_t top_k) {
   HALK_CHECK(graph.finalized());
-  std::vector<ArcBatch> arcs = model_->EmbedAllNodes(query);
+  std::vector<EmbeddingBatch> arcs = model_->EmbedAllNodes(query);
 
   std::unordered_set<int64_t> selected;
   for (int id : query.TopologicalOrder()) {
@@ -26,9 +26,8 @@ PruneResult Pruner::Prune(const query::QueryGraph& query,
       continue;
     }
     // Top-k entities nearest to this variable node's arc.
-    const ArcBatch& arc = arcs[static_cast<size_t>(id)];
     std::vector<float> dist;
-    model_->DistancesToAll({arc.center, arc.length}, 0, &dist);
+    model_->DistancesToAll(arcs[static_cast<size_t>(id)], 0, &dist);
     std::vector<int64_t> ids(dist.size());
     std::iota(ids.begin(), ids.end(), 0);
     const int64_t k = std::min<int64_t>(top_k, static_cast<int64_t>(ids.size()));

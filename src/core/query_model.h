@@ -6,14 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "core/operator_model.h"
 #include "core/topk.h"
 #include "kg/groups.h"
 #include "query/dag.h"
 #include "tensor/tensor.h"
 
 namespace halk::core {
-
-class OperatorModel;
 
 /// Hyper-parameters shared by HaLk and all baseline models. Paper defaults
 /// (d = 800, batch 512, γ = 24) are scaled for CPU training; the geometry is
@@ -31,14 +30,6 @@ struct ModelConfig {
                          // it must scale with the L1 distance magnitude)
   float xi = 1.0f;       // group-penalty weight ξ             (Eq. 17)
   uint64_t seed = 1;
-};
-
-/// A batch of query embeddings. The semantics of the two components are
-/// model-specific: HaLk/ConE use (center angles, arclengths/apertures),
-/// NewLook uses (box center, box offset), MLPMix uses (vector, unused).
-struct EmbeddingBatch {
-  tensor::Tensor a;  // [B, d]
-  tensor::Tensor b;  // [B, d]
 };
 
 /// One conjunctive (DNF) branch of a query: row `row` of an embedding
@@ -67,8 +58,9 @@ struct ScanStats {
 /// DAGs go in, embeddings come out, and entities are ranked by a
 /// model-specific distance. Union is handled outside the model via the DNF
 /// rewrite (min distance over conjunctive branches), exactly as in the
-/// paper.
-class QueryModel {
+/// paper. Every model implements the per-operator OperatorModel surface;
+/// EmbedQueries is one fold over it, shared by all models.
+class QueryModel : public OperatorModel {
  public:
   explicit QueryModel(const ModelConfig& config) : config_(config) {}
   virtual ~QueryModel() = default;
@@ -78,11 +70,18 @@ class QueryModel {
 
   virtual std::string name() const = 0;
 
-  /// Embeds a batch of same-structure, union-free, grounded queries.
-  /// Differentiable: gradients flow to entity/relation tables and operator
-  /// networks.
-  virtual EmbeddingBatch EmbedQueries(
-      const std::vector<const query::QueryGraph*>& queries) = 0;
+  /// Embeds a batch of same-structure, union-free, grounded queries by
+  /// folding the operator methods over the query DAG in topological order,
+  /// one batched operator call per node. Differentiable: gradients flow to
+  /// entity/relation tables and operator networks.
+  EmbeddingBatch EmbedQueries(
+      const std::vector<const query::QueryGraph*>& queries);
+
+  /// Per-node embeddings of one grounded query (index = node id;
+  /// unreachable nodes undefined), from the same fold as EmbedQueries. A
+  /// union node is over-approximated by its first input, since candidates
+  /// are unioned downstream anyway. Drives the pruning study (Sec. IV-D).
+  std::vector<EmbeddingBatch> EmbedAllNodes(const query::QueryGraph& query);
 
   /// Differentiable distance [B] between `entities[i]` and embedding row i.
   virtual tensor::Tensor Distance(const std::vector<int64_t>& entities,
@@ -160,16 +159,21 @@ class QueryModel {
   /// NewLook lacks negation — their tables in the paper have '-').
   virtual bool Supports(query::OpType op) const = 0;
 
-  /// Operator-level view of the model (core/operator_model.h) when it can
-  /// evaluate individual batched operators over a shared compute DAG; null
-  /// otherwise. The planner-backed serving path requires it and falls back
-  /// to per-layout whole-query batching when absent.
-  virtual OperatorModel* AsOperatorModel() { return nullptr; }
+  /// Operator-level view of the model (core/operator_model.h), which the
+  /// planner-backed serving path drives over a shared compute DAG.
+  OperatorModel* AsOperatorModel() { return this; }
 
   const ModelConfig& config() const { return config_; }
 
  protected:
   ModelConfig config_;
+
+ private:
+  /// The fold behind EmbedQueries and EmbedAllNodes; union nodes fail
+  /// unless `over_approximate_union`.
+  std::vector<EmbeddingBatch> EmbedNodes(
+      const std::vector<const query::QueryGraph*>& queries,
+      bool over_approximate_union);
 };
 
 }  // namespace halk::core

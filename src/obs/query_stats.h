@@ -39,8 +39,7 @@ struct Welford {
 };
 
 /// One finished request's analytics, fed by the serving engine. Plan
-/// fields are zero for requests served off the planner path (legacy
-/// batching, whole-answer cache hits).
+/// fields are zero for requests answered from the whole-answer cache.
 struct QueryObservation {
   /// Structure-fingerprint hex (layout with grounding masked), "" when
   /// the request never reached the planner.

@@ -14,7 +14,7 @@ namespace halk::plan {
 
 namespace {
 
-using core::ArcBatch;
+using core::EmbeddingBatch;
 using query::OpType;
 using tensor::Tensor;
 
@@ -282,9 +282,9 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
   }
 
   // Assembles input position `j` of every node in the batch into one
-  // [B, d] arc batch from the producers' slots.
+  // [B, d] embedding batch from the producers' slots.
   auto gather_input = [&](const ExecSchedule::OpBatch& batch,
-                          uint32_t j) -> ArcBatch {
+                          uint32_t j) -> EmbeddingBatch {
     const size_t rows = batch.node_ids.size();
     std::vector<float> centers(rows * static_cast<size_t>(dim));
     std::vector<float> lengths(rows * static_cast<size_t>(dim));
@@ -306,7 +306,7 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
     const size_t rows = batch.node_ids.size();
     const bool timed = trace.active() || collect;
     const int64_t start_ns = timed ? obs::NowNs() : 0;
-    ArcBatch result;
+    EmbeddingBatch result;
     switch (batch.op) {
       case OpType::kAnchor: {
         std::vector<int64_t> entities;
@@ -318,7 +318,7 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
         break;
       }
       case OpType::kProjection: {
-        ArcBatch input = gather_input(batch, 0);
+        EmbeddingBatch input = gather_input(batch, 0);
         std::vector<int64_t> relations;
         relations.reserve(rows);
         for (int32_t id : batch.node_ids) {
@@ -328,7 +328,7 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
         break;
       }
       case OpType::kIntersection: {
-        std::vector<ArcBatch> inputs;
+        std::vector<EmbeddingBatch> inputs;
         inputs.reserve(batch.arity);
         for (uint32_t j = 0; j < batch.arity; ++j) {
           inputs.push_back(gather_input(batch, j));
@@ -355,7 +355,7 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
         break;
       }
       case OpType::kDifference: {
-        std::vector<ArcBatch> inputs;
+        std::vector<EmbeddingBatch> inputs;
         inputs.reserve(batch.arity);
         for (uint32_t j = 0; j < batch.arity; ++j) {
           inputs.push_back(gather_input(batch, j));
@@ -371,8 +371,8 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
         break;
     }
 
-    const float* centers = result.center.data();
-    const float* lengths = result.length.data();
+    const float* centers = result.a.data();
+    const float* lengths = result.b.data();
     for (size_t i = 0; i < rows; ++i) {
       const int32_t id = batch.node_ids[i];
       float* dst = alloc_slot(id);
@@ -399,14 +399,13 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
     if (collect) {
       const int64_t per_node_ns =
           (end_ns - start_ns) / static_cast<int64_t>(rows);
-      const core::EmbeddingBatch probe{result.center, result.length};
       for (size_t i = 0; i < rows; ++i) {
         NodeActuals& a =
             sched.stats.actuals[static_cast<size_t>(batch.node_ids[i])];
         a.evaluated = true;
         a.wall_ns = per_node_ns;
         a.actual_rows =
-            SampledActualRows(*model_, probe, static_cast<int64_t>(i),
+            SampledActualRows(*model_, result, static_cast<int64_t>(i),
                               sample);
       }
     }

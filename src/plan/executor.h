@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/operator_model.h"
 #include "core/query_model.h"
 #include "obs/trace.h"
 #include "plan/plan.h"
@@ -86,9 +85,9 @@ struct ExecSchedule {
 /// concurrently (the cache has its own lock).
 class PlanExecutor {
  public:
-  /// `model` supplies the config; `ops` the operator dispatch (for
-  /// HalkModel they are the same object). `cache` may be null. None are
-  /// owned; all must outlive the executor.
+  /// `model` supplies the config; `ops` the operator dispatch (normally
+  /// model->AsOperatorModel(), the same object). `cache` may be null. None
+  /// are owned; all must outlive the executor.
   PlanExecutor(const core::QueryModel* model, core::OperatorModel* ops,
                serving::SubtreeCache* cache);
 

@@ -10,7 +10,6 @@
 #include "obs/trace.h"
 #include "plan/explain.h"
 #include "query/dnf.h"
-#include "serving/batcher.h"
 
 namespace halk::serving {
 
@@ -43,7 +42,7 @@ QueryServer::QueryServer(core::QueryModel* model,
       kg_(kg),
       options_(options),
       queue_(options.queue_capacity),
-      cache_(options.enable_cache ? options.cache_capacity : 0),
+      cache_(options.cache_capacity),
       submitted_(metrics_.GetCounter("serving.submitted")),
       rejected_(metrics_.GetCounter("serving.rejected")),
       invalid_(metrics_.GetCounter("serving.invalid")),
@@ -58,7 +57,6 @@ QueryServer::QueryServer(core::QueryModel* model,
       queue_depth_(metrics_.GetGauge("serving.queue_depth")),
       in_flight_(metrics_.GetGauge("serving.in_flight")),
       plan_requests_(metrics_.GetCounter("plan.requests")),
-      plan_fallback_(metrics_.GetCounter("plan.fallback")),
       plan_nodes_(metrics_.GetCounter("plan.nodes")),
       plan_unique_nodes_(metrics_.GetCounter("plan.unique_nodes")),
       plan_node_evals_(metrics_.GetCounter("plan.node_evals")),
@@ -101,27 +99,19 @@ QueryServer::QueryServer(core::QueryModel* model,
         options_.query_stats_capacity, /*feedback_capacity=*/4096,
         options_.feedback_min_samples);
   }
-  if (options_.use_planner) {
-    // Baseline models without an operator-level interface fall back to the
-    // legacy per-layout batching path (plan.fallback counts the requests).
-    core::OperatorModel* ops = model_->AsOperatorModel();
-    if (ops != nullptr) {
-      if (options_.subtree_cache_bytes > 0) {
-        subtree_cache_ =
-            std::make_unique<SubtreeCache>(options_.subtree_cache_bytes);
-      }
-      const kg::GraphStats* stats =
-          (kg_ != nullptr && kg_->finalized()) ? &kg_->stats() : nullptr;
-      plan::PlannerOptions planner_options;
-      planner_options.apply_rewrites = options_.planner_rewrites;
-      planner_options.feedback =
-          options_.use_feedback ? query_stats_.get() : nullptr;
-      planner_ = std::make_unique<plan::Planner>(
-          stats, model_->config().num_entities, planner_options);
-      plan_executor_ = std::make_unique<plan::PlanExecutor>(
-          model_, ops, subtree_cache_.get());
-    }
+  if (options_.subtree_cache_bytes > 0) {
+    subtree_cache_ =
+        std::make_unique<SubtreeCache>(options_.subtree_cache_bytes);
   }
+  const kg::GraphStats* stats =
+      (kg_ != nullptr && kg_->finalized()) ? &kg_->stats() : nullptr;
+  plan::PlannerOptions planner_options;
+  planner_options.feedback =
+      options_.use_feedback ? query_stats_.get() : nullptr;
+  planner_ = std::make_unique<plan::Planner>(
+      stats, model_->config().num_entities, planner_options);
+  plan_executor_ = std::make_unique<plan::PlanExecutor>(
+      model_, model_->AsOperatorModel(), subtree_cache_.get());
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -196,7 +186,7 @@ Result<std::future<Result<TopKAnswer>>> QueryServer::Submit(
     }
   }
 
-  if (options_.enable_cache) {
+  if (options_.cache_capacity > 0) {
     obs::SpanGuard lookup(trace, "cache_lookup");
     CachedAnswer cached;
     if (cache_.Get(key, &cached) &&
@@ -363,7 +353,7 @@ void QueryServer::ServeChunk(
              Status::DeadlineExceeded("expired while queued"));
       continue;
     }
-    if (options_.enable_cache) {
+    if (options_.cache_capacity > 0) {
       obs::SpanGuard lookup(request->trace, "cache_lookup");
       CachedAnswer cached;
       if (cache_.Get(request->key, &cached) &&
@@ -391,8 +381,7 @@ void QueryServer::ServeChunk(
   if (live.empty()) return;
 
   // DNF-expand every live request; branches (not requests) are the unit of
-  // planning and batching, so one plan (or one EmbedQueries call) can mix
-  // branches of many requests.
+  // planning, so one plan can mix branches of many requests.
   std::vector<std::vector<query::QueryGraph>> branches(live.size());
   for (size_t r = 0; r < live.size(); ++r) {
     obs::SpanGuard dnf(live[r]->trace, "dnf_expand");
@@ -401,110 +390,7 @@ void QueryServer::ServeChunk(
     dnf.End();
   }
 
-  if (planner_ != nullptr) {
-    ServeChunkPlanned(&live, branches, any_traced);
-  } else {
-    if (options_.use_planner) {
-      plan_fallback_->Increment(static_cast<int64_t>(live.size()));
-    }
-    ServeChunkLegacy(&live, branches, any_traced);
-  }
-}
-
-void QueryServer::ServeChunkLegacy(
-    std::vector<std::unique_ptr<PendingRequest>>* live_ptr,
-    const std::vector<std::vector<query::QueryGraph>>& branches,
-    bool any_traced) {
-  std::vector<std::unique_ptr<PendingRequest>>& live = *live_ptr;
-  std::vector<BatchItem> items;
-  for (size_t r = 0; r < live.size(); ++r) {
-    for (const query::QueryGraph& branch : branches[r]) {
-      items.push_back({r, &branch});
-    }
-  }
-
-  // Batch assembly is one pass shared by the whole chunk, so every traced
-  // request gets a batch_assembly span with the same endpoints.
-  const int64_t assembly_start = any_traced ? obs::NowNs() : 0;
-  const std::vector<MicroBatch> micro_batches =
-      FormBatches(items, options_.max_batch_size);
-  if (any_traced) {
-    const int64_t assembly_end = obs::NowNs();
-    for (const std::unique_ptr<PendingRequest>& request : live) {
-      obs::RecordSpan(request->trace, "batch_assembly", assembly_start,
-                      assembly_end,
-                      {{"batches", static_cast<double>(micro_batches.size())},
-                       {"chunk_requests", static_cast<double>(live.size())}});
-    }
-  }
-
-  // Per-request accumulation over branch distances (the DNF union
-  // semantics, as in Evaluator::ScoreAllEntities). Unsharded, the worker
-  // keeps a running elementwise minimum and ranks in place; sharded, it
-  // collects each request's embedded branches (cheap tensor handles) and
-  // hands ranking to the scatter-gather coordinator.
-  const bool sharded = coordinator_ != nullptr;
-  std::vector<std::vector<float>> best(live.size());
-  std::vector<shard::BranchSet> branch_sets(sharded ? live.size() : 0);
-  std::vector<float> dist;
-  std::vector<size_t> batch_requests;  // distinct request indices per batch
-  for (const MicroBatch& batch : micro_batches) {
-    batch_size_->Observe(static_cast<double>(batch.items.size()));
-    std::vector<const query::QueryGraph*> graphs;
-    graphs.reserve(batch.items.size());
-    for (const BatchItem& item : batch.items) graphs.push_back(item.graph);
-    const int64_t embed_start = any_traced ? obs::NowNs() : 0;
-    core::EmbeddingBatch embedding = model_->EmbedQueries(graphs);
-    if (any_traced) {
-      // A micro-batch embeds branches of many requests in one model call;
-      // each participating trace records the shared embed interval.
-      const int64_t embed_end = obs::NowNs();
-      batch_requests.clear();
-      for (const BatchItem& item : batch.items) {
-        batch_requests.push_back(item.request_index);
-      }
-      std::sort(batch_requests.begin(), batch_requests.end());
-      batch_requests.erase(
-          std::unique(batch_requests.begin(), batch_requests.end()),
-          batch_requests.end());
-      for (const size_t r : batch_requests) {
-        obs::RecordSpan(live[r]->trace, "embed", embed_start, embed_end,
-                        {{"rows", static_cast<double>(batch.items.size())}});
-      }
-    }
-    for (size_t row = 0; row < batch.items.size(); ++row) {
-      const size_t r = batch.items[row].request_index;
-      if (sharded) {
-        shard::BranchSet& set = branch_sets[r];
-        if (set.embeddings.empty() ||
-            set.embeddings.back().a.impl() != embedding.a.impl()) {
-          set.embeddings.push_back(embedding);
-        }
-        set.rows.emplace_back(set.embeddings.size() - 1,
-                              static_cast<int64_t>(row));
-        continue;
-      }
-      const bool traced = live[r]->trace.active();
-      const int64_t score_start = traced ? obs::NowNs() : 0;
-      model_->DistancesToAll(embedding, static_cast<int64_t>(row), &dist);
-      if (best[r].empty()) {
-        best[r] = dist;
-      } else {
-        for (size_t i = 0; i < dist.size(); ++i) {
-          best[r][i] = std::min(best[r][i], dist[i]);
-        }
-      }
-      if (traced) {
-        obs::RecordSpan(live[r]->trace, "score", score_start, obs::NowNs(),
-                        {{"entities", static_cast<double>(dist.size())}});
-      }
-    }
-  }
-
-  for (size_t r = 0; r < live.size(); ++r) {
-    FinishRanked(live[r].get(), &best[r],
-                 sharded ? &branch_sets[r] : nullptr);
-  }
+  ServeChunkPlanned(&live, branches, any_traced);
 }
 
 void QueryServer::ServeChunkPlanned(
@@ -681,9 +567,9 @@ void QueryServer::ServeChunkPlanned(
     }
   }
 
-  // DNF union semantics, exactly as the legacy path: per request, the
-  // elementwise minimum over its branch roots (unsharded) or the branch
-  // set handed to the scatter-gather coordinator (sharded).
+  // DNF union semantics, as in Evaluator::ScoreAllEntities: per request,
+  // the elementwise minimum over its branch roots (unsharded) or the
+  // branch set handed to the scatter-gather coordinator (sharded).
   const bool sharded = coordinator_ != nullptr;
   std::vector<std::vector<float>> best(live.size());
   std::vector<shard::BranchSet> branch_sets(sharded ? live.size() : 0);
@@ -739,29 +625,24 @@ void QueryServer::FinishRanked(PendingRequest* request,
   }
   // Degraded answers are never cached: the outage must not outlive the
   // replicas that caused it.
-  if (options_.enable_cache && answer.coverage == 1.0) {
+  if (options_.cache_capacity > 0 && answer.coverage == 1.0) {
     CachedAnswer entry{answer.entities, answer.distances};
     cache_.Put(request->key, std::move(entry));
   }
   Finish(request, std::move(answer));
 }
 
-Result<std::string> QueryServer::Explain(
-    const query::QueryGraph& query) const {
-  if (planner_ == nullptr) {
-    return Status::Unavailable(
-        options_.use_planner
-            ? "planner unavailable: model does not expose OperatorModel"
-            : "planner path is disabled (ServerOptions::use_planner)");
-  }
-  HALK_RETURN_NOT_OK(ValidateQuery(query, /*k=*/1));
+plan::Plan QueryServer::PlanSolo(const query::QueryGraph& query) const {
   const std::vector<query::QueryGraph> branches = query::ToDnf(query);
   std::vector<plan::PlanItem> items;
   items.reserve(branches.size());
   for (const query::QueryGraph& branch : branches) {
     items.push_back({0, &branch});
   }
-  const plan::Plan plan = planner_->BuildPlan(items);
+  return planner_->BuildPlan(items);
+}
+
+plan::ExplainOptions QueryServer::ExplainRenderOptions() const {
   plan::ExplainOptions opt;
   opt.cache = subtree_cache_.get();
   opt.num_entities = model_->config().num_entities;
@@ -772,25 +653,19 @@ Result<std::string> QueryServer::Explain(
       return kg->relations().Name(id);
     };
   }
-  return plan::ExplainPlan(plan, opt);
+  return opt;
+}
+
+Result<std::string> QueryServer::Explain(
+    const query::QueryGraph& query) const {
+  HALK_RETURN_NOT_OK(ValidateQuery(query, /*k=*/1));
+  return plan::ExplainPlan(PlanSolo(query), ExplainRenderOptions());
 }
 
 Result<std::string> QueryServer::ExplainAnalyze(
     const query::QueryGraph& query) {
-  if (planner_ == nullptr) {
-    return Status::Unavailable(
-        options_.use_planner
-            ? "planner unavailable: model does not expose OperatorModel"
-            : "planner path is disabled (ServerOptions::use_planner)");
-  }
   HALK_RETURN_NOT_OK(ValidateQuery(query, /*k=*/1));
-  const std::vector<query::QueryGraph> branches = query::ToDnf(query);
-  std::vector<plan::PlanItem> items;
-  items.reserve(branches.size());
-  for (const query::QueryGraph& branch : branches) {
-    items.push_back({0, &branch});
-  }
-  const plan::Plan plan = planner_->BuildPlan(items);
+  const plan::Plan plan = PlanSolo(query);
 
   // A diagnostic run favors estimate accuracy over probe cost: sample a
   // larger slice of the table than the serving default, capped so huge
@@ -802,18 +677,7 @@ Result<std::string> QueryServer::ExplainAnalyze(
   plan::ExecSchedule schedule =
       plan_executor_->Prepare(plan, /*trace=*/{}, exec_options);
   (void)plan_executor_->Run(plan, &schedule);
-
-  plan::ExplainOptions opt;
-  opt.cache = subtree_cache_.get();
-  opt.num_entities = model_->config().num_entities;
-  if (kg_ != nullptr) {
-    const kg::KnowledgeGraph* kg = kg_;
-    opt.entity_name = [kg](int64_t id) { return kg->entities().Name(id); };
-    opt.relation_name = [kg](int64_t id) {
-      return kg->relations().Name(id);
-    };
-  }
-  return plan::ExplainAnalyze(plan, schedule.stats, opt);
+  return plan::ExplainAnalyze(plan, schedule.stats, ExplainRenderOptions());
 }
 
 std::string QueryServer::DumpMetrics() const {

@@ -20,6 +20,7 @@
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "plan/executor.h"
+#include "plan/explain.h"
 #include "plan/planner.h"
 #include "query/dag.h"
 #include "query/fingerprint.h"
@@ -39,13 +40,12 @@ struct ServerOptions {
   int num_workers = 4;
   /// Admission-queue capacity; Submit rejects (kUnavailable) beyond it.
   size_t queue_capacity = 1024;
-  /// Upper bound on queries per EmbedQueries call.
+  /// Upper bound on requests per worker chunk (one plan per chunk).
   size_t max_batch_size = 16;
-  /// How long a worker lingers for stragglers when its batch is not full.
+  /// How long a worker lingers for stragglers when its chunk is not full.
   std::chrono::microseconds batch_linger{100};
   /// Entry capacity of the answer cache; 0 disables caching outright.
   size_t cache_capacity = 4096;
-  bool enable_cache = true;
   /// Entity-table shards ranked in parallel per request; 0 keeps ranking
   /// on the serving worker thread (unsharded brute force).
   int num_shards = 0;
@@ -78,19 +78,9 @@ struct ServerOptions {
   std::chrono::microseconds slow_query_threshold{0};
   /// Distinct query fingerprints retained by the slow-query log.
   size_t slow_query_log_capacity = 32;
-  /// Route micro-batches through the cost-based planner and shared-graph
-  /// executor (src/plan/): one deduplicated compute DAG per chunk instead
-  /// of per-layout EmbedQueries batches. Answers stay bit-identical to
-  /// Evaluator::TopK. Silently falls back to the legacy path when the
-  /// model does not expose OperatorModel (plan.fallback counts it).
-  bool use_planner = true;
   /// Byte budget of the subtree (intermediate-result) cache; 0 disables
-  /// it. Only used on the planner path.
+  /// it.
   size_t subtree_cache_bytes = 8u << 20;
-  /// Apply the algebraic rewrite pass (plan/rewrite.h) before planning.
-  /// Off by default: rewrites preserve answer *sets* but swap which
-  /// neural operators run, breaking bit-identity with Evaluator::TopK.
-  bool planner_rewrites = false;
   /// Query analytics plane: collect per-node actuals on sampled planned
   /// chunks (attributed wall, sampled actual rows, cache / slot-reuse
   /// flags), feed the fingerprint-keyed query-statistics store behind
@@ -143,14 +133,17 @@ struct TopKAnswer {
 /// Concurrent query-serving engine over a trained QueryModel (Sec. IV's
 /// evaluation path, productionized): any thread submits grounded query
 /// graphs; a bounded MPMC queue applies admission control; worker threads
-/// coalesce pending requests into micro-batches per structure layout and
-/// answer them with one EmbedQueries call each; canonical-fingerprint
-/// LRU caching short-circuits repeated queries; counters and latency
-/// histograms are exported through a MetricsRegistry.
+/// drain pending requests in chunks, and the cost-based planner
+/// (src/plan/) turns each chunk into one deduplicated compute DAG that the
+/// shared-graph executor evaluates through the model's OperatorModel
+/// surface — every model implements it, so every model serves this way.
+/// Canonical-fingerprint LRU caching short-circuits repeated queries;
+/// counters and latency histograms are exported through a
+/// MetricsRegistry. Answers are bit-identical to Evaluator::TopK.
 ///
 /// Union queries are DNF-expanded (exactly as Evaluator does) and their
-/// branches batch independently — a branch of one request can share a
-/// micro-batch with branches of other requests.
+/// branches plan independently — a branch of one request can share plan
+/// nodes with branches of other requests.
 class QueryServer {
  public:
   /// `model` must stay alive for the server's lifetime and is shared with
@@ -191,8 +184,7 @@ class QueryServer {
   /// Renders the plan the server would run for `query` — node order,
   /// estimated selectivities, dedup and subtree-cache annotations —
   /// without executing it (the sparql_endpoint `.explain` command).
-  /// kUnavailable when the planner path is off or unsupported by the
-  /// model; kInvalidArgument for malformed queries.
+  /// kInvalidArgument for malformed or unsupported queries.
   [[nodiscard]] Result<std::string> Explain(
       const query::QueryGraph& query) const;
 
@@ -201,14 +193,14 @@ class QueryServer {
   /// per-node q-error, attributed wall time, and cache annotations (the
   /// sparql_endpoint `.analyze` command). Unlike Explain this *runs* the
   /// plan — it warms the subtree cache exactly as serving would, but
-  /// bypasses the queue, the answer cache, and ranking. Same availability
-  /// errors as Explain.
+  /// bypasses the queue, the answer cache, and ranking. Same errors as
+  /// Explain.
   [[nodiscard]] Result<std::string> ExplainAnalyze(
       const query::QueryGraph& query);
 
-  /// The intermediate-result cache, or null when the planner path is off
-  /// or subtree_cache_bytes is 0. Invalidation hooks live here:
-  /// InvalidateRelation / Clear after KG or parameter updates.
+  /// The intermediate-result cache, or null when subtree_cache_bytes is 0.
+  /// Invalidation hooks live here: InvalidateRelation / Clear after KG or
+  /// parameter updates.
   SubtreeCache* subtree_cache() { return subtree_cache_.get(); }
 
   /// The fingerprint-keyed query-statistics store (the /queryz source and
@@ -260,24 +252,24 @@ class QueryServer {
 
   void WorkerLoop();
   void ServeChunk(std::vector<std::unique_ptr<PendingRequest>>* chunk);
-  /// Planner path: one deduplicated compute DAG for the whole chunk, one
-  /// embedding row per DNF branch root. `branches[r]` are request r's
-  /// DNF branches; both vectors are indexed by position in `live`.
+  /// One deduplicated compute DAG for the whole chunk, one embedding row
+  /// per DNF branch root. `branches[r]` are request r's DNF branches; both
+  /// vectors are indexed by position in `live`.
   void ServeChunkPlanned(
       std::vector<std::unique_ptr<PendingRequest>>* live,
       const std::vector<std::vector<query::QueryGraph>>& branches,
       bool any_traced);
-  /// Legacy path: per-layout EmbedQueries micro-batches (serving/batcher).
-  void ServeChunkLegacy(
-      std::vector<std::unique_ptr<PendingRequest>>* live,
-      const std::vector<std::vector<query::QueryGraph>>& branches,
-      bool any_traced);
-  /// Shared tail of both paths: rank request r from its accumulated
-  /// per-entity minimum distances (unsharded) or branch set (sharded),
-  /// fill the answer cache, and resolve the promise.
+  /// Ranks a request from its accumulated per-entity minimum distances
+  /// (unsharded) or branch set (sharded), fills the answer cache, and
+  /// resolves the promise.
   void FinishRanked(PendingRequest* request, std::vector<float>* best,
                     shard::BranchSet* branch_set);
   [[nodiscard]] Status ValidateQuery(const query::QueryGraph& query, int64_t k) const;
+  /// Plans one request's DNF branches alone (Explain / ExplainAnalyze).
+  plan::Plan PlanSolo(const query::QueryGraph& query) const;
+  /// Render options for Explain / ExplainAnalyze: live subtree-cache
+  /// annotations and, when a KG is attached, entity / relation names.
+  plan::ExplainOptions ExplainRenderOptions() const;
   void Finish(PendingRequest* request, Result<TopKAnswer> result);
 
   core::QueryModel* model_;
@@ -290,9 +282,8 @@ class QueryServer {
   std::unique_ptr<shard::ShardCoordinator> coordinator_;  // null = unsharded
   std::unique_ptr<obs::SlowQueryLog> slow_log_;           // null = disabled
 
-  // Planner path (null when use_planner is off or the model does not
-  // implement OperatorModel). The executor's OperatorModel pointer aliases
-  // model_; the subtree cache is internally synchronized.
+  // The executor's OperatorModel pointer aliases model_; the subtree cache
+  // (null when subtree_cache_bytes is 0) is internally synchronized.
   std::unique_ptr<plan::Planner> planner_;
   std::unique_ptr<plan::PlanExecutor> plan_executor_;
   std::unique_ptr<SubtreeCache> subtree_cache_;
@@ -311,9 +302,8 @@ class QueryServer {
   Gauge* queue_depth_;  // requests admitted, not yet picked up
   Gauge* in_flight_;    // requests admitted, not yet finished
 
-  // Planner-path instruments (always registered; zero on the legacy path).
+  // Planner instruments.
   Counter* plan_requests_;
-  Counter* plan_fallback_;
   Counter* plan_nodes_;
   Counter* plan_unique_nodes_;
   Counter* plan_node_evals_;

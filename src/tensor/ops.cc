@@ -249,6 +249,11 @@ Tensor Softplus(const Tensor& a) {
 
 namespace special {
 
+float LgammaScalar(float x) {
+  int sign = 0;
+  return ::lgammaf_r(x, &sign);
+}
+
 float DigammaScalar(float x) {
   // Recur up to the asymptotic region, then use the standard series.
   double result = 0.0;
@@ -282,7 +287,7 @@ float TrigammaScalar(float x) {
 
 Tensor Lgamma(const Tensor& a) {
   return UnaryOp(
-      a, "lgamma", [](float x) { return std::lgamma(x); },
+      a, "lgamma", [](float x) { return special::LgammaScalar(x); },
       [](float x, float) { return special::DigammaScalar(x); });
 }
 

@@ -49,6 +49,10 @@ Tensor Lgamma(const Tensor& a);
 Tensor Digamma(const Tensor& a);
 
 namespace special {
+/// Scalar ln|Γ(x)|, the same value as std::lgamma but reentrant:
+/// std::lgamma writes the global `signgam`, a data race when several
+/// threads rank concurrently.
+float LgammaScalar(float x);
 /// Scalar digamma ψ(x), x > 0 (recurrence + asymptotic series).
 float DigammaScalar(float x);
 /// Scalar trigamma ψ'(x), x > 0.

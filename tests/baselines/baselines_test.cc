@@ -138,7 +138,8 @@ TEST_F(BaselinesTest, NewLookOffsetsNonNegative) {
   for (int64_t i = 0; i < proj.b.numel(); ++i) {
     EXPECT_GE(proj.b.at(i), 0.0f);
   }
-  EmbeddingBatch diff = model.Difference({proj, model.Projection(anchors, {2, 3})});
+  EmbeddingBatch diff =
+      model.Difference({proj, model.Projection(anchors, {2, 3})});
   for (int64_t i = 0; i < diff.b.numel(); ++i) {
     EXPECT_GE(diff.b.at(i), 0.0f);
     EXPECT_LE(diff.b.at(i), proj.b.at(i) + 1e-5f);  // box shrinks
@@ -147,42 +148,42 @@ TEST_F(BaselinesTest, NewLookOffsetsNonNegative) {
 
 TEST_F(BaselinesTest, ConeNegationIsExactlyLinear) {
   ConeModel model(SmallConfig(), grouping_);
-  core::ArcBatch in{tensor::Tensor::FromVector({1, 8},
+  core::EmbeddingBatch in{tensor::Tensor::FromVector({1, 8},
                         {0.5f, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 0.1f}),
-                    tensor::Tensor::Full({1, 8}, 1.0f)};
-  core::ArcBatch out = model.Negation(in);
+                          tensor::Tensor::Full({1, 8}, 1.0f)};
+  core::EmbeddingBatch out = model.Negation(in);
   constexpr float kPi = 3.14159265f;
   constexpr float kTwoPi = 2.0f * kPi;
   for (int64_t i = 0; i < 8; ++i) {
-    float expected = in.center.at(i) + kPi;
+    float expected = in.a.at(i) + kPi;
     if (expected >= kTwoPi) expected -= kTwoPi;
-    EXPECT_NEAR(out.center.at(i), expected, 1e-4f);
-    EXPECT_NEAR(out.length.at(i), kTwoPi - 1.0f, 1e-4f);
+    EXPECT_NEAR(out.a.at(i), expected, 1e-4f);
+    EXPECT_NEAR(out.b.at(i), kTwoPi - 1.0f, 1e-4f);
   }
 }
 
 TEST_F(BaselinesTest, HalkV2NegationMatchesLinearForm) {
   HalkV2Model model(SmallConfig(), grouping_);
-  core::ArcBatch in{tensor::Tensor::Full({1, 8}, 1.0f),
-                    tensor::Tensor::Full({1, 8}, 0.5f)};
-  core::ArcBatch out = model.Negation(in);
+  core::EmbeddingBatch in{tensor::Tensor::Full({1, 8}, 1.0f),
+                          tensor::Tensor::Full({1, 8}, 0.5f)};
+  core::EmbeddingBatch out = model.Negation(in);
   constexpr float kPi = 3.14159265f;
   for (int64_t i = 0; i < 8; ++i) {
-    EXPECT_NEAR(out.center.at(i), 1.0f + kPi, 1e-4f);
-    EXPECT_NEAR(out.length.at(i), 2.0f * kPi - 0.5f, 1e-4f);
+    EXPECT_NEAR(out.a.at(i), 1.0f + kPi, 1e-4f);
+    EXPECT_NEAR(out.b.at(i), 2.0f * kPi - 0.5f, 1e-4f);
   }
 }
 
 TEST_F(BaselinesTest, HalkV1DropsCardinalityConstraint) {
   // V1's difference length may exceed the minuend's; full HaLk's cannot.
   HalkV1Model model(SmallConfig(), grouping_);
-  core::ArcBatch a{tensor::Tensor::Full({1, 8}, 1.0f),
-                   tensor::Tensor::Full({1, 8}, 0.01f)};  // tiny minuend
-  core::ArcBatch b{tensor::Tensor::Full({1, 8}, 2.0f),
-                   tensor::Tensor::Full({1, 8}, 1.0f)};
-  core::ArcBatch d = model.Difference({a, b});
+  core::EmbeddingBatch a{tensor::Tensor::Full({1, 8}, 1.0f),
+                         tensor::Tensor::Full({1, 8}, 0.01f)};  // tiny minuend
+  core::EmbeddingBatch b{tensor::Tensor::Full({1, 8}, 2.0f),
+                         tensor::Tensor::Full({1, 8}, 1.0f)};
+  core::EmbeddingBatch d = model.Difference({a, b});
   float max_len = 0.0f;
-  for (int64_t i = 0; i < 8; ++i) max_len = std::max(max_len, d.length.at(i));
+  for (int64_t i = 0; i < 8; ++i) max_len = std::max(max_len, d.b.at(i));
   EXPECT_GT(max_len, 0.011f);  // unconstrained by the 0.01 minuend
 }
 

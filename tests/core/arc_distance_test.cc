@@ -18,8 +18,8 @@ using tensor::Tensor;
 constexpr float kPi = 3.14159265358979f;
 
 TEST(ArcTest, StartEndPoints) {
-  ArcBatch arc{Tensor::FromVector({1, 2}, {1.0f, 2.0f}),
-               Tensor::FromVector({1, 2}, {0.4f, 0.8f})};
+  EmbeddingBatch arc{Tensor::FromVector({1, 2}, {1.0f, 2.0f}),
+                     Tensor::FromVector({1, 2}, {0.4f, 0.8f})};
   Tensor s = StartPoint(arc, /*rho=*/1.0f);
   Tensor e = EndPoint(arc, 1.0f);
   EXPECT_FLOAT_EQ(s.at(0, 0), 1.0f - 0.2f);
@@ -29,15 +29,15 @@ TEST(ArcTest, StartEndPoints) {
 }
 
 TEST(ArcTest, StartEndScaleWithRadius) {
-  ArcBatch arc{Tensor::FromVector({1, 1}, {1.0f}),
-               Tensor::FromVector({1, 1}, {1.0f})};
+  EmbeddingBatch arc{Tensor::FromVector({1, 1}, {1.0f}),
+                     Tensor::FromVector({1, 1}, {1.0f})};
   Tensor s = StartPoint(arc, /*rho=*/2.0f);
   EXPECT_FLOAT_EQ(s.at(0), 1.0f - 1.0f / 4.0f);
 }
 
 TEST(ArcTest, StartEndPairConcatenates) {
-  ArcBatch arc{Tensor::FromVector({2, 2}, {0, 1, 2, 3}),
-               Tensor::FromVector({2, 2}, {0.2f, 0.2f, 0.2f, 0.2f})};
+  EmbeddingBatch arc{Tensor::FromVector({2, 2}, {0, 1, 2, 3}),
+                     Tensor::FromVector({2, 2}, {0.2f, 0.2f, 0.2f, 0.2f})};
   Tensor pair = StartEndPair(arc, 1.0f);
   EXPECT_EQ(pair.shape(), Shape({2, 4}));
   EXPECT_FLOAT_EQ(pair.at(0, 0), -0.1f);
@@ -69,8 +69,8 @@ TEST(ArcTest, ChordLengthPeriodic) {
 
 TEST(DistanceTest, ZeroAtArcCenterUpToEta) {
   // Point exactly at the arc center: outside term 0, inside term 0.
-  ArcBatch arc{Tensor::FromVector({1, 2}, {1.0f, 2.0f}),
-               Tensor::FromVector({1, 2}, {0.5f, 0.5f})};
+  EmbeddingBatch arc{Tensor::FromVector({1, 2}, {1.0f, 2.0f}),
+                     Tensor::FromVector({1, 2}, {0.5f, 0.5f})};
   Tensor point = Tensor::FromVector({1, 2}, {1.0f, 2.0f});
   Tensor d = ArcDistance(point, arc, 1.0f, 0.02f);
   EXPECT_NEAR(d.at(0), 0.0f, 1e-6f);
@@ -78,8 +78,8 @@ TEST(DistanceTest, ZeroAtArcCenterUpToEta) {
 
 TEST(DistanceTest, InsideArcOnlyInsidePenalty) {
   // Point inside the arc but off-center: d_o = 0, d_i > 0 (scaled by η).
-  ArcBatch arc{Tensor::FromVector({1, 1}, {1.0f}),
-               Tensor::FromVector({1, 1}, {1.0f})};
+  EmbeddingBatch arc{Tensor::FromVector({1, 1}, {1.0f}),
+                     Tensor::FromVector({1, 1}, {1.0f})};
   Tensor point = Tensor::FromVector({1, 1}, {1.2f});  // within ±0.5 of center
   const float eta = 0.5f;
   Tensor d = ArcDistance(point, arc, 1.0f, eta);
@@ -88,8 +88,8 @@ TEST(DistanceTest, InsideArcOnlyInsidePenalty) {
 }
 
 TEST(DistanceTest, OutsideArcDominatedByOutsideTerm) {
-  ArcBatch arc{Tensor::FromVector({1, 1}, {0.0f}),
-               Tensor::FromVector({1, 1}, {0.2f})};
+  EmbeddingBatch arc{Tensor::FromVector({1, 1}, {0.0f}),
+                     Tensor::FromVector({1, 1}, {0.2f})};
   Tensor near_point = Tensor::FromVector({1, 1}, {0.5f});
   Tensor far_point = Tensor::FromVector({1, 1}, {2.5f});
   const float d_near = ArcDistance(near_point, arc, 1.0f, 0.02f).at(0);
@@ -99,8 +99,8 @@ TEST(DistanceTest, OutsideArcDominatedByOutsideTerm) {
 }
 
 TEST(DistanceTest, PeriodicInPointAngle) {
-  ArcBatch arc{Tensor::FromVector({1, 2}, {0.7f, 5.0f}),
-               Tensor::FromVector({1, 2}, {0.3f, 0.9f})};
+  EmbeddingBatch arc{Tensor::FromVector({1, 2}, {0.7f, 5.0f}),
+                     Tensor::FromVector({1, 2}, {0.3f, 0.9f})};
   Tensor p1 = Tensor::FromVector({1, 2}, {2.0f, 1.0f});
   Tensor p2 = Tensor::FromVector({1, 2}, {2.0f + 2.0f * kPi, 1.0f - 2.0f * kPi});
   const float d1 = ArcDistance(p1, arc, 1.0f, 0.02f).at(0);
@@ -117,8 +117,8 @@ TEST(DistanceTest, ScalarVersionMatchesTensorVersion) {
     length[static_cast<size_t>(i)] = static_cast<float>(rng.Uniform(0, 3.0));
     point[static_cast<size_t>(i)] = static_cast<float>(rng.Uniform(0, 6.28));
   }
-  ArcBatch arc{Tensor::FromVector({1, d}, center),
-               Tensor::FromVector({1, d}, length)};
+  EmbeddingBatch arc{Tensor::FromVector({1, d}, center),
+                     Tensor::FromVector({1, d}, length)};
   Tensor p = Tensor::FromVector({1, d}, point);
   const float tensor_d = ArcDistance(p, arc, 1.0f, 0.02f).at(0);
   const float scalar_d = ArcPointDistance(point.data(), center.data(),
@@ -127,7 +127,7 @@ TEST(DistanceTest, ScalarVersionMatchesTensorVersion) {
 }
 
 TEST(DistanceTest, GradientFlowsToPointAndArc) {
-  ArcBatch arc{
+  EmbeddingBatch arc{
       Tensor::FromVector({1, 2}, {0.5f, 1.5f}).set_requires_grad(true),
       Tensor::FromVector({1, 2}, {0.3f, 0.3f}).set_requires_grad(true)};
   Tensor point =
@@ -135,7 +135,7 @@ TEST(DistanceTest, GradientFlowsToPointAndArc) {
   Tensor d = ArcDistance(point, arc, 1.0f, 0.02f);
   tensor::Backward(tensor::SumAll(d));
   bool arc_grad = false;
-  for (float g : arc.center.grad_vector()) arc_grad = arc_grad || g != 0.0f;
+  for (float g : arc.a.grad_vector()) arc_grad = arc_grad || g != 0.0f;
   bool point_grad = false;
   for (float g : point.grad_vector()) point_grad = point_grad || g != 0.0f;
   EXPECT_TRUE(arc_grad);
@@ -178,10 +178,10 @@ TEST(DistanceTest, BoundedKernelIsBitIdenticalWhenNotPruned) {
 TEST(DistanceTest, WiderArcReducesDistanceToFixedPoint) {
   // Growing the arc toward the point should not increase the distance.
   Tensor point = Tensor::FromVector({1, 1}, {1.0f});
-  ArcBatch narrow{Tensor::FromVector({1, 1}, {0.0f}),
-                  Tensor::FromVector({1, 1}, {0.1f})};
-  ArcBatch wide{Tensor::FromVector({1, 1}, {0.0f}),
-                Tensor::FromVector({1, 1}, {1.8f})};
+  EmbeddingBatch narrow{Tensor::FromVector({1, 1}, {0.0f}),
+                        Tensor::FromVector({1, 1}, {0.1f})};
+  EmbeddingBatch wide{Tensor::FromVector({1, 1}, {0.0f}),
+                      Tensor::FromVector({1, 1}, {1.8f})};
   const float dn = ArcDistance(point, narrow, 1.0f, 0.02f).at(0);
   const float dw = ArcDistance(point, wide, 1.0f, 0.02f).at(0);
   EXPECT_LE(dw, dn);

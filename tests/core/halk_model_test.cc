@@ -58,95 +58,95 @@ kg::NodeGrouping* HalkModelTest::grouping_ = nullptr;
 
 TEST_F(HalkModelTest, AnchorsAreZeroLengthArcs) {
   HalkModel model(SmallConfig(), grouping_);
-  ArcBatch arc = model.EmbedAnchors({0, 1, 2});
-  EXPECT_EQ(arc.center.shape(), Shape({3, 8}));
-  for (int64_t i = 0; i < arc.length.numel(); ++i) {
-    EXPECT_EQ(arc.length.at(i), 0.0f);
+  EmbeddingBatch arc = model.EmbedAnchors({0, 1, 2});
+  EXPECT_EQ(arc.a.shape(), Shape({3, 8}));
+  for (int64_t i = 0; i < arc.b.numel(); ++i) {
+    EXPECT_EQ(arc.b.at(i), 0.0f);
   }
 }
 
 TEST_F(HalkModelTest, ProjectionShapesAndRanges) {
   HalkModel model(SmallConfig(), grouping_);
-  ArcBatch in = model.EmbedAnchors({0, 1});
-  ArcBatch out = model.Projection(in, {2, 3});
-  EXPECT_EQ(out.center.shape(), Shape({2, 8}));
+  EmbeddingBatch in = model.EmbedAnchors({0, 1});
+  EmbeddingBatch out = model.Projection(in, {2, 3});
+  EXPECT_EQ(out.a.shape(), Shape({2, 8}));
   constexpr float kTwoPi = 6.2831853f;
-  for (int64_t i = 0; i < out.center.numel(); ++i) {
-    EXPECT_GE(out.center.at(i), 0.0f);
-    EXPECT_LE(out.center.at(i), kTwoPi + 1e-4f);
-    EXPECT_GE(out.length.at(i), 0.0f);
-    EXPECT_LE(out.length.at(i), kTwoPi + 1e-4f);
+  for (int64_t i = 0; i < out.a.numel(); ++i) {
+    EXPECT_GE(out.a.at(i), 0.0f);
+    EXPECT_LE(out.a.at(i), kTwoPi + 1e-4f);
+    EXPECT_GE(out.b.at(i), 0.0f);
+    EXPECT_LE(out.b.at(i), kTwoPi + 1e-4f);
   }
 }
 
 TEST_F(HalkModelTest, DifferenceRespectsCardinalityConstraint) {
   // A_l = A_{1,l} * sigmoid(...) must never exceed the minuend's length.
   HalkModel model(SmallConfig(), grouping_);
-  ArcBatch a = model.Projection(model.EmbedAnchors({0, 1}), {0, 1});
-  ArcBatch b = model.Projection(model.EmbedAnchors({2, 3}), {1, 2});
-  ArcBatch d = model.Difference({a, b});
-  for (int64_t i = 0; i < d.length.numel(); ++i) {
-    EXPECT_LE(d.length.at(i), a.length.at(i) + 1e-5f);
-    EXPECT_GE(d.length.at(i), 0.0f);
+  EmbeddingBatch a = model.Projection(model.EmbedAnchors({0, 1}), {0, 1});
+  EmbeddingBatch b = model.Projection(model.EmbedAnchors({2, 3}), {1, 2});
+  EmbeddingBatch d = model.Difference({a, b});
+  for (int64_t i = 0; i < d.b.numel(); ++i) {
+    EXPECT_LE(d.b.at(i), a.b.at(i) + 1e-5f);
+    EXPECT_GE(d.b.at(i), 0.0f);
   }
 }
 
 TEST_F(HalkModelTest, IntersectionBoundedByMinInputLength) {
   HalkModel model(SmallConfig(), grouping_);
-  ArcBatch a = model.Projection(model.EmbedAnchors({0, 1}), {0, 1});
-  ArcBatch b = model.Projection(model.EmbedAnchors({2, 3}), {1, 2});
-  ArcBatch c = model.Projection(model.EmbedAnchors({4, 5}), {2, 3});
-  ArcBatch inter = model.Intersection({a, b, c}, {});
-  for (int64_t i = 0; i < inter.length.numel(); ++i) {
+  EmbeddingBatch a = model.Projection(model.EmbedAnchors({0, 1}), {0, 1});
+  EmbeddingBatch b = model.Projection(model.EmbedAnchors({2, 3}), {1, 2});
+  EmbeddingBatch c = model.Projection(model.EmbedAnchors({4, 5}), {2, 3});
+  EmbeddingBatch inter = model.Intersection({a, b, c}, {});
+  for (int64_t i = 0; i < inter.b.numel(); ++i) {
     const float min_len = std::min(
-        {a.length.at(i), b.length.at(i), c.length.at(i)});
-    EXPECT_LE(inter.length.at(i), min_len + 1e-5f);
+        {a.b.at(i), b.b.at(i), c.b.at(i)});
+    EXPECT_LE(inter.b.at(i), min_len + 1e-5f);
   }
 }
 
 TEST_F(HalkModelTest, IntersectionIsPermutationInvariant) {
   HalkModel model(SmallConfig(), grouping_);
-  ArcBatch a = model.Projection(model.EmbedAnchors({0}), {0});
-  ArcBatch b = model.Projection(model.EmbedAnchors({2}), {1});
-  ArcBatch c = model.Projection(model.EmbedAnchors({4}), {2});
-  ArcBatch i1 = model.Intersection({a, b, c}, {});
-  ArcBatch i2 = model.Intersection({c, a, b}, {});
-  for (int64_t i = 0; i < i1.center.numel(); ++i) {
-    EXPECT_NEAR(i1.center.at(i), i2.center.at(i), 1e-4f);
-    EXPECT_NEAR(i1.length.at(i), i2.length.at(i), 1e-4f);
+  EmbeddingBatch a = model.Projection(model.EmbedAnchors({0}), {0});
+  EmbeddingBatch b = model.Projection(model.EmbedAnchors({2}), {1});
+  EmbeddingBatch c = model.Projection(model.EmbedAnchors({4}), {2});
+  EmbeddingBatch i1 = model.Intersection({a, b, c}, {});
+  EmbeddingBatch i2 = model.Intersection({c, a, b}, {});
+  for (int64_t i = 0; i < i1.a.numel(); ++i) {
+    EXPECT_NEAR(i1.a.at(i), i2.a.at(i), 1e-4f);
+    EXPECT_NEAR(i1.b.at(i), i2.b.at(i), 1e-4f);
   }
 }
 
 TEST_F(HalkModelTest, DifferenceInvariantToSubtrahendOrderOnly) {
   HalkModel model(SmallConfig(), grouping_);
-  ArcBatch a = model.Projection(model.EmbedAnchors({0}), {0});
-  ArcBatch b = model.Projection(model.EmbedAnchors({2}), {1});
-  ArcBatch c = model.Projection(model.EmbedAnchors({4}), {2});
+  EmbeddingBatch a = model.Projection(model.EmbedAnchors({0}), {0});
+  EmbeddingBatch b = model.Projection(model.EmbedAnchors({2}), {1});
+  EmbeddingBatch c = model.Projection(model.EmbedAnchors({4}), {2});
   // Swapping subtrahends must not change the result (Sec. III-C).
-  ArcBatch d1 = model.Difference({a, b, c});
-  ArcBatch d2 = model.Difference({a, c, b});
-  for (int64_t i = 0; i < d1.center.numel(); ++i) {
-    EXPECT_NEAR(d1.center.at(i), d2.center.at(i), 1e-4f);
-    EXPECT_NEAR(d1.length.at(i), d2.length.at(i), 1e-4f);
+  EmbeddingBatch d1 = model.Difference({a, b, c});
+  EmbeddingBatch d2 = model.Difference({a, c, b});
+  for (int64_t i = 0; i < d1.a.numel(); ++i) {
+    EXPECT_NEAR(d1.a.at(i), d2.a.at(i), 1e-4f);
+    EXPECT_NEAR(d1.b.at(i), d2.b.at(i), 1e-4f);
   }
   // Swapping the minuend must change it (asymmetry).
-  ArcBatch d3 = model.Difference({b, a, c});
+  EmbeddingBatch d3 = model.Difference({b, a, c});
   float max_diff = 0.0f;
-  for (int64_t i = 0; i < d1.length.numel(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(d1.length.at(i) - d3.length.at(i)));
+  for (int64_t i = 0; i < d1.b.numel(); ++i) {
+    max_diff = std::max(max_diff, std::fabs(d1.b.at(i) - d3.b.at(i)));
   }
   EXPECT_GT(max_diff, 1e-5f);
 }
 
 TEST_F(HalkModelTest, NegationProducesValidArc) {
   HalkModel model(SmallConfig(), grouping_);
-  ArcBatch in = model.Projection(model.EmbedAnchors({0, 1}), {0, 1});
-  ArcBatch out = model.Negation(in);
-  EXPECT_EQ(out.center.shape(), in.center.shape());
+  EmbeddingBatch in = model.Projection(model.EmbedAnchors({0, 1}), {0, 1});
+  EmbeddingBatch out = model.Negation(in);
+  EXPECT_EQ(out.a.shape(), in.a.shape());
   constexpr float kTwoPi = 6.2831853f;
-  for (int64_t i = 0; i < out.center.numel(); ++i) {
-    EXPECT_GE(out.center.at(i), 0.0f);
-    EXPECT_LE(out.center.at(i), kTwoPi + 1e-4f);
+  for (int64_t i = 0; i < out.a.numel(); ++i) {
+    EXPECT_GE(out.a.at(i), 0.0f);
+    EXPECT_LE(out.a.at(i), kTwoPi + 1e-4f);
   }
 }
 
@@ -212,10 +212,10 @@ TEST_F(HalkModelTest, DistanceConsistentWithDistancesToAll) {
 TEST_F(HalkModelTest, DeterministicForSeed) {
   HalkModel m1(SmallConfig(), grouping_);
   HalkModel m2(SmallConfig(), grouping_);
-  ArcBatch a1 = m1.Projection(m1.EmbedAnchors({7}), {1});
-  ArcBatch a2 = m2.Projection(m2.EmbedAnchors({7}), {1});
-  for (int64_t i = 0; i < a1.center.numel(); ++i) {
-    EXPECT_EQ(a1.center.at(i), a2.center.at(i));
+  EmbeddingBatch a1 = m1.Projection(m1.EmbedAnchors({7}), {1});
+  EmbeddingBatch a2 = m2.Projection(m2.EmbedAnchors({7}), {1});
+  for (int64_t i = 0; i < a1.a.numel(); ++i) {
+    EXPECT_EQ(a1.a.at(i), a2.a.at(i));
   }
 }
 
@@ -226,7 +226,7 @@ TEST_F(HalkModelTest, EmbedAllNodesCoversReachableNodes) {
   ASSERT_TRUE(q.ok());
   auto arcs = model.EmbedAllNodes(q->graph);
   for (int id : q->graph.TopologicalOrder()) {
-    EXPECT_TRUE(arcs[static_cast<size_t>(id)].center.defined());
+    EXPECT_TRUE(arcs[static_cast<size_t>(id)].a.defined());
   }
 }
 

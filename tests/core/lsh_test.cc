@@ -125,8 +125,10 @@ TEST(LshTest, ScanFractionIsSublinearOnClusteredData) {
   double fraction = 0.0;
   for (int t = 0; t < 10; ++t) {
     const int64_t probe = static_cast<int64_t>(rng.UniformInt(uint64_t{4000}));
-    index.TopK(angles.data() + probe * d, length.data(), 10, 1.0f, 0.9f);
-    fraction += index.last_scan_fraction();
+    double scanned = 0.0;
+    index.TopK(angles.data() + probe * d, length.data(), 10, 1.0f, 0.9f,
+               &scanned);
+    fraction += scanned;
   }
   EXPECT_LT(fraction / 10.0, 0.6);
 }

@@ -81,7 +81,7 @@ TEST(SlowQueryLogTest, CapacityEvictsLeastRecentlySlow) {
 TEST(SlowQueryLogTest, PlanShapeColumnsAreStoredAndRefreshed) {
   SlowQueryLog log(4, 100);
   // Without the optional plan columns the entry records a zero shape
-  // (legacy path / whole-answer cache hits).
+  // (whole-answer cache hits).
   EXPECT_TRUE(log.Offer("legacy", MakeTrace(1, 200)));
   EXPECT_EQ(log.Entries()[0].plan_nodes, 0);
   EXPECT_DOUBLE_EQ(log.Entries()[0].dedup_ratio, 0.0);

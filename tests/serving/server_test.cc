@@ -85,7 +85,7 @@ TEST_F(QueryServerTest, CacheHitMatchesUncachedAnswer) {
   cached_options.num_workers = 2;
   ServerOptions uncached_options;
   uncached_options.num_workers = 2;
-  uncached_options.enable_cache = false;
+  uncached_options.cache_capacity = 0;
   QueryServer cached(model_, &dataset_->train, cached_options);
   QueryServer uncached(model_, &dataset_->train, uncached_options);
 
@@ -161,7 +161,7 @@ TEST_F(QueryServerTest, QueuedRequestsPastDeadlineExpire) {
   options.num_workers = 1;
   options.max_batch_size = 4;
   options.batch_linger = std::chrono::microseconds(0);
-  options.enable_cache = false;
+  options.cache_capacity = 0;
   QueryServer server(model_, &dataset_->train, options);
 
   // Fill the single worker with two full batches of undeadlined work, then
@@ -204,7 +204,7 @@ TEST_F(QueryServerTest, FullQueueAppliesBackpressure) {
   options.num_workers = 1;
   options.max_batch_size = 2;
   options.queue_capacity = 2;
-  options.enable_cache = false;
+  options.cache_capacity = 0;
   QueryServer server(model_, &dataset_->train, options);
 
   std::vector<query::GroundedQuery> pool =
@@ -311,7 +311,7 @@ TEST_F(QueryServerTest, ShardedServerAgreesWithEvaluatorAcrossStructures) {
   options.num_workers = 2;
   options.max_batch_size = 4;
   options.num_shards = 4;
-  options.enable_cache = false;
+  options.cache_capacity = 0;
   QueryServer server(model_, &dataset_->train, options);
   ASSERT_NE(server.coordinator(), nullptr);
   core::Evaluator evaluator(model_);
@@ -377,7 +377,7 @@ TEST_F(QueryServerTest, TracedShardedRequestPhaseSpansTileTheLatency) {
   options.num_workers = 2;
   options.max_batch_size = 4;
   options.num_shards = 2;
-  options.enable_cache = false;
+  options.cache_capacity = 0;
   options.tracer = &tracer;
   QueryServer server(model_, &dataset_->train, options);
 
@@ -432,7 +432,7 @@ TEST_F(QueryServerTest, SlowQueryLogKeysRepeatedSlowRequestsByFingerprint) {
   tracer.set_enabled(true);
   ServerOptions options;
   options.num_workers = 1;
-  options.enable_cache = false;  // repeats must reach the workers
+  options.cache_capacity = 0;  // repeats must reach the workers
   options.tracer = &tracer;
   // Every request blows a 1us threshold, so each one lands in the log.
   options.slow_query_threshold = std::chrono::microseconds(1);
@@ -466,7 +466,7 @@ TEST_F(QueryServerTest, ReplicaFailureDrivesHealthGaugeAndFailoverSpans) {
   options.num_shards = 2;
   options.shard_replication = 2;
   options.shard_faults = &faults;
-  options.enable_cache = false;
+  options.cache_capacity = 0;
   options.tracer = &tracer;
   QueryServer server(model_, &dataset_->train, options);
   MetricsRegistry* metrics = server.metrics();
