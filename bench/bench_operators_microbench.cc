@@ -5,6 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
+#include <vector>
+
+#include "core/scan_kernel.h"
 #include "halk/halk.h"
 
 namespace {
@@ -90,21 +96,96 @@ void BM_Negation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 
+/// The ranking scan at serving scale: 10^5 entities, d = 32 (ROADMAP item
+/// 1), reported per entity·dimension. Separate from Fixture so the operator
+/// benches keep their small model.
+struct ScanFixture {
+  static constexpr int64_t kEntities = 100000;
+  static constexpr int64_t kDim = 32;
+
+  ScanFixture() {
+    halk::core::ModelConfig config;
+    config.num_entities = kEntities;
+    config.num_relations = 4;
+    config.dim = kDim;
+    config.hidden = 8;
+    config.seed = 5;
+    model = std::make_unique<halk::core::HalkModel>(config, nullptr);
+    embedding = model->Projection(model->EmbedAnchors({0}), {1});
+    arc = halk::core::MakeArcConstants(embedding.a.data(), embedding.b.data(),
+                                       kDim, config.rho, config.eta);
+  }
+
+  std::unique_ptr<halk::core::HalkModel> model;
+  halk::core::EmbeddingBatch embedding;
+  halk::core::ArcConstants arc;
+};
+
+ScanFixture& Scan() {
+  static ScanFixture* fixture = new ScanFixture();
+  return *fixture;
+}
+
+/// Seconds per entity·dimension, shown with an SI prefix (2.9n = 2.9 ns).
+void SetNsPerEntityDim(benchmark::State& state) {
+  state.counters["ns_per_entity_dim"] = benchmark::Counter(
+      static_cast<double>(ScanFixture::kEntities * ScanFixture::kDim),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
 void BM_DistancesToAllEntities(benchmark::State& state) {
-  auto emb = F().model->Projection(F().Anchors(1), F().Relations(1));
   std::vector<float> out;
   for (auto _ : state) {
-    F().model->DistancesToAll(emb, 0, &out);
+    Scan().model->DistancesToAll(Scan().embedding, 0, &out);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations() * F().config.num_entities);
+  SetNsPerEntityDim(state);
+}
+
+/// One build of the scan kernel over the row-major table (the in-RAM
+/// path's per-dimension stack-column copy included), bound = +inf.
+void RunScanKernel(benchmark::State& state, halk::core::ScanKernelFn kernel) {
+  if (kernel == nullptr) {
+    state.SkipWithError("this CPU has no AVX2 build");
+    return;
+  }
+  const float* table = Scan().model->entity_angles().data();
+  const int64_t n = ScanFixture::kEntities;
+  const int64_t d = ScanFixture::kDim;
+  std::vector<float> out(static_cast<size_t>(n));
+  float partial[halk::core::kScanLanes];
+  for (auto _ : state) {
+    for (int64_t e = 0; e < n; e += halk::core::kScanLanes) {
+      const halk::core::EntityBlock block{
+          table + e * d, std::min(halk::core::kScanLanes, n - e), d, 1};
+      kernel(&Scan().arc, 1, block, std::numeric_limits<float>::infinity(),
+             partial, out.data() + e);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  SetNsPerEntityDim(state);
+}
+
+void BM_ScanKernel_portable(benchmark::State& state) {
+  RunScanKernel(state, halk::core::PortableScanKernel());
+}
+
+void BM_ScanKernel_avx2(benchmark::State& state) {
+  RunScanKernel(state, halk::core::Avx2ScanKernel());
 }
 
 BENCHMARK(BM_Projection)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_Intersection)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_Difference)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_Negation)->Arg(1)->Arg(32)->Arg(128);
-BENCHMARK(BM_DistancesToAllEntities);
+BENCHMARK(BM_DistancesToAllEntities)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanKernel_portable)
+    ->Name("BM_ScanKernel/portable")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanKernel_avx2)
+    ->Name("BM_ScanKernel/avx2")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -25,11 +25,10 @@
 //   $ ./bench/bench_shard_scaling                         # in-RAM scale
 //   $ HALK_BENCH_ENTITIES=1000000 ./bench/bench_shard_scaling
 //
-// The speedup has two independent sources: the bound-aware scan kernel
-// (AccumulateTopKRange prunes an entity once its partial distance exceeds
-// the k-th best, which the full-distance evaluator baseline cannot do) and
-// thread parallelism across shards. On a single-core machine — see the
-// "cores" key in the JSON — only the kernel contributes, and per-shard
+// Evaluator::TopK ranks through the same bound-aware scan kernel as the
+// shard workers (AccumulateTopKRange over the whole table), so the speedup
+// over it comes from thread parallelism across shards alone. On a
+// single-core machine — see the "cores" key in the JSON — per-shard
 // bookkeeping makes higher shard counts slightly slower, not faster.
 //
 // The model is untrained: ranking cost depends on entity count and
@@ -406,8 +405,8 @@ int RunOutOfCore(int64_t num_entities, bool fast) {
 
   // Reference answers once through an unsharded coordinator over the same
   // bounded store scan; every sweep configuration must reproduce them
-  // bit-identically. The brute-force Evaluator is deliberately not used
-  // here: DistancesToAll reads every entity row with no residency window,
+  // bit-identically. The brute-force ScoreAllEntities is deliberately not
+  // used here: DistancesToAll reads every entity row with no residency window,
   // which alone would push the RSS high-water to full table size — its
   // bit-identity against the store scan is pinned at in-RAM scale (RunInRam
   // and tests/store/) where the whole table is cheap to touch.

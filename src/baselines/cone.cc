@@ -121,14 +121,12 @@ Tensor ConeModel::Distance(const std::vector<int64_t>& entities,
 void ConeModel::DistancesToAll(const EmbeddingBatch& embedding, int64_t row,
                                std::vector<float>* out) const {
   const int64_t d = config_.dim;
-  const float* center = embedding.a.data() + row * d;
-  const float* length = embedding.b.data() + row * d;
-  const float* table = entity_angles_.data();
+  const core::ArcConstants arc = core::MakeArcConstants(
+      embedding.a.data() + row * d, embedding.b.data() + row * d, d,
+      config_.rho, config_.eta);
   out->resize(static_cast<size_t>(config_.num_entities));
-  for (int64_t e = 0; e < config_.num_entities; ++e) {
-    (*out)[static_cast<size_t>(e)] = core::ArcPointDistance(
-        table + e * d, center, length, d, config_.rho, config_.eta);
-  }
+  core::ArcDistancesToRows(entity_angles_.data(), d, config_.num_entities,
+                           arc, out->data());
 }
 
 std::vector<Tensor> ConeModel::Parameters() const {

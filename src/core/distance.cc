@@ -1,6 +1,8 @@
 #include "core/distance.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -42,25 +44,11 @@ Tensor ArcDistance(const Tensor& point, const EmbeddingBatch& arc, float rho,
 float ArcPointDistance(const float* point_angles, const float* arc_center,
                        const float* arc_length, int64_t dim, float rho,
                        float eta) {
-  float d_o = 0.0f;
-  float d_i = 0.0f;
-  for (int64_t i = 0; i < dim; ++i) {
-    const float theta = point_angles[i];
-    const float ac = arc_center[i];
-    const float al = arc_length[i];
-    const float a_s = ac - al / (2.0f * rho);
-    const float a_e = ac + al / (2.0f * rho);
-    const float to_start = 2.0f * rho * std::fabs(std::sin((theta - a_s) / 2.0f));
-    const float to_end = 2.0f * rho * std::fabs(std::sin((theta - a_e) / 2.0f));
-    const float to_center = 2.0f * rho * std::fabs(std::sin((theta - ac) / 2.0f));
-    const float half_width =
-        2.0f * rho * std::fabs(std::sin(al / (4.0f * rho)));
-    if (to_center > half_width) {
-      d_o += std::min(to_start, to_end);
-    }
-    d_i += std::min(to_center, half_width);
-  }
-  return d_o + eta * d_i;
+  const ArcConstants arc =
+      MakeArcConstants(arc_center, arc_length, dim, rho, eta);
+  float out = 0.0f;
+  ArcDistancesToRows(point_angles, dim, 1, arc, &out);
+  return out;
 }
 
 ArcConstants MakeArcConstants(const float* arc_center,
@@ -69,53 +57,76 @@ ArcConstants MakeArcConstants(const float* arc_center,
   ArcConstants out;
   out.rho = rho;
   out.eta = eta;
-  out.a_s.resize(static_cast<size_t>(dim));
-  out.a_e.resize(static_cast<size_t>(dim));
-  out.center.resize(static_cast<size_t>(dim));
-  out.half_width.resize(static_cast<size_t>(dim));
+  out.dims.resize(static_cast<size_t>(dim));
   for (int64_t i = 0; i < dim; ++i) {
     const float ac = arc_center[i];
     const float al = arc_length[i];
-    // Same float expressions as ArcPointDistance, for bit-identical scans.
-    out.a_s[static_cast<size_t>(i)] = ac - al / (2.0f * rho);
-    out.a_e[static_cast<size_t>(i)] = ac + al / (2.0f * rho);
-    out.center[static_cast<size_t>(i)] = ac;
-    out.half_width[static_cast<size_t>(i)] =
-        2.0f * rho * std::fabs(std::sin(al / (4.0f * rho)));
+    const float a_s = ac - al / (2.0f * rho);
+    const float a_e = ac + al / (2.0f * rho);
+    ArcDimConstants& k = out.dims[static_cast<size_t>(i)];
+    k.sin_center = std::sin(ac / 2.0f);
+    k.cos_center = std::cos(ac / 2.0f);
+    k.sin_start = std::sin(a_s / 2.0f);
+    k.cos_start = std::cos(a_s / 2.0f);
+    k.sin_end = std::sin(a_e / 2.0f);
+    k.cos_end = std::cos(a_e / 2.0f);
+    k.half_width = 2.0f * rho * std::fabs(std::sin(al / (4.0f * rho)));
   }
   return out;
 }
 
-float ArcPointDistanceBounded(const float* point_angles,
-                              const ArcConstants& arc, float bound) {
-  // Same accumulation order as ArcPointDistance, so a full scan returns the
-  // bit-identical value; the partial d_o + eta*d_i is non-decreasing across
-  // dimensions (rho > 0, eta >= 0), which makes the early exit exact for
-  // pruning. Points inside the arc on a dimension cost one sine; only the
-  // outside case needs the two endpoint chords.
-  const int64_t dim = static_cast<int64_t>(arc.center.size());
-  const float rho = arc.rho;
-  float d_o = 0.0f;
-  float d_i = 0.0f;
-  for (int64_t i = 0; i < dim; ++i) {
-    const float theta = point_angles[i];
-    const float to_center =
-        2.0f * rho * std::fabs(std::sin((theta - arc.center[i]) / 2.0f));
-    const float half_width = arc.half_width[i];
-    if (to_center > half_width) {
-      const float to_start =
-          2.0f * rho * std::fabs(std::sin((theta - arc.a_s[i]) / 2.0f));
-      const float to_end =
-          2.0f * rho * std::fabs(std::sin((theta - arc.a_e[i]) / 2.0f));
-      d_o += std::min(to_start, to_end);
-      d_i += half_width;
-    } else {
-      d_i += to_center;
-    }
-    const float partial = d_o + arc.eta * d_i;
-    if (partial > bound) return partial;
+void ArcDistancesToRows(const float* table, int64_t dim, int64_t rows,
+                        const ArcConstants& arc, float* out) {
+  const ScanKernelFn kernel = ScanKernel();
+  float partial[kScanLanes];
+  for (int64_t r = 0; r < rows; r += kScanLanes) {
+    const EntityBlock block{table + r * dim, std::min(kScanLanes, rows - r),
+                            dim, 1};
+    kernel(&arc, 1, block, std::numeric_limits<float>::infinity(), partial,
+           out + r);
   }
-  return d_o + arc.eta * d_i;
+}
+
+int64_t PushBlockTopK(const ArcConstants* arcs, size_t num_arcs,
+                      const EntityBlock& block, int64_t first_entity,
+                      bool prune, float* partial, TopKAccumulator* acc,
+                      ScanStats* stats) {
+  // The bound only tightens through pushes, which happen after the block
+  // completes, so pruning against the block-start value is conservative.
+  const float bound =
+      prune ? acc->bound() : std::numeric_limits<float>::infinity();
+  float best[kScanLanes];
+  const int64_t dims =
+      ScanKernel()(arcs, num_arcs, block, bound, partial, best);
+  if (dims < static_cast<int64_t>(arcs[0].dims.size())) {
+    if (stats != nullptr) stats->entities_pruned += block.rows;
+    return dims;
+  }
+  for (int64_t i = 0; i < block.rows; ++i) {
+    // An entity above the bound cannot enter; one at or below it carries
+    // its exact distance, so the ranking equals a full scan's.
+    if (best[i] > bound) {
+      if (stats != nullptr) ++stats->entities_pruned;
+      continue;
+    }
+    acc->Push(first_entity + i, best[i]);
+  }
+  return dims;
+}
+
+void AccumulateRowsTopK(const float* table, int64_t dim,
+                        const std::vector<ArcConstants>& arcs, int64_t begin,
+                        int64_t end, bool prune, TopKAccumulator* acc,
+                        ScanStats* stats) {
+  if (arcs.empty() || begin >= end) return;
+  std::vector<float> partial(arcs.size() * kScanLanes);
+  for (int64_t e = begin; e < end; e += kScanLanes) {
+    const EntityBlock block{table + e * dim, std::min(kScanLanes, end - e),
+                            dim, 1};
+    PushBlockTopK(arcs.data(), arcs.size(), block, e, prune, partial.data(),
+                  acc, stats);
+  }
+  if (stats != nullptr) stats->entities_scanned += end - begin;
 }
 
 }  // namespace halk::core

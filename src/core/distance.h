@@ -5,6 +5,9 @@
 #include <vector>
 
 #include "core/arc.h"
+#include "core/query_model.h"
+#include "core/scan_kernel.h"
+#include "core/topk.h"
 
 namespace halk::core {
 
@@ -19,40 +22,47 @@ namespace halk::core {
 tensor::Tensor ArcDistance(const tensor::Tensor& point,
                            const EmbeddingBatch& arc, float rho, float eta);
 
-/// Tape-free scalar twin of ArcDistance for one (entity, arc) pair of raw
-/// angle/length buffers of width `dim`; used for ranking all entities at
-/// evaluation time. Kept consistent with the tensor version by tests.
+/// Distance from one entity (`point_angles`, width `dim`) to one arc: a
+/// one-entity block of the scan kernel (core/scan_kernel.h), so it equals
+/// the value every ranking path computes for that pair, bit for bit.
+/// Agrees with ArcDistance to float rounding (the kernel evaluates the
+/// half-angles by polynomial, not libm).
 float ArcPointDistance(const float* point_angles, const float* arc_center,
                        const float* arc_length, int64_t dim, float rho,
                        float eta);
 
-/// Entity-independent per-dimension quantities of one arc, hoisted out of
-/// a many-entity scan: endpoint angles and the half-width chord account
-/// for half the trigonometry in ArcPointDistance yet never change across
-/// entities. Computed with the same float expressions, so scans through
-/// ArcConstants are bit-identical to the plain kernel.
-struct ArcConstants {
-  float rho = 1.0f;
-  float eta = 0.0f;
-  std::vector<float> a_s;          // start angle per dimension
-  std::vector<float> a_e;          // end angle per dimension
-  std::vector<float> center;       // center angle per dimension
-  std::vector<float> half_width;   // half-arc chord per dimension
-};
-
+/// Prepares one arc for the scan kernel: the per-dimension sin/cos of the
+/// center, start and end half-angles and the half-width chord
+/// 2ρ|sin(A_l/4ρ)|, computed once per query with libm.
 ArcConstants MakeArcConstants(const float* arc_center,
                               const float* arc_length, int64_t dim, float rho,
                               float eta);
 
-/// Bound-aware scan kernel for top-k (requires rho > 0 and eta >= 0, so
-/// every per-dimension term is non-negative and the partial sum is a lower
-/// bound of the final distance). Returns the exact ArcPointDistance value
-/// — bit-identical, same accumulation order — unless the partial sum
-/// exceeds `bound` first, in which case it stops scanning dimensions and
-/// returns that partial sum (some value > bound, <= the true distance).
-/// Callers must treat any result > bound as "worse than bound" only.
-float ArcPointDistanceBounded(const float* point_angles,
-                              const ArcConstants& arc, float bound);
+/// Exact distances from `rows` consecutive rows of a row-major table
+/// (`dim` floats each, starting at `table`) to `arc`: out[i] is row i's.
+void ArcDistancesToRows(const float* table, int64_t dim, int64_t rows,
+                        const ArcConstants& arc, float* out);
+
+/// Scans one block of entities (`first_entity` is block row 0's id)
+/// against `num_arcs` DNF branches and pushes each entity's minimum
+/// distance into `acc` unless it exceeds the admission bound. With `prune`
+/// the bound is acc->bound(), frozen for the block, and the kernel may
+/// abandon the block once every (entity, branch) partial sum exceeds it;
+/// exact for top-k whenever ρ > 0 and η >= 0. Without it, every entity is
+/// scored in full and pushed. `partial` is scratch of num_arcs *
+/// kScanLanes floats. Returns the number of dimensions read.
+int64_t PushBlockTopK(const ArcConstants* arcs, size_t num_arcs,
+                      const EntityBlock& block, int64_t first_entity,
+                      bool prune, float* partial, TopKAccumulator* acc,
+                      ScanStats* stats);
+
+/// Streams rows [begin, end) of a row-major table into `acc` in kernel
+/// blocks, scoring each entity by its minimum distance over `arcs` (see
+/// PushBlockTopK). Scratch is one arcs.size() * kScanLanes buffer.
+void AccumulateRowsTopK(const float* table, int64_t dim,
+                        const std::vector<ArcConstants>& arcs, int64_t begin,
+                        int64_t end, bool prune, TopKAccumulator* acc,
+                        ScanStats* stats);
 
 }  // namespace halk::core
 

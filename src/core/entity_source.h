@@ -31,6 +31,12 @@ class EntityScanSource {
   /// table holding the same rows.
   virtual void CopyRow(int64_t entity, float* out) const = 0;
 
+  /// Exact distances from entities [begin, end) to `arc`: out[i] is entity
+  /// begin + i's, bit-identical to the scan kernel over an in-RAM table
+  /// holding the same rows.
+  virtual void Distances(const ArcConstants& arc, int64_t begin,
+                         int64_t end, float* out) const = 0;
+
   /// Streams entities [begin, end) into `acc`, scoring each by its minimum
   /// arc distance over `arcs` (the DNF union semantics). Must be exact:
   /// acc->Take() afterwards equals pushing every entity's full

@@ -36,7 +36,9 @@ class Evaluator {
   /// branches). Exposed for the pruning study and examples.
   std::vector<float> ScoreAllEntities(const query::QueryGraph& query);
 
-  /// The `k` entities closest to the query embedding.
+  /// The `k` entities closest to the query embedding, ranked by the
+  /// model's AccumulateTopKRange over [0, N) — the serving engine's
+  /// unsharded ranking path.
   std::vector<int64_t> TopK(const query::QueryGraph& query, int64_t k);
 
  private:

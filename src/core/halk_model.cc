@@ -265,23 +265,16 @@ void HalkModel::DistancesToRange(const EmbeddingBatch& embedding, int64_t row,
                                  int64_t begin, int64_t end,
                                  std::vector<float>* out) const {
   const int64_t d = config_.dim;
-  const float* center = embedding.a.data() + row * d;
-  const float* length = embedding.b.data() + row * d;
+  const ArcConstants arc = MakeArcConstants(
+      embedding.a.data() + row * d, embedding.b.data() + row * d, d,
+      config_.rho, config_.eta);
   out->resize(static_cast<size_t>(end - begin));
   if (entity_source_ != nullptr) {
-    std::vector<float> point(static_cast<size_t>(d));
-    for (int64_t e = begin; e < end; ++e) {
-      entity_source_->CopyRow(e, point.data());
-      (*out)[static_cast<size_t>(e - begin)] = ArcPointDistance(
-          point.data(), center, length, d, config_.rho, config_.eta);
-    }
+    entity_source_->Distances(arc, begin, end, out->data());
     return;
   }
-  const float* table = entity_angles_.data();
-  for (int64_t e = begin; e < end; ++e) {
-    (*out)[static_cast<size_t>(e - begin)] = ArcPointDistance(
-        table + e * d, center, length, d, config_.rho, config_.eta);
-  }
+  ArcDistancesToRows(entity_angles_.data() + begin * d, d, end - begin, arc,
+                     out->data());
 }
 
 double HalkModel::MembershipThreshold(const EmbeddingBatch& embedding,
@@ -289,13 +282,14 @@ double HalkModel::MembershipThreshold(const EmbeddingBatch& embedding,
   const float rho = config_.rho;
   const float eta = config_.eta;
   if (rho <= 0.0f || eta < 0.0f) return -1.0;
-  const float* length = embedding.b.data() + row * config_.dim;
-  // Same per-dimension float expression as ArcPointDistance's half_width,
-  // so the bound is consistent with the distances it is compared against.
+  const int64_t d = config_.dim;
+  // The kernel's own half-width chords, so the threshold is consistent
+  // with the distances it is compared against.
+  const ArcConstants arc = MakeArcConstants(
+      embedding.a.data() + row * d, embedding.b.data() + row * d, d, rho,
+      eta);
   double tau = 0.0;
-  for (int64_t i = 0; i < config_.dim; ++i) {
-    tau += 2.0f * rho * std::fabs(std::sin(length[i] / (4.0f * rho)));
-  }
+  for (const ArcDimConstants& k : arc.dims) tau += k.half_width;
   return static_cast<double>(eta) * tau;
 }
 
@@ -303,15 +297,7 @@ void HalkModel::AccumulateTopKRange(const std::vector<BranchRef>& branches,
                                     int64_t begin, int64_t end,
                                     TopKAccumulator* acc,
                                     ScanStats* stats) const {
-  // Early exit is only a lower-bound argument when every per-dimension
-  // term is non-negative.
-  if (config_.rho <= 0.0f || config_.eta < 0.0f) {
-    QueryModel::AccumulateTopKRange(branches, begin, end, acc, stats);
-    return;
-  }
   const int64_t d = config_.dim;
-  // Endpoint angles and half-width chords are entity-independent: hoist
-  // them out of the scan (half the trigonometry of the plain kernel).
   std::vector<ArcConstants> arcs;
   arcs.reserve(branches.size());
   for (const BranchRef& branch : branches) {
@@ -320,34 +306,22 @@ void HalkModel::AccumulateTopKRange(const std::vector<BranchRef>& branches,
         branch.embedding->b.data() + branch.row * d, d, config_.rho,
         config_.eta));
   }
+  // Early exit is only a lower-bound argument when every per-dimension
+  // term is non-negative.
+  const bool prune = config_.rho > 0.0f && config_.eta >= 0.0f;
   if (entity_source_ != nullptr) {
-    // Out-of-core scan: the source prunes against the same admission bound
-    // and is contractually exact, so results are bit-identical to the
-    // in-RAM kernel below (tests/store pins this down).
+    if (!prune) {
+      QueryModel::AccumulateTopKRange(branches, begin, end, acc, stats);
+      return;
+    }
+    // Out-of-core scan: the source runs the same kernel against the same
+    // admission bound and is contractually exact, so results are
+    // bit-identical to the in-RAM scan (tests/store pins this down).
     entity_source_->AccumulateTopKRange(arcs, begin, end, acc, stats);
     return;
   }
-  const float* table = entity_angles_.data();
-  for (int64_t e = begin; e < end; ++e) {
-    const float* point = table + e * d;
-    const float admission = acc->bound();
-    float dmin = std::numeric_limits<float>::infinity();
-    for (const ArcConstants& arc : arcs) {
-      // A branch only has to beat the best branch so far or the admission
-      // bound, whichever is tighter; anything above that cap cannot change
-      // the outcome, so its exact value is irrelevant.
-      const float cap = std::min(dmin, admission);
-      dmin = std::min(dmin, ArcPointDistanceBounded(point, arc, cap));
-    }
-    // dmin <= admission implies some branch finished its scan, so dmin is
-    // the exact minimum; above the bound the entity cannot enter anyway.
-    if (dmin <= admission) {
-      acc->Push(e, dmin);
-    } else if (stats != nullptr) {
-      ++stats->entities_pruned;
-    }
-  }
-  if (stats != nullptr) stats->entities_scanned += end - begin;
+  AccumulateRowsTopK(entity_angles_.data(), d, arcs, begin, end, prune, acc,
+                     stats);
 }
 
 std::vector<Tensor> HalkModel::Parameters() const {

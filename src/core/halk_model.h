@@ -61,10 +61,11 @@ class HalkModel : public QueryModel {
                         int64_t begin, int64_t end,
                         std::vector<float>* out) const override;
 
-  /// Bound-aware scan: the arc distance accumulates non-negative
-  /// per-dimension terms, so an entity is abandoned the moment its partial
-  /// sum exceeds the accumulator's admission bound. Exact — admitted
-  /// entities carry the bit-identical full distance.
+  /// Bound-aware scan through the scan kernel (core/scan_kernel.h): the
+  /// arc distance accumulates non-negative per-dimension terms, so a block
+  /// of entities is abandoned once every partial sum exceeds the
+  /// accumulator's admission bound. Exact — admitted entities carry the
+  /// bit-identical full distance.
   void AccumulateTopKRange(const std::vector<BranchRef>& branches,
                            int64_t begin, int64_t end, TopKAccumulator* acc,
                            ScanStats* stats = nullptr) const override;

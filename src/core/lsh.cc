@@ -92,13 +92,15 @@ std::vector<int64_t> AngularLshIndex::TopK(const float* arc_center,
     *scan_fraction = static_cast<double>(candidates.size()) /
                      static_cast<double>(num_entities_);
   }
+  // Candidates are scattered, so each is its own one-entity kernel block.
+  const ArcConstants arc =
+      MakeArcConstants(arc_center, arc_length, dim_, rho, eta);
   std::vector<std::pair<float, int64_t>> scored;
   scored.reserve(candidates.size());
   for (int64_t e : candidates) {
-    scored.emplace_back(
-        ArcPointDistance(angles_ + e * dim_, arc_center, arc_length, dim_,
-                         rho, eta),
-        e);
+    float distance = 0.0f;
+    ArcDistancesToRows(angles_ + e * dim_, dim_, 1, arc, &distance);
+    scored.emplace_back(distance, e);
   }
   const size_t kk = static_cast<size_t>(k);
   std::partial_sort(scored.begin(),

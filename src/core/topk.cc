@@ -1,6 +1,7 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 namespace halk::core {
@@ -10,7 +11,9 @@ TopKAccumulator::TopKAccumulator(int64_t k) : k_(k) {
 }
 
 void TopKAccumulator::Push(int64_t entity, float distance) {
-  if (k_ <= 0) return;
+  // NaN has no place in the (distance, entity) order: admitting it would
+  // break the heap's strict weak ordering and evict true best entries.
+  if (k_ <= 0 || std::isnan(distance)) return;
   const ScoredEntity candidate{entity, distance};
   if (static_cast<int64_t>(heap_.size()) < k_) {
     heap_.push_back(candidate);

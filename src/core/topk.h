@@ -31,7 +31,8 @@ inline bool ScoredBefore(const ScoredEntity& a, const ScoredEntity& b) {
 /// Bounded top-k accumulator: a max-heap of the k best (lowest-distance)
 /// candidates seen so far. Push is O(1) for candidates that lose to the
 /// current worst — the common case when streaming a large entity range —
-/// and O(log k) otherwise. k <= 0 accepts nothing.
+/// and O(log k) otherwise. k <= 0 accepts nothing, and a NaN distance is
+/// never ranked (ScoredBefore is no strict weak order over NaN).
 class TopKAccumulator {
  public:
   explicit TopKAccumulator(int64_t k);

@@ -1,5 +1,7 @@
 #include "kg/csr.h"
 
+#include <limits>
+
 #include "common/logging.h"
 
 namespace halk::kg {
@@ -14,6 +16,8 @@ size_t CsrIndex::Slot(int64_t entity, int64_t relation) const {
 
 void CsrIndex::Build(int64_t num_entities, int64_t num_relations,
                      const std::vector<Triple>& triples) {
+  HALK_CHECK_LE(triples.size(), size_t{std::numeric_limits<uint32_t>::max()})
+      << "CsrIndex offsets are 32-bit";
   num_entities_ = num_entities;
   num_relations_ = num_relations;
   const size_t slots = static_cast<size_t>(num_entities * num_relations);
@@ -30,8 +34,10 @@ void CsrIndex::Build(int64_t num_entities, int64_t num_relations,
   }
   fwd_values_.assign(triples.size(), 0);
   rev_values_.assign(triples.size(), 0);
-  std::vector<int64_t> fwd_cursor(fwd_offsets_.begin(), fwd_offsets_.end() - 1);
-  std::vector<int64_t> rev_cursor(rev_offsets_.begin(), rev_offsets_.end() - 1);
+  std::vector<uint32_t> fwd_cursor(fwd_offsets_.begin(),
+                                   fwd_offsets_.end() - 1);
+  std::vector<uint32_t> rev_cursor(rev_offsets_.begin(),
+                                   rev_offsets_.end() - 1);
   for (const Triple& t : triples) {
     fwd_values_[static_cast<size_t>(fwd_cursor[Slot(t.head, t.relation)]++)] =
         t.tail;

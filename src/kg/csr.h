@@ -38,14 +38,17 @@ class CsrIndex {
 
  private:
   // One offset table per relation over entities; values are shared flat
-  // arrays. fwd: by head -> tails; rev: by tail -> heads.
+  // arrays. fwd: by head -> tails; rev: by tail -> heads. The offset tables
+  // hold one entry per (relation, entity) slot, so they dominate the
+  // index's memory; 32-bit offsets (Build checks the triple count) halve
+  // them.
   size_t Slot(int64_t entity, int64_t relation) const;
 
   int64_t num_entities_ = 0;
   int64_t num_relations_ = 0;
-  std::vector<int64_t> fwd_offsets_;  // (num_relations * num_entities + 1)
+  std::vector<uint32_t> fwd_offsets_;  // (num_relations * num_entities + 1)
   std::vector<int64_t> fwd_values_;
-  std::vector<int64_t> rev_offsets_;
+  std::vector<uint32_t> rev_offsets_;
   std::vector<int64_t> rev_values_;
 };
 

@@ -567,45 +567,32 @@ void QueryServer::ServeChunkPlanned(
     }
   }
 
-  // DNF union semantics, as in Evaluator::ScoreAllEntities: per request,
-  // the elementwise minimum over its branch roots (unsharded) or the
-  // branch set handed to the scatter-gather coordinator (sharded).
+  // DNF union semantics: per request, the minimum over its branch roots,
+  // ranked by the model's top-k scan over the whole table (unsharded, as
+  // Evaluator::TopK does) or by the scatter-gather coordinator over the
+  // request's branch set (sharded).
   const bool sharded = coordinator_ != nullptr;
-  std::vector<std::vector<float>> best(live.size());
+  std::vector<std::vector<core::BranchRef>> branch_refs(live.size());
   std::vector<shard::BranchSet> branch_sets(sharded ? live.size() : 0);
-  std::vector<float> dist;
   for (size_t j = 0; j < plan.roots.size(); ++j) {
     const size_t r = plan.roots[j].request_index;
     if (sharded) {
       shard::BranchSet& set = branch_sets[r];
       if (set.embeddings.empty()) set.embeddings.push_back(embedding);
       set.rows.emplace_back(0, static_cast<int64_t>(j));
-      continue;
-    }
-    const bool traced = live[r]->trace.active();
-    const int64_t score_start = traced ? obs::NowNs() : 0;
-    model_->DistancesToAll(embedding, static_cast<int64_t>(j), &dist);
-    if (best[r].empty()) {
-      best[r] = dist;
     } else {
-      for (size_t i = 0; i < dist.size(); ++i) {
-        best[r][i] = std::min(best[r][i], dist[i]);
-      }
-    }
-    if (traced) {
-      obs::RecordSpan(live[r]->trace, "score", score_start, obs::NowNs(),
-                      {{"entities", static_cast<double>(dist.size())}});
+      branch_refs[r].push_back({&embedding, static_cast<int64_t>(j)});
     }
   }
 
   for (size_t r = 0; r < live.size(); ++r) {
-    FinishRanked(live[r].get(), &best[r],
+    FinishRanked(live[r].get(), branch_refs[r],
                  sharded ? &branch_sets[r] : nullptr);
   }
 }
 
 void QueryServer::FinishRanked(PendingRequest* request,
-                               std::vector<float>* best,
+                               const std::vector<core::BranchRef>& branches,
                                shard::BranchSet* branch_set) {
   TopKAnswer answer;
   if (branch_set != nullptr) {
@@ -619,8 +606,16 @@ void QueryServer::FinishRanked(PendingRequest* request,
     answer.coverage = top.coverage;
     answer.completeness = top.status;
   } else {
+    const int64_t n = model_->config().num_entities;
+    core::TopKAccumulator acc(request->k);
+    core::ScanStats stats;
+    obs::SpanGuard score(request->trace, "score");
+    model_->AccumulateTopKRange(branches, 0, n, &acc, &stats);
+    score.Annotate("entities", static_cast<double>(stats.entities_scanned));
+    score.Annotate("pruned", static_cast<double>(stats.entities_pruned));
+    score.End();
     obs::SpanGuard rank(request->trace, "rank");
-    FillAnswer(core::TopKFromDistances(*best, request->k), &answer);
+    FillAnswer(acc.Take(), &answer);
     rank.End();
   }
   // Degraded answers are never cached: the outage must not outlive the

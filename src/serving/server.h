@@ -147,7 +147,7 @@ struct TopKAnswer {
 class QueryServer {
  public:
   /// `model` must stay alive for the server's lifetime and is shared with
-  /// the workers — inference paths (EmbedQueries / DistancesToAll) only
+  /// the workers — inference paths (EmbedQueries / AccumulateTopKRange) only
   /// read parameters, so no external synchronization is needed as long as
   /// nobody trains the model while it serves. `kg` (optional, may be null)
   /// adds grounding validation against the graph's vocabulary.
@@ -259,10 +259,11 @@ class QueryServer {
       std::vector<std::unique_ptr<PendingRequest>>* live,
       const std::vector<std::vector<query::QueryGraph>>& branches,
       bool any_traced);
-  /// Ranks a request from its accumulated per-entity minimum distances
-  /// (unsharded) or branch set (sharded), fills the answer cache, and
-  /// resolves the promise.
-  void FinishRanked(PendingRequest* request, std::vector<float>* best,
+  /// Ranks a request by a top-k scan over its DNF `branches` (unsharded)
+  /// or through the coordinator over `branch_set` (sharded), fills the
+  /// answer cache, and resolves the promise.
+  void FinishRanked(PendingRequest* request,
+                    const std::vector<core::BranchRef>& branches,
                     shard::BranchSet* branch_set);
   [[nodiscard]] Status ValidateQuery(const query::QueryGraph& query, int64_t k) const;
   /// Plans one request's DNF branches alone (Explain / ExplainAnalyze).

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -286,6 +285,35 @@ Status MappedShardFile::VerifyChecksums() const {
   return Status::OK();
 }
 
+core::EntityBlock MappedShardFile::Block(int64_t first_entity,
+                                         int64_t rows) const {
+  const int64_t offset = first_entity - header_.entity_begin;
+  const int64_t group = offset / header_.rows_per_group;
+  const int64_t row = offset - group * header_.rows_per_group;
+  const int64_t dim_stride = static_cast<int64_t>(
+      GroupBlockBytes(header_, group) / sizeof(float));
+  return {ColumnBlock(group, 0) + row, rows, 1, dim_stride};
+}
+
+void MappedShardFile::Distances(const core::ArcConstants& arc, int64_t begin,
+                                int64_t end, float* out) const {
+  const int64_t lo = std::max(begin, header_.entity_begin);
+  const int64_t hi = std::min(end, header_.entity_end);
+  const int64_t G = header_.rows_per_group;
+  const core::ScanKernelFn kernel = core::ScanKernel();
+  float partial[core::kScanLanes];
+  for (int64_t e = lo; e < hi;) {
+    // Kernel blocks never straddle a row group: the group's column blocks
+    // are the ones a block reads in place.
+    const int64_t group_end =
+        header_.entity_begin + ((e - header_.entity_begin) / G + 1) * G;
+    const int64_t rows = std::min({core::kScanLanes, hi - e, group_end - e});
+    kernel(&arc, 1, Block(e, rows), std::numeric_limits<float>::infinity(),
+           partial, out + (e - begin));
+    e += rows;
+  }
+}
+
 void MappedShardFile::Scan(const std::vector<core::ArcConstants>& arcs,
                            int64_t begin, int64_t end,
                            core::TopKAccumulator* acc,
@@ -295,19 +323,12 @@ void MappedShardFile::Scan(const std::vector<core::ArcConstants>& arcs,
   if (lo >= hi || arcs.empty()) return;
   const int64_t d = header_.dim;
   const int64_t G = header_.rows_per_group;
-  const size_t nb = arcs.size();
-
-  // Per-(entity, arc) running outside/inside sums and alive flags for one
-  // group, arc-major so the inner loop walks contiguous memory. The scan is
-  // exact (docs/storage.md): each partial d_o + eta*d_i is a lower bound of
-  // the final distance, so pruning a pair against the group-start admission
-  // bound is conservative; a pair that survives every dimension carries the
-  // bit-identical ArcPointDistance value (same per-dimension expressions,
-  // same dimension order), and a pushed minimum can never be beaten by a
-  // pruned arc of the same entity (its exact distance exceeds the bound).
-  std::vector<float> sum_o(static_cast<size_t>(G) * nb);
-  std::vector<float> sum_i(static_cast<size_t>(G) * nb);
-  std::vector<uint8_t> alive(static_cast<size_t>(G) * nb);
+  // The scan kernel walks each block of a row group dimension by dimension
+  // straight out of the mapped column blocks and abandons the block once
+  // every (entity, arc) pair is pruned against the accumulator bound, so
+  // later-dimension pages of fully pruned blocks are never read. Exact
+  // (docs/storage.md): the same kernel and bound rule as the in-RAM scan.
+  std::vector<float> partial(arcs.size() * core::kScanLanes);
 
   const int64_t first_group = (lo - header_.entity_begin) / G;
   const int64_t last_group = (hi - 1 - header_.entity_begin) / G;
@@ -324,83 +345,19 @@ void MappedShardFile::Scan(const std::vector<core::ArcConstants>& arcs,
     const int64_t group_first = header_.entity_begin + g * G;
     const int64_t span_lo = std::max(lo, group_first);
     const int64_t span_hi = std::min(hi, group_first + GroupRows(g));
-    const int64_t count = span_hi - span_lo;
-    const int64_t r0 = span_lo - group_first;
-    // The admission bound is frozen per group: it only tightens through
-    // this scan's own pushes, which happen after the group completes, so
-    // pruning against the group-start value stays conservative.
-    const float bound = acc->bound();
-
-    std::fill(sum_o.begin(), sum_o.begin() + count * nb, 0.0f);
-    std::fill(sum_i.begin(), sum_i.begin() + count * nb, 0.0f);
-    std::fill(alive.begin(), alive.begin() + count * nb, uint8_t{1});
-    int64_t alive_pairs = count * static_cast<int64_t>(nb);
-
+    // A column block of the group is read when any kernel block reads
+    // that dimension.
     int64_t dims_read = 0;
-    for (int64_t j = 0; j < d && alive_pairs > 0; ++j) {
-      ++dims_read;
-      const float* col = ColumnBlock(g, j) + r0;
-      for (size_t b = 0; b < nb; ++b) {
-        const core::ArcConstants& arc = arcs[b];
-        const float rho = arc.rho;
-        const float eta = arc.eta;
-        const float center = arc.center[static_cast<size_t>(j)];
-        const float half_width = arc.half_width[static_cast<size_t>(j)];
-        const float a_s = arc.a_s[static_cast<size_t>(j)];
-        const float a_e = arc.a_e[static_cast<size_t>(j)];
-        float* o = sum_o.data() + b * static_cast<size_t>(count);
-        float* in = sum_i.data() + b * static_cast<size_t>(count);
-        uint8_t* live = alive.data() + b * static_cast<size_t>(count);
-        for (int64_t i = 0; i < count; ++i) {
-          if (!live[i]) continue;
-          // Same float expressions and accumulation order as
-          // ArcPointDistanceBounded (core/distance.cc) — the bit-identity
-          // contract of the store-backed scan.
-          const float theta = col[i];
-          const float to_center =
-              2.0f * rho * std::fabs(std::sin((theta - center) / 2.0f));
-          if (to_center > half_width) {
-            const float to_start =
-                2.0f * rho * std::fabs(std::sin((theta - a_s) / 2.0f));
-            const float to_end =
-                2.0f * rho * std::fabs(std::sin((theta - a_e) / 2.0f));
-            o[i] += std::min(to_start, to_end);
-            in[i] += half_width;
-          } else {
-            in[i] += to_center;
-          }
-          const float partial = o[i] + eta * in[i];
-          if (partial > bound) {
-            live[i] = 0;
-            --alive_pairs;
-          }
-        }
-      }
+    for (int64_t e = span_lo; e < span_hi; e += core::kScanLanes) {
+      const int64_t rows = std::min(core::kScanLanes, span_hi - e);
+      dims_read = std::max(
+          dims_read,
+          core::PushBlockTopK(arcs.data(), arcs.size(), Block(e, rows), e,
+                              /*prune=*/true, partial.data(), acc, stats));
     }
     if (stats != nullptr) {
       stats->column_blocks_scanned += dims_read;
       stats->column_blocks_skipped += d - dims_read;
-    }
-
-    for (int64_t i = 0; i < count; ++i) {
-      float dmin = std::numeric_limits<float>::infinity();
-      bool any_alive = false;
-      for (size_t b = 0; b < nb; ++b) {
-        const size_t idx = b * static_cast<size_t>(count) +
-                           static_cast<size_t>(i);
-        if (!alive[idx]) continue;
-        any_alive = true;
-        const float full =
-            sum_o[idx] + arcs[b].eta * sum_i[idx];
-        dmin = std::min(dmin, full);
-      }
-      // dmin <= bound implies every pruned arc of this entity has a larger
-      // exact distance, so dmin is the exact minimum over all arcs.
-      if (any_alive && dmin <= bound) {
-        acc->Push(span_lo + i, dmin);
-      } else if (stats != nullptr) {
-        ++stats->entities_pruned;
-      }
     }
 
     if (window > 0) {

@@ -114,14 +114,20 @@ class MappedShardFile {
 
   /// Bound-aware columnar top-k scan of global ids
   /// [max(begin, entity_begin), min(end, entity_end)): min arc distance
-  /// over `arcs` per entity, exact w.r.t. the in-RAM kernel (see
-  /// docs/storage.md for the exactness argument). Walks each row group
-  /// dimension by dimension and skips the group's remaining column blocks
-  /// once every (entity, arc) pair is pruned against the accumulator
-  /// bound — skipped blocks are pages never read.
+  /// over `arcs` per entity, exact w.r.t. the in-RAM scan (see
+  /// docs/storage.md for the exactness argument). Hands each row group's
+  /// column blocks to the scan kernel in place, kScanLanes rows at a time;
+  /// a block stops reading dimensions once every (entity, arc) pair is
+  /// pruned against the accumulator bound — skipped blocks are pages never
+  /// read.
   void Scan(const std::vector<core::ArcConstants>& arcs, int64_t begin,
             int64_t end, core::TopKAccumulator* acc,
             core::ScanStats* stats) const;
+
+  /// Exact distances from global ids [max(begin, entity_begin),
+  /// min(end, entity_end)) to `arc`, written to out[id - begin].
+  void Distances(const core::ArcConstants& arc, int64_t begin, int64_t end,
+                 float* out) const;
 
   /// Re-reads every column block against the checksum table.
   [[nodiscard]] Status VerifyChecksums() const;
@@ -135,6 +141,10 @@ class MappedShardFile {
 
  private:
   MappedShardFile() = default;
+
+  /// Kernel view of `rows` entities from `first_entity` on, all inside one
+  /// row group.
+  core::EntityBlock Block(int64_t first_entity, int64_t rows) const;
 
   /// madvise(MADV_DONTNEED) on [offset, offset + bytes) of the mapping;
   /// offsets must be page-aligned (group spans are, by construction).

@@ -108,6 +108,18 @@ void EmbeddingStore::CopyRow(int64_t entity, float* out) const {
   files_[FileFor(entity)]->CopyRow(entity, out);
 }
 
+void EmbeddingStore::Distances(const core::ArcConstants& arc, int64_t begin,
+                               int64_t end, float* out) const {
+  HALK_CHECK(begin >= 0 && end <= num_entities());
+  if (begin >= end) return;
+  for (int64_t f = FileFor(begin);
+       f < static_cast<int64_t>(files_.size()) &&
+       files_[f]->entity_begin() < end;
+       ++f) {
+    files_[f]->Distances(arc, begin, end, out);
+  }
+}
+
 void EmbeddingStore::AccumulateTopKRange(
     const std::vector<core::ArcConstants>& arcs, int64_t begin, int64_t end,
     core::TopKAccumulator* acc, core::ScanStats* stats) const {

@@ -78,6 +78,8 @@ class EmbeddingStore : public core::EntityScanSource {
   }
   int64_t dim() const override { return snapshot_.config.dim; }
   void CopyRow(int64_t entity, float* out) const override;
+  void Distances(const core::ArcConstants& arc, int64_t begin, int64_t end,
+                 float* out) const override;
   void AccumulateTopKRange(const std::vector<core::ArcConstants>& arcs,
                            int64_t begin, int64_t end,
                            core::TopKAccumulator* acc,

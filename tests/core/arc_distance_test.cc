@@ -158,19 +158,32 @@ TEST(DistanceTest, BoundedKernelIsBitIdenticalWhenNotPruned) {
                                          length.data(), d, rho, eta);
     const ArcConstants arc =
         MakeArcConstants(center.data(), length.data(), d, rho, eta);
+    const EntityBlock block{point.data(), 1, d, 1};
+    float partial[kScanLanes];
+    float out = -1.0f;
     // With an infinite bound the scan never exits early: bit-identical.
-    const float unbounded = ArcPointDistanceBounded(
-        point.data(), arc, std::numeric_limits<float>::infinity());
-    EXPECT_EQ(unbounded, exact) << "trial " << trial;
+    EXPECT_EQ(ScanKernel()(&arc, 1, block,
+                           std::numeric_limits<float>::infinity(), partial,
+                           &out),
+              d);
+    EXPECT_EQ(out, exact) << "trial " << trial;
     // Any bound at or above the distance keeps the result exact.
-    EXPECT_EQ(ArcPointDistanceBounded(point.data(), arc, exact), exact);
-    // A bound below it makes the scan exit with some value above the
-    // bound — a certificate the entity cannot enter the top-k.
+    out = -1.0f;
+    EXPECT_EQ(ScanKernel()(&arc, 1, block, exact, partial, &out), d);
+    EXPECT_EQ(out, exact);
+    // A bound below it either abandons the block before the last
+    // dimension (out untouched) — a certificate the entity cannot enter
+    // the top-k — or finishes with the exact value, above the bound.
     if (exact > 0.0f) {
-      const float pruned =
-          ArcPointDistanceBounded(point.data(), arc, exact * 0.5f);
-      EXPECT_GT(pruned, exact * 0.5f);
-      EXPECT_LE(pruned, exact);
+      out = -1.0f;
+      const int64_t dims =
+          ScanKernel()(&arc, 1, block, exact * 0.5f, partial, &out);
+      if (dims < d) {
+        EXPECT_EQ(out, -1.0f);
+      } else {
+        EXPECT_EQ(out, exact);
+        EXPECT_GT(out, exact * 0.5f);
+      }
     }
   }
 }

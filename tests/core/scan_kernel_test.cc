@@ -1,0 +1,417 @@
+// The scan kernel (core/scan_kernel.h): portable vs AVX2 bitwise equality,
+// half-angle accuracy and robustness, agreement with the differentiable
+// ArcDistance, exactness of bound-aware pruning, and Evaluate metrics
+// against the libm form of the distance it replaced.
+
+#include "core/scan_kernel.h"
+
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "core/distance.h"
+#include "core/evaluator.h"
+#include "core/halk_model.h"
+#include "core/trainer.h"
+#include "kg/synthetic.h"
+#include "query/dnf.h"
+#include "query/sampler.h"
+#include "tensor/tensor.h"
+
+namespace halk::core {
+namespace {
+
+constexpr float kPi = 3.14159265358979f;
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+std::vector<float> RandomAngles(Rng* rng, int64_t n, float lo, float hi) {
+  std::vector<float> out(static_cast<size_t>(n));
+  for (float& x : out) {
+    x = lo + static_cast<float>(rng->Uniform()) * (hi - lo);
+  }
+  return out;
+}
+
+/// Random arcs of width `dim`: centers on the circle, lengths in [0, 3].
+std::vector<ArcConstants> RandomArcs(Rng* rng, int64_t dim, int count,
+                                     float rho, float eta) {
+  std::vector<ArcConstants> arcs;
+  for (int b = 0; b < count; ++b) {
+    const std::vector<float> center = RandomAngles(rng, dim, 0.0f, 2 * kPi);
+    const std::vector<float> length = RandomAngles(rng, dim, 0.0f, 3.0f);
+    arcs.push_back(
+        MakeArcConstants(center.data(), length.data(), dim, rho, eta));
+  }
+  return arcs;
+}
+
+/// Angles that stress range reduction: signed zeros, denormals, one ulp
+/// either side of kπ/2, huge and non-finite values.
+std::vector<float> AdversarialAngles() {
+  std::vector<float> out = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            FLT_MIN / 4.0f,
+                            -FLT_MIN / 3.0f,
+                            FLT_MIN,
+                            1e4f,
+                            -1e4f,
+                            9999.999f,
+                            FLT_MAX,
+                            -FLT_MAX,
+                            kInf,
+                            -kInf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (int k = -40; k <= 40; ++k) {
+    // θ/2 = kπ/2 ± 1 ulp, i.e. θ = kπ ± 2 ulp of the half-angle.
+    const float half = static_cast<float>(k) * (kPi / 2.0f);
+    for (const float h : {std::nextafter(half, -kInf), half,
+                          std::nextafter(half, kInf)}) {
+      out.push_back(2.0f * h);
+    }
+  }
+  return out;
+}
+
+/// The libm form of the arc distance that every ranking path ran before
+/// the scan kernel, kept here as the reference the kernel is held to.
+float LibmArcPointDistance(const float* point, const float* center,
+                           const float* length, int64_t dim, float rho,
+                           float eta) {
+  float d_o = 0.0f;
+  float d_i = 0.0f;
+  for (int64_t i = 0; i < dim; ++i) {
+    const float a_s = center[i] - length[i] / (2.0f * rho);
+    const float a_e = center[i] + length[i] / (2.0f * rho);
+    const float to_start =
+        2.0f * rho * std::fabs(std::sin((point[i] - a_s) / 2.0f));
+    const float to_end =
+        2.0f * rho * std::fabs(std::sin((point[i] - a_e) / 2.0f));
+    const float to_center =
+        2.0f * rho * std::fabs(std::sin((point[i] - center[i]) / 2.0f));
+    const float half_width =
+        2.0f * rho * std::fabs(std::sin(length[i] / (4.0f * rho)));
+    if (to_center > half_width) d_o += std::min(to_start, to_end);
+    d_i += std::min(to_center, half_width);
+  }
+  return d_o + eta * d_i;
+}
+
+/// Runs `kernel` over a row-major table in blocks; returns the per-block
+/// dims-read counts and fills `out` (untouched rows of abandoned blocks
+/// keep their previous value).
+std::vector<int64_t> RunBlocks(ScanKernelFn kernel,
+                               const std::vector<ArcConstants>& arcs,
+                               const std::vector<float>& table, int64_t dim,
+                               float bound, std::vector<float>* out) {
+  const int64_t n = static_cast<int64_t>(table.size()) / dim;
+  out->assign(static_cast<size_t>(n), -1.0f);
+  std::vector<float> partial(arcs.size() * kScanLanes);
+  std::vector<int64_t> dims;
+  for (int64_t e = 0; e < n; e += kScanLanes) {
+    const EntityBlock block{table.data() + e * dim,
+                            std::min(kScanLanes, n - e), dim, 1};
+    dims.push_back(kernel(arcs.data(), arcs.size(), block, bound,
+                          partial.data(), out->data() + e));
+  }
+  return dims;
+}
+
+bool BitwiseEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Bitwise equal, except that any NaN matches any NaN: IEEE leaves the
+/// payload of an operation on two NaNs to the operand order the compiler
+/// picked, which the kernel contract does not pin down.
+bool SameBitsOrBothNan(const std::vector<float>& a,
+                       const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::bit_cast<uint32_t>(a[i]) != std::bit_cast<uint32_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ScanKernelTest, PortableAndAvx2AreBitwiseEqual) {
+  const ScanKernelFn avx2 = Avx2ScanKernel();
+  if (avx2 == nullptr) GTEST_SKIP() << "CPU has no AVX2 build";
+  const ScanKernelFn portable = PortableScanKernel();
+  Rng rng(5);
+  const int64_t dim = 12;
+  // Random tables (with a partial last block) and the adversarial angles
+  // spread over every dimension.
+  std::vector<std::vector<float>> tables;
+  tables.push_back(RandomAngles(&rng, 203 * dim, -1e4f, 1e4f));
+  tables.push_back(RandomAngles(&rng, 64 * dim, 0.0f, 2 * kPi));
+  const std::vector<float> adversarial = AdversarialAngles();
+  std::vector<float> hard(adversarial.size() * dim);
+  for (size_t i = 0; i < hard.size(); ++i) {
+    hard[i] = adversarial[(i * 7 + i / dim) % adversarial.size()];
+  }
+  tables.push_back(hard);
+  for (const std::vector<float>& table : tables) {
+    for (int branches : {1, 3}) {
+      const std::vector<ArcConstants> arcs =
+          RandomArcs(&rng, dim, branches, 1.0f, 0.9f);
+      for (const float bound : {kInf, 4.0f, 0.5f}) {
+        std::vector<float> a;
+        std::vector<float> b;
+        EXPECT_EQ(RunBlocks(portable, arcs, table, dim, bound, &a),
+                  RunBlocks(avx2, arcs, table, dim, bound, &b));
+        EXPECT_TRUE(SameBitsOrBothNan(a, b))
+            << branches << " branches, bound " << bound;
+      }
+    }
+  }
+}
+
+TEST(ScanKernelTest, DispatchPicksABuildOfTheOneKernel) {
+  const ScanKernelFn kernel = ScanKernel();
+  EXPECT_TRUE(kernel == PortableScanKernel() || kernel == Avx2ScanKernel());
+  if (Avx2ScanKernel() != nullptr) {
+    EXPECT_EQ(kernel, Avx2ScanKernel());
+  }
+}
+
+TEST(ScanKernelTest, HalfAnglesWithinOneMillionthOfLibm) {
+  Rng rng(11);
+  std::vector<float> theta = RandomAngles(&rng, 20000, -1e4f, 1e4f);
+  const std::vector<float> small = RandomAngles(&rng, 5000, -10.0f, 10.0f);
+  theta.insert(theta.end(), small.begin(), small.end());
+  for (const float x : AdversarialAngles()) {
+    if (std::isfinite(x) && std::fabs(x) <= 1e4f) theta.push_back(x);
+  }
+  const int64_t n = static_cast<int64_t>(theta.size());
+  std::vector<float> s(theta.size());
+  std::vector<float> c(theta.size());
+  HalfAngleSinCos(theta.data(), n, s.data(), c.data());
+  double worst = 0.0;
+  for (size_t i = 0; i < theta.size(); ++i) {
+    const double half = static_cast<double>(theta[i]) / 2.0;
+    worst = std::max(worst, std::fabs(s[i] - std::sin(half)));
+    worst = std::max(worst, std::fabs(c[i] - std::cos(half)));
+  }
+  EXPECT_LE(worst, 1e-6);
+  // Signed zeros and denormals keep their sine exactly.
+  for (const float x : {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(),
+                        -FLT_MIN}) {
+    float sh = 1.0f;
+    float ch = 0.0f;
+    HalfAngleSinCos(&x, 1, &sh, &ch);
+    EXPECT_EQ(std::bit_cast<uint32_t>(sh), std::bit_cast<uint32_t>(x * 0.5f));
+    EXPECT_EQ(ch, 1.0f);
+  }
+}
+
+TEST(ScanKernelTest, HalfAnglesFiniteAtExtremesAndNanPropagates) {
+  const float extremes[] = {FLT_MAX, -FLT_MAX, kInf, -kInf, 3e38f, -1e30f};
+  for (const float x : extremes) {
+    float s = 0.0f;
+    float c = 0.0f;
+    HalfAngleSinCos(&x, 1, &s, &c);
+    EXPECT_TRUE(std::isfinite(s)) << x;
+    EXPECT_TRUE(std::isfinite(c)) << x;
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  float s = 0.0f;
+  float c = 0.0f;
+  HalfAngleSinCos(&nan, 1, &s, &c);
+  EXPECT_TRUE(std::isnan(s));
+  EXPECT_TRUE(std::isnan(c));
+}
+
+TEST(ScanKernelTest, MatchesTensorArcDistance) {
+  Rng rng(23);
+  const int64_t rows = 150;
+  const int64_t dim = 16;
+  for (const float eta : {0.02f, 0.9f}) {
+    const std::vector<float> center = RandomAngles(&rng, rows * dim, 0, 2 * kPi);
+    const std::vector<float> length = RandomAngles(&rng, rows * dim, 0, 3.0f);
+    const std::vector<float> point =
+        RandomAngles(&rng, rows * dim, -4 * kPi, 4 * kPi);
+    const EmbeddingBatch arc{tensor::Tensor::FromVector({rows, dim}, center),
+                             tensor::Tensor::FromVector({rows, dim}, length)};
+    const tensor::Tensor expected = ArcDistance(
+        tensor::Tensor::FromVector({rows, dim}, point), arc, 1.0f, eta);
+    for (int64_t r = 0; r < rows; ++r) {
+      const float got = ArcPointDistance(
+          point.data() + r * dim, center.data() + r * dim,
+          length.data() + r * dim, dim, 1.0f, eta);
+      const float want = expected.at(r);
+      EXPECT_LE(std::fabs(got - want), 1e-5f * std::fabs(want))
+          << "row " << r << ": " << got << " vs " << want;
+    }
+  }
+}
+
+TEST(ScanKernelTest, DistanceIsIndependentOfBlockAndLayout) {
+  // The same entity scored in a full block, a partial block, a one-entity
+  // block, or columnar (store-style) layout gets the same bits.
+  Rng rng(31);
+  const int64_t n = 150;
+  const int64_t dim = 9;
+  const std::vector<float> table = RandomAngles(&rng, n * dim, 0, 2 * kPi);
+  const std::vector<ArcConstants> arcs = RandomArcs(&rng, dim, 1, 1.0f, 0.9f);
+  std::vector<float> blocked(static_cast<size_t>(n));
+  ArcDistancesToRows(table.data(), dim, n, arcs[0], blocked.data());
+  std::vector<float> columns(static_cast<size_t>(n * dim));
+  for (int64_t e = 0; e < n; ++e) {
+    for (int64_t j = 0; j < dim; ++j) columns[j * n + e] = table[e * dim + j];
+  }
+  float partial[kScanLanes];
+  for (int64_t e = 0; e < n; ++e) {
+    float single = -1.0f;
+    ArcDistancesToRows(table.data() + e * dim, dim, 1, arcs[0], &single);
+    EXPECT_EQ(single, blocked[static_cast<size_t>(e)]) << e;
+  }
+  std::vector<float> columnar(static_cast<size_t>(n));
+  for (int64_t e = 0; e < n; e += kScanLanes) {
+    const EntityBlock block{columns.data() + e, std::min(kScanLanes, n - e),
+                            1, n};
+    ScanKernel()(arcs.data(), 1, block, kInf, partial, columnar.data() + e);
+  }
+  EXPECT_TRUE(BitwiseEqual(columnar, blocked));
+}
+
+TEST(ScanKernelTest, PrunedTopKEqualsFullScanTopK) {
+  Rng rng(37);
+  const int64_t n = 1000;
+  const int64_t dim = 16;
+  const std::vector<float> table = RandomAngles(&rng, n * dim, 0, 2 * kPi);
+  for (int branches : {1, 2, 4}) {
+    const std::vector<ArcConstants> arcs =
+        RandomArcs(&rng, dim, branches, 1.0f, 0.9f);
+    // Full distances, min-merged over branches in branch order.
+    std::vector<float> best(static_cast<size_t>(n));
+    std::vector<float> dist(static_cast<size_t>(n));
+    for (int b = 0; b < branches; ++b) {
+      ArcDistancesToRows(table.data(), dim, n, arcs[static_cast<size_t>(b)],
+                         b == 0 ? best.data() : dist.data());
+      for (size_t i = 0; b > 0 && i < best.size(); ++i) {
+        best[i] = std::min(best[i], dist[i]);
+      }
+    }
+    for (const int64_t k : {1, 10, 100}) {
+      TopKAccumulator pruned(k);
+      ScanStats stats;
+      AccumulateRowsTopK(table.data(), dim, arcs, 0, n, /*prune=*/true,
+                         &pruned, &stats);
+      EXPECT_EQ(pruned.Take(), TopKFromDistances(best, k))
+          << branches << " branches, k " << k;
+      EXPECT_EQ(stats.entities_scanned, n);
+      if (k == 1) {
+        EXPECT_GT(stats.entities_pruned, 0);
+      }
+    }
+  }
+}
+
+TEST(ScanKernelTest, EvaluateMatchesLibmKernelOnTrainedModel) {
+  kg::SyntheticKgOptions opt;
+  opt.num_entities = 150;
+  opt.num_relations = 6;
+  opt.num_triples = 900;
+  opt.seed = 33;
+  const kg::Dataset dataset = kg::GenerateSyntheticKg(opt);
+  Rng rng(3);
+  kg::NodeGrouping grouping =
+      kg::NodeGrouping::Random(dataset.train.num_entities(), 6, &rng);
+  grouping.BuildAdjacency(dataset.train);
+  ModelConfig config;
+  config.num_entities = dataset.train.num_entities();
+  config.num_relations = dataset.train.num_relations();
+  config.dim = 8;
+  config.hidden = 16;
+  config.gamma = 6.0f;
+  config.seed = 11;
+  HalkModel model(config, &grouping);
+  TrainerOptions train;
+  train.steps = 200;
+  train.batch_size = 16;
+  train.num_negatives = 8;
+  train.learning_rate = 5e-3f;
+  train.structures = {query::StructureId::k1p, query::StructureId::k2i};
+  train.queries_per_structure = 60;
+  train.seed = 5;
+  Trainer trainer(&model, &dataset.train, &grouping, train);
+  ASSERT_TRUE(trainer.Train().ok());
+
+  query::QuerySampler sampler(&dataset.train, 47);
+  std::vector<query::GroundedQuery> queries;
+  for (const query::StructureId s :
+       {query::StructureId::k1p, query::StructureId::k2i,
+        query::StructureId::k2u}) {
+    auto sampled = sampler.SampleMany(s, 15);
+    ASSERT_TRUE(sampled.ok());
+    queries.insert(queries.end(), sampled->begin(), sampled->end());
+  }
+  Evaluator evaluator(&model);
+  const Metrics got = evaluator.Evaluate(queries);
+
+  // The same filtered ranks, scored with the libm distance.
+  const int64_t n = config.num_entities;
+  const int64_t d = config.dim;
+  const float* table = model.entity_angles().data();
+  Metrics want;
+  for (const query::GroundedQuery& q : queries) {
+    const std::vector<int64_t>& hard =
+        q.hard_answers.empty() && q.easy_answers.empty() ? q.answers
+                                                         : q.hard_answers;
+    if (hard.empty()) continue;
+    std::vector<float> dist(static_cast<size_t>(n), kInf);
+    for (const query::QueryGraph& branch : query::ToDnf(q.graph)) {
+      const EmbeddingBatch emb = model.EmbedQueries({&branch});
+      for (int64_t e = 0; e < n; ++e) {
+        dist[static_cast<size_t>(e)] = std::min(
+            dist[static_cast<size_t>(e)],
+            LibmArcPointDistance(table + e * d, emb.a.data(), emb.b.data(), d,
+                                 config.rho, config.eta));
+      }
+    }
+    double mrr = 0.0;
+    double h1 = 0.0;
+    double h3 = 0.0;
+    double h10 = 0.0;
+    for (const int64_t answer : hard) {
+      int64_t rank = 1;
+      for (int64_t e = 0; e < n; ++e) {
+        if (dist[static_cast<size_t>(e)] < dist[static_cast<size_t>(answer)] &&
+            !std::binary_search(q.answers.begin(), q.answers.end(), e)) {
+          ++rank;
+        }
+      }
+      mrr += 1.0 / static_cast<double>(rank);
+      h1 += rank <= 1;
+      h3 += rank <= 3;
+      h10 += rank <= 10;
+    }
+    const double count = static_cast<double>(hard.size());
+    want.mrr += mrr / count;
+    want.hits1 += h1 / count;
+    want.hits3 += h3 / count;
+    want.hits10 += h10 / count;
+    ++want.num_queries;
+  }
+  ASSERT_EQ(got.num_queries, want.num_queries);
+  const double m = static_cast<double>(want.num_queries);
+  EXPECT_NEAR(got.mrr, want.mrr / m, 1e-4);
+  EXPECT_NEAR(got.hits1, want.hits1 / m, 1e-4);
+  EXPECT_NEAR(got.hits3, want.hits3 / m, 1e-4);
+  EXPECT_NEAR(got.hits10, want.hits10 / m, 1e-4);
+}
+
+}  // namespace
+}  // namespace halk::core

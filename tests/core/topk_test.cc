@@ -1,6 +1,7 @@
 #include "core/topk.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,6 +43,19 @@ TEST(TopKAccumulatorTest, KLargerThanCandidatesReturnsAll) {
   acc.Push(2, 0.5f);
   acc.Push(1, 0.25f);
   EXPECT_EQ(Entities(acc.Take()), (std::vector<int64_t>{1, 2}));
+}
+
+TEST(TopKAccumulatorTest, NanDistancesAreNeverRanked) {
+  // A NaN admitted into the heap would stick at its front (NaN compares
+  // false both ways) and push out the true best entries.
+  TopKAccumulator acc(3);
+  const float distances[] = {5.0f, std::numeric_limits<float>::quiet_NaN(),
+                             4.0f, 3.0f, 1.0f, 2.0f};
+  for (int64_t e = 0; e < 6; ++e) acc.Push(e, distances[e]);
+  EXPECT_EQ(acc.Take(), (std::vector<ScoredEntity>{{4, 1.0f}, {5, 2.0f},
+                                                    {3, 3.0f}}));
+  EXPECT_TRUE(TopKFromDistances({std::numeric_limits<float>::quiet_NaN()}, 1)
+                  .empty());
 }
 
 TEST(TopKAccumulatorTest, NonPositiveKAcceptsNothing) {

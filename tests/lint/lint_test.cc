@@ -595,5 +595,64 @@ TEST(StoreFixedWidthIntTest, CommentsAndInlineAllowAreExempt) {
               "store-fixed-width-int"));
 }
 
+// ---------------------------------------------------------------------------
+// scan-kernel-no-libm
+// ---------------------------------------------------------------------------
+
+TEST(ScanKernelNoLibmTest, SeededTrigCallsInKernelAndStoreFire) {
+  // Mutants of the kernel's chord line and of a store scan loop.
+  const std::string kernel_mutant =
+      "const float to_center =\n"
+      "    two_rho * Abs(std::sin((theta[i] - k.center) / 2.0f));\n";
+  EXPECT_TRUE(HasRule(Lint("src/core/scan_kernel.cc", kernel_mutant),
+                      "scan-kernel-no-libm", 2));
+  const std::string header_mutant = "inline float Half(float x) { return "
+                                    "cosf(x * 0.5f); }\n";
+  EXPECT_TRUE(HasRule(Lint("src/core/scan_kernel.h", header_mutant),
+                      "scan-kernel-no-libm", 1));
+  const std::string store_mutant =
+      "for (int64_t i = 0; i < count; ++i) {\n"
+      "  o[i] += sinf(col[i] - a_s);\n"
+      "  in[i] += __builtin_cos(col[i]);\n"
+      "  ::sincosf(col[i], &s, &c);\n"
+      "}\n";
+  const std::vector<Diagnostic> diags =
+      Lint("src/store/shard_file.cc", store_mutant);
+  EXPECT_TRUE(HasRule(diags, "scan-kernel-no-libm", 2));
+  EXPECT_TRUE(HasRule(diags, "scan-kernel-no-libm", 3));
+  EXPECT_TRUE(HasRule(diags, "scan-kernel-no-libm", 4));
+  EXPECT_TRUE(HasRule(Lint("src/store/store.h", "float x = std::cos (a);\n"),
+                      "scan-kernel-no-libm", 1));
+}
+
+TEST(ScanKernelNoLibmTest, KernelIdentifiersAndOtherFilesPass) {
+  // Names that merely contain "sin"/"cos", tensor ops, prose and literals
+  // are not libm calls.
+  const std::string clean =
+      "HalfAngle(theta[i], &sin_half[i], &cos_half[i]);\n"
+      "const float s = Select(odd, cos_r, sin_r);\n"
+      "k.sin_center = Sin(x);  // was std::sin(x)\n"
+      "const char* name = \"sin(x)\";\n"
+      "tensor::Sin(t);\n";
+  EXPECT_FALSE(HasRule(Lint("src/core/scan_kernel.cc", clean),
+                       "scan-kernel-no-libm"));
+  // MakeArcConstants computes the per-query constants with libm, outside
+  // the kernel TU: out of scope.
+  const std::string libm = "k.sin_center = std::sin(ac / 2.0f);\n";
+  EXPECT_FALSE(
+      HasRule(Lint("src/core/distance.cc", libm), "scan-kernel-no-libm"));
+  EXPECT_FALSE(
+      HasRule(Lint("tests/core/scan_kernel_test.cc", libm),
+              "scan-kernel-no-libm"));
+}
+
+TEST(ScanKernelNoLibmTest, InlineAllowSuppresses) {
+  const std::string allowed =
+      "float v = std::sin(x);  // halk_lint:allow scan-kernel-no-libm "
+      "diagnostic only\n";
+  EXPECT_FALSE(HasRule(Lint("src/store/convert.cc", allowed),
+                       "scan-kernel-no-libm"));
+}
+
 }  // namespace
 }  // namespace halk::lint

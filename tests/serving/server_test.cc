@@ -1,9 +1,12 @@
 #include "serving/server.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -291,6 +294,44 @@ TEST_F(QueryServerTest, KLargerThanEntityCountIsClamped) {
   Result<TopKAnswer> again = server.Answer(q.graph, 4);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->from_cache);
+}
+
+TEST_F(QueryServerTest, NanEntityIsNeverServedAndAnswersMatchEvaluator) {
+  // A private model whose entity row holds a NaN: its distance is NaN on
+  // every branch, so no ranking path may serve it, and the NaN must not
+  // displace true best entries from any heap.
+  core::HalkModel model(model_->config(), nullptr);
+  const query::GroundedQuery probe = SampleQueries(StructureId::k1p, 1, 77)[0];
+  core::Evaluator evaluator(&model);
+  const int64_t nan_entity = evaluator.TopK(probe.graph, 1).at(0);
+  tensor::Tensor table = model.entity_angles();
+  table.data()[nan_entity * model.config().dim + 3] =
+      std::numeric_limits<float>::quiet_NaN();
+  const int64_t n = model.config().num_entities;
+  for (const int64_t shards : {0, 3}) {
+    ServerOptions options;
+    options.num_workers = 2;
+    options.num_shards = shards;
+    options.cache_capacity = 0;
+    QueryServer server(&model, &dataset_->train, options);
+    for (StructureId s :
+         {StructureId::k1p, StructureId::k2i, StructureId::k2u}) {
+      for (const query::GroundedQuery& q : SampleQueries(s, 3, 77)) {
+        for (const int64_t k : {int64_t{10}, n}) {
+          Result<TopKAnswer> served = server.Answer(q.graph, k);
+          ASSERT_TRUE(served.ok()) << served.status().ToString();
+          EXPECT_EQ(served->entities, evaluator.TopK(q.graph, k))
+              << query::StructureName(s) << ", " << shards << " shards";
+          EXPECT_EQ(std::count(served->entities.begin(),
+                               served->entities.end(), nan_entity),
+                    0);
+          for (const float d : served->distances) {
+            EXPECT_FALSE(std::isnan(d));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(QueryServerTest, MetricsDumpContainsDerivedHitRate) {

@@ -43,6 +43,13 @@ bool IsStorePath(const std::string& path) {
          path.rfind("store/", 0) == 0;
 }
 
+bool IsScanKernelPath(const std::string& path) {
+  for (const char* file : {"core/scan_kernel.cc", "core/scan_kernel.h"}) {
+    if (EndsWith(path, file)) return true;
+  }
+  return false;
+}
+
 /// True when the original line carries `halk_lint:allow <rule>`.
 bool InlineAllowed(const std::string& original_line, const std::string& rule) {
   const std::string needle = "halk_lint:allow " + rule;
@@ -417,6 +424,26 @@ FileResult LintFileContent(const std::string& path, const std::string& text,
           "store-fixed-width-int",
           "bare integer type in a store header; the on-disk format and "
           "store API are width-exact — use a <cstdint> fixed-width type");
+    }
+  }
+
+  // --- scan-kernel-no-libm -------------------------------------------------
+  // Every ranking path runs the one scan kernel (core/scan_kernel.h), which
+  // evaluates its half-angles by a fixed polynomial so that its portable
+  // and AVX2 builds are bitwise equal and no libm call sits in the hot
+  // loop. libm trigonometry in the kernel TU or in the store's scan would
+  // reintroduce a second, differently rounded copy of the distance.
+  static const std::regex kLibmTrigRe(
+      R"((^|[^A-Za-z0-9_])(__builtin_)?(sin|cos|sinf|cosf|sincos|sincosf)\s*\()");
+  if (IsStorePath(path) || IsScanKernelPath(path)) {
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (!std::regex_search(lines[i], kLibmTrigRe)) continue;
+      if (InlineAllowed(original[i], "scan-kernel-no-libm")) continue;
+      Add(&result.diagnostics, path, static_cast<int>(i + 1),
+          "scan-kernel-no-libm",
+          "libm trigonometry in the scan kernel or the store; rank through "
+          "core::ScanKernel (per-query arc constants come from "
+          "MakeArcConstants)");
     }
   }
 
