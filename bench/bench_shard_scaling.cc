@@ -16,9 +16,9 @@
 //  * Out-of-core (HALK_BENCH_ENTITIES above 100000, e.g. 1000000): the
 //    entity table is streamed straight from the synthetic-KG stream into a
 //    store snapshot without ever materializing in RAM, served through a
-//    store-backed model with pinned shard workers, and queried with
-//    queries sampled from a materialized *slice* of the same world (the
-//    stream's slice property makes them valid against the full table).
+//    store-backed model, and queried with queries sampled from a
+//    materialized *slice* of the same world (the stream's slice property
+//    makes them valid against the full table).
 //    The baseline is the 1-shard configuration; `peak_rss_mib` staying
 //    well below `table_mib` is the out-of-core acceptance claim.
 //
@@ -147,7 +147,7 @@ std::vector<halk::query::GroundedQuery> SampleWorkload(
 double RunShardSweep(halk::core::QueryModel* model,
                      const std::vector<halk::query::GroundedQuery>& queries,
                      const std::vector<std::vector<int64_t>>& expected,
-                     int64_t k, bool pin_threads, double baseline_qps,
+                     int64_t k, double baseline_qps,
                      halk::bench::BenchJson* json,
                      const halk::store::EmbeddingStore* drop_store = nullptr) {
   using namespace halk;
@@ -159,11 +159,10 @@ double RunShardSweep(halk::core::QueryModel* model,
     if (drop_store != nullptr) drop_store->DropResidency();
     shard::ShardOptions options;
     options.num_shards = shards;
-    options.pin_threads = pin_threads;
     // Fresh registry per shard count so the instrumented gather histogram
     // covers exactly this configuration's queries.
     serving::MetricsRegistry metrics;
-    shard::ShardCoordinator coordinator(model, options, nullptr, &metrics);
+    shard::ShardCoordinator coordinator(model, options, &metrics);
     std::vector<double> lat_ms;
     const Clock::time_point start = Clock::now();
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -263,8 +262,7 @@ int RunInRam(int64_t num_entities, bool fast) {
       .Set("p50_baseline_ms", baseline.p50_ms)
       .Set("p99_baseline_ms", baseline.p99_ms);
 
-  RunShardSweep(&model, queries, expected, k, /*pin_threads=*/false,
-                baseline.qps, &json);
+  RunShardSweep(&model, queries, expected, k, baseline.qps, &json);
 
   // Store-backed exactness: snapshot the same model into the mmap-backed
   // store and re-rank every query through 4 shards; answers must be
@@ -298,7 +296,7 @@ int RunInRam(int64_t num_entities, bool fast) {
   return 0;
 }
 
-/// Out-of-core study: streamed table, store-backed model, pinned workers.
+/// Out-of-core study: streamed table, store-backed model.
 int RunOutOfCore(int64_t num_entities, bool fast) {
   using namespace halk;
   const int num_queries = fast ? 24 : 60;
@@ -379,8 +377,7 @@ int RunOutOfCore(int64_t num_entities, bool fast) {
       std::chrono::duration<double>(Clock::now() - write_start).count();
 
   // Serve out of the mappings: checksum verification would fault in the
-  // whole table (that is `halk_store verify`'s offline job), and pinned
-  // workers keep each shard's pages warm on one core. The bounded
+  // whole table (that is `halk_store verify`'s offline job). The bounded
   // residency window is what makes this run out-of-core in the literal
   // sense — each scan drops its processed row groups once they exceed the
   // window, so the process footprint is heap plus a few windows, not the
@@ -403,7 +400,7 @@ int RunOutOfCore(int64_t num_entities, bool fast) {
   const std::vector<query::GroundedQuery> queries =
       SampleWorkload(dataset, num_queries, 77);
 
-  // Reference answers once through an unsharded coordinator over the same
+  // Reference answers once through a 1-shard coordinator over the same
   // bounded store scan; every sweep configuration must reproduce them
   // bit-identically. The brute-force ScoreAllEntities is deliberately not
   // used here: DistancesToAll reads every entity row with no residency window,
@@ -415,7 +412,7 @@ int RunOutOfCore(int64_t num_entities, bool fast) {
     shard::ShardOptions ref_options;
     ref_options.num_shards = 1;
     serving::MetricsRegistry ref_metrics;
-    shard::ShardCoordinator reference(served->get(), ref_options, nullptr,
+    shard::ShardCoordinator reference(served->get(), ref_options,
                                       &ref_metrics);
     for (const query::GroundedQuery& q : queries) {
       shard::ShardedTopK top = reference.TopK(q.graph, k);
@@ -440,7 +437,7 @@ int RunOutOfCore(int64_t num_entities, bool fast) {
   // plus the pages one configuration's 24 bound-aware scans touch — not by
   // the table.
   const double one_shard_qps =
-      RunShardSweep(served->get(), queries, expected, k, /*pin_threads=*/true,
+      RunShardSweep(served->get(), queries, expected, k,
                     /*baseline_qps=*/0.0, &json, opened->get());
   json.Set("qps_baseline", one_shard_qps, 1)
       .Set("store_resident_mib", Mib((*opened)->ResidentBytes()))

@@ -6,33 +6,28 @@
 // latency metrics.
 //
 //   $ ./examples/sparql_endpoint
-//   $ ./examples/sparql_endpoint --checkpoint /tmp/sparql_model.bin
 //   $ ./examples/sparql_endpoint --store /tmp/sparql_snapshot
 //   $ ./examples/sparql_endpoint --trace-out /tmp/endpoint_trace.json
 //   $ ./examples/sparql_endpoint --journal-out /tmp/train_journal.jsonl \
 //                                --profile-out /tmp/endpoint_flame.txt
 //   $ ./examples/sparql_endpoint --http-port 0 --serve-journal-out /tmp/s.jsonl
 //
-// With --checkpoint, the model is restored from the file when it exists
-// (skipping training entirely — the restart path of a real endpoint) and
-// trained-then-saved there when it does not. A checkpoint that exists but
-// cannot be restored (corrupt, wrong model, checksum mismatch) is a fatal
-// configuration error: the endpoint prints the diagnostic to stderr and
-// exits nonzero rather than silently training a fresh model over it.
-//
-// --store is the same restart contract against a store snapshot directory
-// (docs/storage.md) instead of the monolithic blob: when the directory
-// holds a snapshot, the endpoint serves straight out of the mmap'd shard
-// files — the entity table is never copied into RAM — and when it does
-// not, the endpoint trains and writes a snapshot there. It supersedes
-// --checkpoint for new deployments (`halk_store convert` migrates old
-// blobs); the two flags are mutually exclusive. With
-// --trace-out, the trace of the last served query is written as
-// chrome://tracing JSON on exit. With --journal-out, the training loop
-// appends one JSONL record per step (loss, grad norm, tape op counts) to
-// the given path; with --profile-out, the global CPU profiler is enabled
-// for the whole process and a collapsed-stack flamegraph is written on
-// exit (feed it to flamegraph.pl or speedscope).
+// With --store, the model is restored from a store snapshot directory
+// (docs/storage.md) — the restart path of a real endpoint: when the
+// directory holds a snapshot, the endpoint skips training and serves
+// straight out of the mmap'd shard files (the entity table is never copied
+// into RAM); when it does not, the endpoint trains and writes a snapshot
+// there. A snapshot that exists but cannot be opened (corrupt shard file,
+// checksum mismatch) is a fatal configuration error: the endpoint prints
+// the diagnostic to stderr and exits nonzero rather than silently
+// training a fresh model over it. `halk_store convert` migrates legacy
+// checkpoint blobs to snapshots. With --trace-out, the trace of the last
+// served query is written as chrome://tracing JSON on exit. With
+// --journal-out, the training loop appends one JSONL record per step
+// (loss, grad norm, tape op counts) to the given path; with --profile-out,
+// the global CPU profiler is enabled for the whole process and a
+// collapsed-stack flamegraph is written on exit (feed it to flamegraph.pl
+// or speedscope).
 //
 // --http-port N starts the embedded telemetry server (docs/observability.md)
 // on 127.0.0.1:N — 0 binds an ephemeral port; the bound port is printed as
@@ -53,7 +48,6 @@
 //   .queryz    fingerprint-keyed query statistics (top 10, JSON)
 //   .trace     chrome://tracing JSON of the last served query
 //   .slow      slow-query log (fingerprint, hits, worst latency)
-//   .health    per-replica shard health
 //   .profile   collapsed-stack CPU profile (needs --profile-out)
 //   .quit      exit
 
@@ -136,7 +130,6 @@ void WriteFileOrWarn(const std::string& path, const std::string& content) {
 
 int main(int argc, char** argv) {
   using namespace halk;
-  std::string checkpoint_path;
   std::string store_dir;
   std::string trace_out_path;
   std::string journal_out_path;
@@ -144,9 +137,6 @@ int main(int argc, char** argv) {
   std::string serve_journal_path;
   int http_port = -1;  // -1 = telemetry server off; 0 = ephemeral port
   for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--checkpoint") == 0) {
-      checkpoint_path = argv[i + 1];
-    }
     if (std::strcmp(argv[i], "--store") == 0) {
       store_dir = argv[i + 1];
     }
@@ -165,12 +155,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--http-port") == 0) {
       http_port = std::atoi(argv[i + 1]);
     }
-  }
-  if (!checkpoint_path.empty() && !store_dir.empty()) {
-    std::fprintf(stderr,
-                 "error: --checkpoint and --store are mutually exclusive "
-                 "(use halk_store convert to migrate a blob to a snapshot)\n");
-    return 1;
   }
   if (!profile_out_path.empty()) {
     obs::Profiler::Global().set_enabled(true);
@@ -242,35 +226,13 @@ int main(int argc, char** argv) {
                   store_dir.c_str(), opened.status().ToString().c_str());
     } else {
       // A manifest exists but the snapshot is unusable (corrupt shard
-      // file, checksum mismatch, bad manifest). Same contract as a bad
-      // --checkpoint: refuse rather than overwrite.
+      // file, checksum mismatch, bad manifest): refuse rather than
+      // overwrite it.
       std::fprintf(stderr,
                    "error: cannot open snapshot %s: %s\n"
                    "(delete the directory or point --store elsewhere to "
                    "train from scratch)\n",
                    store_dir.c_str(), opened.status().ToString().c_str());
-      return 1;
-    }
-  }
-  if (!checkpoint_path.empty()) {
-    const Status loaded = core::LoadCheckpoint(&model, checkpoint_path);
-    if (loaded.ok()) {
-      std::printf("restored model from %s, skipping training\n",
-                  checkpoint_path.c_str());
-      restored = true;
-    } else if (loaded.code() == StatusCode::kIOError) {
-      // The file is absent (first run): train and save below.
-      std::printf("no checkpoint at %s (%s), training from scratch\n",
-                  checkpoint_path.c_str(), loaded.ToString().c_str());
-    } else {
-      // The file exists but is not a usable checkpoint (bad magic,
-      // truncation, checksum/config mismatch). Overwriting it with a
-      // freshly trained model would destroy whatever it was — refuse.
-      std::fprintf(stderr,
-                   "error: cannot restore checkpoint %s: %s\n"
-                   "(delete the file or point --checkpoint elsewhere to "
-                   "train from scratch)\n",
-                   checkpoint_path.c_str(), loaded.ToString().c_str());
       return 1;
     }
   }
@@ -300,15 +262,6 @@ int main(int argc, char** argv) {
       std::printf("training journal: %lld records -> %s\n",
                   static_cast<long long>(journal->records_written()),
                   journal_out_path.c_str());
-    }
-    if (!checkpoint_path.empty()) {
-      const Status saved = core::SaveCheckpoint(model, checkpoint_path);
-      if (saved.ok()) {
-        std::printf("saved model to %s\n", checkpoint_path.c_str());
-      } else {
-        std::printf("could not save checkpoint: %s\n",
-                    saved.ToString().c_str());
-      }
     }
     if (!store_dir.empty()) {
       const Status saved =
@@ -428,7 +381,7 @@ int main(int argc, char** argv) {
   // through.
   std::printf("\n--- interactive endpoint (SPARQL per line; .metrics .prom "
               ".explain <sparql> .analyze <sparql> .queryz .trace .slow "
-              ".health .profile .quit) ---\n");
+              ".profile .quit) ---\n");
   char line[4096];
   while (std::fgets(line, sizeof(line), stdin) != nullptr) {
     const std::string input(Trim(line));
@@ -507,21 +460,6 @@ int main(int argc, char** argv) {
         std::printf("no profile samples yet\n");
       } else {
         std::printf("%s", collapsed.c_str());
-      }
-    } else if (input == ".health") {
-      shard::ShardCoordinator* coordinator = server.coordinator();
-      if (coordinator == nullptr) {
-        std::printf("unsharded server: no replicas\n");
-        continue;
-      }
-      for (int s = 0; s < coordinator->num_shards(); ++s) {
-        for (int r = 0; r < coordinator->replication(); ++r) {
-          std::printf("shard=%d replica=%d health=%s tasks=%lld\n", s, r,
-                      shard::ReplicaHealthName(
-                          coordinator->replica_health(s, r)),
-                      static_cast<long long>(
-                          coordinator->replica_tasks_served(s, r)));
-        }
       }
     } else {
       serve(input);

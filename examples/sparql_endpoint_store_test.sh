@@ -1,11 +1,10 @@
 #!/bin/sh
 # Exercises sparql_endpoint's --store restart contract end to end:
-#   1. --store and --checkpoint together are a usage error;
-#   2. a missing snapshot trains from scratch and writes one;
-#   3. a rerun serves straight out of the snapshot and skips training;
-#   4. both runs rank the demo traffic identically (the store-backed scan
+#   1. a missing snapshot trains from scratch and writes one;
+#   2. a rerun serves straight out of the snapshot and skips training;
+#   3. both runs rank the demo traffic identically (the store-backed scan
 #      is bit-identical to the in-RAM table);
-#   5. a corrupted shard file must produce a clean stderr diagnostic and a
+#   4. a corrupted shard file must produce a clean stderr diagnostic and a
 #      nonzero exit (never silently retrain over the snapshot).
 # Usage: sparql_endpoint_store_test.sh <path-to-sparql_endpoint>
 set -eu
@@ -13,17 +12,6 @@ set -eu
 BIN="$1"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
-
-if "$BIN" --store "$TMP/snap" --checkpoint "$TMP/model.bin" < /dev/null \
-    > "$TMP/out.txt" 2> "$TMP/err.txt"; then
-  echo "FAIL: expected nonzero exit for --store with --checkpoint" >&2
-  exit 1
-fi
-grep -q "mutually exclusive" "$TMP/err.txt" || {
-  echo "FAIL: no mutual-exclusion diagnostic on stderr" >&2
-  cat "$TMP/err.txt" >&2
-  exit 1
-}
 
 "$BIN" --store "$TMP/snap" < /dev/null > "$TMP/first.txt" 2>&1
 grep -q "training from scratch" "$TMP/first.txt"

@@ -23,7 +23,7 @@ enum class StatusCode {
   kUnavailable,       // transient overload; the caller may retry later
   kDeadlineExceeded,  // the operation's deadline passed before completion
   kPartialResult,     // degraded success: an answer computed over only part
-                      // of the data (e.g. a shard with no live replica)
+                      // of the data (e.g. a shard that missed the deadline)
 };
 
 /// Returns a human-readable name for a status code, e.g. "InvalidArgument".

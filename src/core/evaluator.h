@@ -37,8 +37,8 @@ class Evaluator {
   std::vector<float> ScoreAllEntities(const query::QueryGraph& query);
 
   /// The `k` entities closest to the query embedding, ranked by the
-  /// model's AccumulateTopKRange over [0, N) — the serving engine's
-  /// unsharded ranking path.
+  /// model's AccumulateTopKRange over [0, N) — the scan a 1-shard serving
+  /// engine runs.
   std::vector<int64_t> TopK(const query::QueryGraph& query, int64_t k);
 
  private:

@@ -2,10 +2,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -14,6 +16,13 @@
 namespace halk::net {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// How long a client gets to deliver its whole request head. Each pool
+/// thread serves one connection at a time, so this bounds how long an idle
+/// or trickling client can keep a thread from the next connection.
+constexpr std::chrono::milliseconds kRequestHeadTimeout{500};
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -135,6 +144,8 @@ void HttpServer::Stop() {
     fd = listen_fd_;
     listen_fd_ = -1;
     threads.swap(threads_);
+    // Wakes any thread blocked on a connection; it then closes the fd.
+    for (const int conn : connections_) shutdown(conn, SHUT_RDWR);
   }
   if (fd >= 0) {
     // Unblocks every thread parked in accept(fd).
@@ -169,7 +180,21 @@ void HttpServer::AcceptLoop() {
       if (errno == ECONNABORTED) continue;
       break;
     }
+    {
+      MutexLock lock(mu_);
+      // order: Stop() sets the flag before sweeping connections_ under
+      // mu_, so a connection registered here is either swept or refused.
+      if (stopping_.load(std::memory_order_relaxed)) {
+        close(conn);
+        break;
+      }
+      connections_.insert(conn);
+    }
     ServeConnection(conn);
+    {
+      MutexLock lock(mu_);
+      connections_.erase(conn);
+    }
     close(conn);
   }
 }
@@ -179,12 +204,21 @@ void HttpServer::ServeConnection(int fd) {
   // endpoints take no bodies, so anything after it is ignored.
   std::string head;
   char buf[1024];
+  const Clock::time_point deadline = Clock::now() + kRequestHeadTimeout;
   while (head.find("\r\n\r\n") == std::string::npos) {
     if (head.size() > options_.max_request_bytes) {
       SendAll(fd, RenderResponse({400, "text/plain; charset=utf-8",
                                   "request too large\n"}));
       return;
     }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    pollfd readable{fd, POLLIN, 0};
+    const int polled =
+        left.count() > 0 ? poll(&readable, 1, static_cast<int>(left.count()))
+                         : 0;
+    if (polled < 0 && errno == EINTR) continue;
+    if (polled <= 0) return;  // head deadline passed, or poll failed
     const ssize_t n = recv(fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return;  // peer closed before a full request head

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,7 +37,9 @@ struct HttpResponse {
 
 /// Minimal embedded HTTP/1.1 server for the telemetry plane: POSIX
 /// sockets, a blocking accept loop shared by a small thread pool, one
-/// request per connection (`Connection: close`), GET only. Stdlib-only by
+/// request per connection (`Connection: close`), GET only. A client gets
+/// a fixed deadline to deliver its request head, so idle connections
+/// cannot hold the pool's threads for long. Stdlib-only by
 /// design — observability must not pull a dependency into the serving
 /// binary. Not a general web server: no keep-alive, no TLS, no bodies;
 /// bind it to loopback (the default) and put a real proxy in front for
@@ -73,8 +76,8 @@ class HttpServer {
   /// the server stopped and restartable.
   [[nodiscard]] Status Start() HALK_EXCLUDES(mu_);
 
-  /// Stops accepting, joins the pool, closes the socket. Idempotent; also
-  /// run by the destructor. In-flight responses finish writing.
+  /// Stops accepting, shuts down live connections, joins the pool, closes
+  /// the socket. Idempotent; also run by the destructor.
   void Stop() HALK_EXCLUDES(mu_);
 
   /// The bound port (the actual one when Options::port was 0); 0 before a
@@ -94,6 +97,8 @@ class HttpServer {
   int listen_fd_ HALK_GUARDED_BY(mu_) = -1;
   int port_ HALK_GUARDED_BY(mu_) = 0;
   std::vector<std::thread> threads_ HALK_GUARDED_BY(mu_);
+  // Accepted connections still being served; Stop() shuts them down.
+  std::set<int> connections_ HALK_GUARDED_BY(mu_);
 };
 
 }  // namespace halk::net

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <map>
 #include <thread>
 
 #include "obs/journal.h"
@@ -17,24 +16,6 @@ constexpr const char* kPrometheusType =
     "text/plain; version=0.0.4; charset=utf-8";
 constexpr const char* kJsonType = "application/json; charset=utf-8";
 
-/// Value of label `name` inside a canonical label string like
-/// `{replica="0",shard="1"}`; "" when absent.
-std::string LabelValue(const std::string& labels, const std::string& name) {
-  const std::string needle = name + "=\"";
-  size_t pos = labels.find(needle);
-  while (pos != std::string::npos) {
-    // Match only at a label-name boundary ('{' or ',').
-    if (pos > 0 && (labels[pos - 1] == '{' || labels[pos - 1] == ',')) {
-      const size_t start = pos + needle.size();
-      const size_t end = labels.find('"', start);
-      if (end == std::string::npos) return "";
-      return labels.substr(start, end - start);
-    }
-    pos = labels.find(needle, pos + 1);
-  }
-  return "";
-}
-
 int ParseIntParam(const std::string& query, const std::string& key,
                   int fallback, int lo, int hi) {
   const std::string raw = QueryParam(query, key);
@@ -43,44 +24,16 @@ int ParseIntParam(const std::string& query, const std::string& key,
   return std::clamp(value, lo, hi);
 }
 
-HttpResponse HealthResponse(const ShardHealth& health,
-                            const std::string& not_ready_reason) {
+/// The /healthz and /readyz body: `{"status":"ok"}` with 200, or
+/// `{"status":"unavailable","reason":...}` with 503.
+HttpResponse HealthResponse(const Status& status) {
   obs::JsonLineBuilder body;
-  const bool ok = health.healthy && not_ready_reason.empty();
-  body.Str("status", ok ? "ok" : "unavailable")
-      .Int("shards", health.shards)
-      .Int("shards_down", health.shards_down)
-      .Int("replicas_down", health.replicas_down);
-  if (!not_ready_reason.empty()) body.Str("reason", not_ready_reason);
-  return {ok ? 200 : 503, kJsonType, body.Finish() + "\n"};
+  body.Str("status", status.ok() ? "ok" : "unavailable");
+  if (!status.ok()) body.Str("reason", status.message());
+  return {status.ok() ? 200 : 503, kJsonType, body.Finish() + "\n"};
 }
 
 }  // namespace
-
-ShardHealth EvaluateShardHealth(const serving::MetricsRegistry& metrics) {
-  ShardHealth out;
-  // One (shard, replica) gauge child per replica; 2 means down. A shard
-  // is lost when every one of its replicas is down — exactly the
-  // condition under which the coordinator serves partial coverage.
-  std::map<std::string, std::pair<int, int>> per_shard;  // live, down
-  for (const auto& [labels, value] :
-       metrics.GaugeChildren("shard.replica_health")) {
-    const std::string shard = LabelValue(labels, "shard");
-    auto& [live, down] = per_shard[shard];
-    if (value >= 2.0) {
-      ++down;
-      ++out.replicas_down;
-    } else {
-      ++live;
-    }
-  }
-  out.shards = static_cast<int>(per_shard.size());
-  for (const auto& [shard, counts] : per_shard) {
-    if (counts.first == 0) ++out.shards_down;
-  }
-  out.healthy = out.shards_down == 0;
-  return out;
-}
 
 void RegisterTelemetryEndpoints(HttpServer* server,
                                 const TelemetrySources& sources) {
@@ -97,27 +50,14 @@ void RegisterTelemetryEndpoints(HttpServer* server,
     return {200, kPrometheusType, metrics->DumpPrometheus()};
   });
 
-  server->Handle("/healthz", [metrics](const HttpRequest&) -> HttpResponse {
-    const ShardHealth health = metrics == nullptr
-                                   ? ShardHealth{}
-                                   : EvaluateShardHealth(*metrics);
-    return HealthResponse(health, "");
+  server->Handle("/healthz", [](const HttpRequest&) -> HttpResponse {
+    return HealthResponse(Status::OK());
   });
 
-  server->Handle(
-      "/readyz", [metrics, ready_check](const HttpRequest&) -> HttpResponse {
-        const ShardHealth health = metrics == nullptr
-                                       ? ShardHealth{}
-                                       : EvaluateShardHealth(*metrics);
-        std::string reason;
-        if (!health.healthy) {
-          reason = "shard coverage lost";
-        } else if (ready_check != nullptr) {
-          const Status ready = ready_check();
-          if (!ready.ok()) reason = ready.message();
-        }
-        return HealthResponse(health, reason);
-      });
+  server->Handle("/readyz", [ready_check](const HttpRequest&) -> HttpResponse {
+    return HealthResponse(ready_check == nullptr ? Status::OK()
+                                                 : ready_check());
+  });
 
   server->Handle("/traces", [tracer](const HttpRequest& request)
                                 -> HttpResponse {

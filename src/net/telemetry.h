@@ -15,17 +15,16 @@ namespace halk::net {
 /// What the telemetry endpoints read from. Every pointer is optional
 /// (null = that endpoint reports the feature as absent) and must outlive
 /// the HttpServer. The struct deliberately carries no serving/shard/store
-/// types: the higher layers wire themselves in through the registry's
-/// labeled gauges and the two callbacks, so halk_net stays below them in
-/// the link order.
+/// types: the higher layers wire themselves in through the registry and
+/// the two callbacks, so halk_net stays below them in the link order.
 struct TelemetrySources {
   serving::MetricsRegistry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
   obs::Profiler* profiler = nullptr;
   obs::SloTracker* slo = nullptr;
-  /// Extra readiness probe beyond shard health — e.g. the embedding
-  /// store's snapshot checksum verification. Return a non-OK message to
-  /// flip /readyz to 503. Null means "nothing extra to check".
+  /// Readiness probe — e.g. the embedding store's snapshot checksum
+  /// verification. Return a non-OK message to flip /readyz to 503. Null
+  /// means "nothing to check".
   std::function<Status()> ready_check;
   /// Renders the top-N query-stats aggregates as JSON (the /queryz body).
   /// Wired by the serving layer as a thin forward to
@@ -34,22 +33,10 @@ struct TelemetrySources {
   std::function<std::string(size_t top_n)> query_stats_json;
 };
 
-/// Shard-health verdict derived from the `shard.replica_health` labeled
-/// gauges (0 healthy / 1 suspect / 2 down, one child per (shard,
-/// replica)): healthy unless some shard has every replica down. A registry
-/// without the family (unsharded serving) is healthy by definition.
-struct ShardHealth {
-  bool healthy = true;
-  int shards = 0;        // distinct shards seen in the family
-  int shards_down = 0;   // shards with no live replica
-  int replicas_down = 0;  // replicas at health state 2 across all shards
-};
-ShardHealth EvaluateShardHealth(const serving::MetricsRegistry& metrics);
-
 /// Registers the telemetry endpoint suite on `server`:
 ///   GET /metrics            Prometheus 0.0.4 text via DumpPrometheus
-///   GET /healthz            200/503 from shard replica health (liveness)
-///   GET /readyz             /healthz plus the ready_check callback
+///   GET /healthz            liveness: always 200 {"status":"ok"}
+///   GET /readyz             200, or 503 when the ready_check fails
 ///   GET /traces?spans=N     recent spans as Chrome trace JSON (default
 ///                           256 spans)
 ///   GET /profile?seconds=N  collapsed flamegraph stacks from an N-second
@@ -58,8 +45,7 @@ ShardHealth EvaluateShardHealth(const serving::MetricsRegistry& metrics);
 ///   GET /queryz?top=N       fingerprint-keyed query statistics (default
 ///                           10 structures, by attributed operator time)
 /// Endpoints whose source pointer is null answer 404 (metrics/traces/
-/// profile/slo/queryz) or treat the check as trivially passing
-/// (healthz/readyz).
+/// profile/slo/queryz); a null ready_check makes /readyz always pass.
 void RegisterTelemetryEndpoints(HttpServer* server,
                                 const TelemetrySources& sources);
 

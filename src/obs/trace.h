@@ -16,7 +16,7 @@ namespace halk::obs {
 
 /// Upper bound on key/value annotations per span. Spans are fixed-size POD
 /// slots in a lock-free ring, so the bound is a compile-time constant; the
-/// widest span today (a replica scan) uses six.
+/// widest span today (a shard scan) uses six.
 inline constexpr int kMaxAnnotations = 8;
 
 /// One numeric key/value annotation. Keys must be string literals (or
@@ -172,7 +172,7 @@ uint32_t RecordSpan(const TraceContext& ctx, const char* name,
                     std::initializer_list<Annotation> annotations = {},
                     uint32_t explicit_id = 0);
 
-/// Records a zero-duration marker span (failover, hedged-wait expiry, ...).
+/// Records a zero-duration marker span (e.g. a subtree-cache hit).
 uint32_t RecordEvent(const TraceContext& ctx, const char* name,
                      std::initializer_list<Annotation> annotations = {});
 

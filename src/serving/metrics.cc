@@ -257,18 +257,6 @@ double MetricsRegistry::GaugeValue(const std::string& name,
   return it == gauges_.end() ? 0.0 : it->second->value();
 }
 
-std::vector<std::pair<std::string, double>> MetricsRegistry::GaugeChildren(
-    const std::string& name) const {
-  std::vector<std::pair<std::string, double>> out;
-  MutexLock lock(mu_);
-  // The map is ordered by (name, labels), so children are contiguous.
-  for (auto it = gauges_.lower_bound(Key{name, ""});
-       it != gauges_.end() && it->first.name == name; ++it) {
-    out.emplace_back(it->first.labels, it->second->value());
-  }
-  return out;
-}
-
 void MetricsRegistry::AddCollectionHook(std::function<void()> hook) {
   MutexLock lock(mu_);
   hooks_.push_back(std::move(hook));

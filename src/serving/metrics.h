@@ -31,7 +31,7 @@ class Counter {
 };
 
 /// A point-in-time level that can move both ways: queue depth, in-flight
-/// requests, replica health. Set/Add are lock-free (Add is a CAS loop, so
+/// requests, cache bytes. Set/Add are lock-free (Add is a CAS loop, so
 /// concurrent deltas never lose updates).
 class Gauge {
  public:
@@ -123,7 +123,7 @@ class Histogram {
   std::atomic<int64_t> total_{0};
 };
 
-/// Instrument labels, e.g. {{"shard", "2"}, {"replica", "0"}}. Order is
+/// Instrument labels, e.g. {{"shard", "2"}, {"op", "projection"}}. Order is
 /// irrelevant: the registry canonicalizes by sorting on label name, so
 /// {a,b} and {b,a} address the same instrument.
 using Labels = std::vector<std::pair<std::string, std::string>>;
@@ -152,14 +152,6 @@ class MetricsRegistry {
   /// Value of a gauge, 0 if it was never created.
   double GaugeValue(const std::string& name, const Labels& labels = {}) const
       HALK_EXCLUDES(mu_);
-
-  /// Every labeled child of the gauge family `name` as (canonical label
-  /// string, value) pairs, e.g. {"{replica=\"0\",shard=\"1\"}", 0.0}.
-  /// Empty when the family does not exist. The unlabeled child, if any,
-  /// appears with an empty label string. Lets health endpoints enumerate
-  /// e.g. `shard.replica_health` without knowing the label space upfront.
-  std::vector<std::pair<std::string, double>> GaugeChildren(
-      const std::string& name) const HALK_EXCLUDES(mu_);
 
   /// Registers a hook run (outside the registry lock, in registration
   /// order) at the start of every DumpText / DumpPrometheus, so derived or

@@ -85,14 +85,10 @@ QueryServer::QueryServer(core::QueryModel* model,
         options_.slow_query_log_capacity,
         options_.slow_query_threshold.count() * 1000);
   }
-  if (options_.num_shards > 0) {
-    shard::ShardOptions shard_options;
-    shard_options.num_shards = options_.num_shards;
-    shard_options.replication = options_.shard_replication;
-    shard_options.pin_threads = options_.shard_pin_threads;
-    coordinator_ = std::make_unique<shard::ShardCoordinator>(
-        model, shard_options, options_.shard_faults, &metrics_);
-  }
+  shard::ShardOptions shard_options;
+  shard_options.num_shards = options_.num_shards;
+  coordinator_ = std::make_unique<shard::ShardCoordinator>(
+      model, shard_options, &metrics_);
   if ((options_.analytics || options_.use_feedback) &&
       options_.query_stats_capacity > 0) {
     query_stats_ = std::make_unique<obs::QueryStatsStore>(
@@ -127,7 +123,7 @@ void QueryServer::Shutdown() {
     if (w.joinable()) w.join();
   }
   // After the serving workers drain, no one submits shard tasks anymore.
-  if (coordinator_ != nullptr) coordinator_->Stop();
+  coordinator_->Stop();
 }
 
 Status QueryServer::ValidateQuery(const query::QueryGraph& query,
@@ -568,59 +564,34 @@ void QueryServer::ServeChunkPlanned(
   }
 
   // DNF union semantics: per request, the minimum over its branch roots,
-  // ranked by the model's top-k scan over the whole table (unsharded, as
-  // Evaluator::TopK does) or by the scatter-gather coordinator over the
-  // request's branch set (sharded).
-  const bool sharded = coordinator_ != nullptr;
-  std::vector<std::vector<core::BranchRef>> branch_refs(live.size());
-  std::vector<shard::BranchSet> branch_sets(sharded ? live.size() : 0);
+  // ranked by the scatter-gather coordinator over the request's branch set.
+  std::vector<shard::BranchSet> branch_sets(live.size());
   for (size_t j = 0; j < plan.roots.size(); ++j) {
-    const size_t r = plan.roots[j].request_index;
-    if (sharded) {
-      shard::BranchSet& set = branch_sets[r];
-      if (set.embeddings.empty()) set.embeddings.push_back(embedding);
-      set.rows.emplace_back(0, static_cast<int64_t>(j));
-    } else {
-      branch_refs[r].push_back({&embedding, static_cast<int64_t>(j)});
-    }
+    shard::BranchSet& set = branch_sets[plan.roots[j].request_index];
+    if (set.embeddings.empty()) set.embeddings.push_back(embedding);
+    set.rows.emplace_back(0, static_cast<int64_t>(j));
   }
 
   for (size_t r = 0; r < live.size(); ++r) {
-    FinishRanked(live[r].get(), branch_refs[r],
-                 sharded ? &branch_sets[r] : nullptr);
+    FinishRanked(live[r].get(), branch_sets[r]);
   }
 }
 
 void QueryServer::FinishRanked(PendingRequest* request,
-                               const std::vector<core::BranchRef>& branches,
-                               shard::BranchSet* branch_set) {
-  TopKAnswer answer;
-  if (branch_set != nullptr) {
-    shard::ShardedTopK top = coordinator_->TopKEmbedded(
-        *branch_set, request->k, request->deadline, request->trace);
-    if (!top.ok() && !top.partial()) {
-      Finish(request, top.status);
-      return;
-    }
-    FillAnswer(top.entries, &answer);
-    answer.coverage = top.coverage;
-    answer.completeness = top.status;
-  } else {
-    const int64_t n = model_->config().num_entities;
-    core::TopKAccumulator acc(request->k);
-    core::ScanStats stats;
-    obs::SpanGuard score(request->trace, "score");
-    model_->AccumulateTopKRange(branches, 0, n, &acc, &stats);
-    score.Annotate("entities", static_cast<double>(stats.entities_scanned));
-    score.Annotate("pruned", static_cast<double>(stats.entities_pruned));
-    score.End();
-    obs::SpanGuard rank(request->trace, "rank");
-    FillAnswer(acc.Take(), &answer);
-    rank.End();
+                               const shard::BranchSet& branches) {
+  shard::ShardedTopK top = coordinator_->TopKEmbedded(
+      branches, request->k, request->deadline, request->trace);
+  if (!top.ok() && !top.partial()) {
+    Finish(request, top.status);
+    return;
   }
-  // Degraded answers are never cached: the outage must not outlive the
-  // replicas that caused it.
-  if (options_.cache_capacity > 0 && answer.coverage == 1.0) {
+  TopKAnswer answer;
+  FillAnswer(top.entries, &answer);
+  answer.coverage = top.coverage;
+  answer.completeness = top.status;
+  // Partial answers are never cached: a later request with more time must
+  // get the full-coverage answer.
+  if (options_.cache_capacity > 0 && top.ok()) {
     CachedAnswer entry{answer.entities, answer.distances};
     cache_.Put(request->key, std::move(entry));
   }

@@ -29,7 +29,6 @@
 #include "serving/request_queue.h"
 #include "serving/subtree_cache.h"
 #include "shard/coordinator.h"
-#include "shard/fault_injector.h"
 
 namespace halk::serving {
 
@@ -46,16 +45,10 @@ struct ServerOptions {
   std::chrono::microseconds batch_linger{100};
   /// Entry capacity of the answer cache; 0 disables caching outright.
   size_t cache_capacity = 4096;
-  /// Entity-table shards ranked in parallel per request; 0 keeps ranking
-  /// on the serving worker thread (unsharded brute force).
-  int num_shards = 0;
-  /// Replicas per shard when sharding is on (availability, not speed).
-  int shard_replication = 1;
-  /// Pin shard worker threads to CPUs (ShardOptions::pin_threads).
-  bool shard_pin_threads = false;
-  /// Test hook: injects replica faults into the sharded ranking path.
-  /// Must outlive the server; ignored when num_shards is 0.
-  shard::ShardFaultInjector* shard_faults = nullptr;
+  /// Entity-table shards ranked in parallel per request (>= 1). Shard 0
+  /// is scanned on the serving worker thread, so the default of 1 spawns
+  /// no shard thread at all.
+  int num_shards = 1;
   /// Optional request tracer (must outlive the server). While its enabled
   /// flag is set, every submitted request records a span tree — queue
   /// wait, cache lookup, DNF expansion, batching, embedding, per-shard
@@ -119,11 +112,11 @@ struct TopKAnswer {
   std::vector<int64_t> entities;
   std::vector<float> distances;
   bool from_cache = false;
-  /// Fraction of the entity table scored. Below 1 only under sharded
-  /// serving when every replica of some shard was lost; the entities are
-  /// still the exact top-k of the covered fraction.
+  /// Fraction of the entity table scored. Below 1 only when some shard
+  /// missed the request deadline; the entities are still the exact top-k
+  /// of the covered fraction.
   double coverage = 1.0;
-  /// OK, or kPartialResult when coverage < 1 (degraded-mode serving).
+  /// OK, or kPartialResult when coverage < 1.
   Status completeness;
   /// Id of the request's trace when the server's tracer captured one
   /// (pass to Tracer::Collect); 0 when tracing was off for this request.
@@ -216,7 +209,7 @@ class QueryServer {
 
   const ServerOptions& options() const { return options_; }
 
-  /// The sharded execution engine, or null when num_shards is 0.
+  /// The sharded execution engine every request ranks through.
   shard::ShardCoordinator* coordinator() { return coordinator_.get(); }
 
  private:
@@ -259,12 +252,10 @@ class QueryServer {
       std::vector<std::unique_ptr<PendingRequest>>* live,
       const std::vector<std::vector<query::QueryGraph>>& branches,
       bool any_traced);
-  /// Ranks a request by a top-k scan over its DNF `branches` (unsharded)
-  /// or through the coordinator over `branch_set` (sharded), fills the
-  /// answer cache, and resolves the promise.
+  /// Ranks a request through the coordinator over its DNF `branches`,
+  /// fills the answer cache, and resolves the promise.
   void FinishRanked(PendingRequest* request,
-                    const std::vector<core::BranchRef>& branches,
-                    shard::BranchSet* branch_set);
+                    const shard::BranchSet& branches);
   [[nodiscard]] Status ValidateQuery(const query::QueryGraph& query, int64_t k) const;
   /// Plans one request's DNF branches alone (Explain / ExplainAnalyze).
   plan::Plan PlanSolo(const query::QueryGraph& query) const;
@@ -280,8 +271,8 @@ class QueryServer {
   BoundedQueue<std::unique_ptr<PendingRequest>> queue_;
   LruCache<query::Fingerprint, CachedAnswer, query::FingerprintHash> cache_;
   MetricsRegistry metrics_;
-  std::unique_ptr<shard::ShardCoordinator> coordinator_;  // null = unsharded
-  std::unique_ptr<obs::SlowQueryLog> slow_log_;           // null = disabled
+  std::unique_ptr<shard::ShardCoordinator> coordinator_;
+  std::unique_ptr<obs::SlowQueryLog> slow_log_;  // null = disabled
 
   // The executor's OperatorModel pointer aliases model_; the subtree cache
   // (null when subtree_cache_bytes is 0) is internally synchronized.

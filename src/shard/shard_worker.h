@@ -15,7 +15,6 @@
 #include "obs/trace.h"
 #include "serving/metrics.h"
 #include "serving/request_queue.h"
-#include "shard/fault_injector.h"
 
 namespace halk::shard {
 
@@ -35,46 +34,47 @@ struct BranchSet {
   std::vector<std::pair<size_t, int64_t>> rows;
 };
 
-/// A scatter task: score the worker's entity range against every branch
-/// (min across branches per entity — the DNF union semantics) and return
-/// the local top-k. Tasks own their BranchSet through a shared_ptr so a
-/// task abandoned by the coordinator (deadline failover) can still run to
-/// completion safely.
+/// One contiguous slice of the entity table plus its instruments (null
+/// when the coordinator has no metrics registry).
+struct Shard {
+  EntityRange range;
+  int index = 0;
+  serving::Counter* tasks = nullptr;
+  serving::Histogram* scan_us = nullptr;
+};
+
+/// The scan every shard runs, inline or on its worker: scores the shard's
+/// range against every branch (min across branches per entity — the DNF
+/// union semantics) through the model's bound-aware top-k kernel and
+/// returns the local top-k. kDeadlineExceeded, without scanning, when
+/// `deadline` has already passed. With an active `trace`, records a
+/// `shard_scan` span annotated with the shard index and scan counters.
+[[nodiscard]] Result<std::vector<core::ScoredEntity>> ScanShard(
+    const core::QueryModel& model, const Shard& shard,
+    const BranchSet& branches, int64_t k,
+    std::chrono::steady_clock::time_point deadline,
+    const obs::TraceContext& trace);
+
+/// A scatter task for a worker shard. Tasks own their BranchSet through a
+/// shared_ptr so a task the coordinator stopped waiting for at the
+/// deadline can still run to completion safely.
 struct ShardTask {
   std::shared_ptr<const BranchSet> branches;
   int64_t k = 0;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Request trace handle; when active, the worker records a replica_scan
-  /// span (shard/replica/scan counters annotated) under it.
   obs::TraceContext trace;
   std::promise<Result<std::vector<core::ScoredEntity>>> result;
 };
 
-/// Coordinator-visible availability of one replica. Healthy replicas are
-/// preferred for scatter; a failure demotes to suspect; enough consecutive
-/// failures (ShardOptions::down_after_failures) demote to down, and down
-/// replicas are skipped until a later success path revives them.
-enum class ReplicaHealth { kHealthy = 0, kSuspect = 1, kDown = 2 };
-
-const char* ReplicaHealthName(ReplicaHealth health);
-
-/// One replica of one shard: a dedicated thread draining its own bounded
-/// task queue and computing partial distances over a contiguous read-only
-/// view of the model's entity table (trained parameters are never copied).
+/// A dedicated thread draining a bounded task queue and running ScanShard
+/// over one shard's read-only view of the model's entity table (trained
+/// parameters are never copied).
 class ShardWorker {
  public:
-  /// `model`, `faults` (optional), and the instruments (optional) must
-  /// outlive the worker. `scan_us` receives per-task scan latency;
-  /// `health_gauge` mirrors the replica's ReplicaHealth as its numeric
-  /// value (0 healthy, 1 suspect, 2 down). `pin_cpu` >= 0 pins the worker
-  /// thread to that CPU (best effort, Linux only) so scans keep their cache
-  /// and NUMA locality instead of migrating between cores.
-  ShardWorker(const core::QueryModel* model, EntityRange range,
-              int shard_index, int replica_index, ShardFaultInjector* faults,
-              size_t queue_capacity, int down_after_failures,
-              serving::Histogram* scan_us = nullptr,
-              serving::Gauge* health_gauge = nullptr, int pin_cpu = -1);
+  /// `model` and `shard` must outlive the worker.
+  ShardWorker(const core::QueryModel* model, const Shard* shard,
+              size_t queue_capacity);
   ~ShardWorker();
 
   ShardWorker(const ShardWorker&) = delete;
@@ -87,44 +87,12 @@ class ShardWorker {
   /// Idempotent; also run by the destructor.
   void Stop();
 
-  ReplicaHealth health() const {
-    // order: acquire pairs with the release stores in MarkFailure /
-    // MarkSuccess so health transitions are seen in order.
-    return static_cast<ReplicaHealth>(
-        health_.load(std::memory_order_acquire));
-  }
-  /// Demotes: healthy -> suspect, and to down after
-  /// `down_after_failures` consecutive failures.
-  void MarkFailure();
-  /// Restores the replica to healthy and clears the failure streak.
-  void MarkSuccess();
-
-  const EntityRange& range() const { return range_; }
-  int shard_index() const { return shard_index_; }
-  int replica_index() const { return replica_index_; }
-  int64_t tasks_served() const {
-    // order: statistics read; staleness is acceptable.
-    return tasks_served_.load(std::memory_order_relaxed);
-  }
-
  private:
   void Loop();
-  void Serve(ShardTask* task);
 
   const core::QueryModel* model_;
-  const EntityRange range_;
-  const int shard_index_;
-  const int replica_index_;
-  const int down_after_failures_;
-  ShardFaultInjector* faults_;            // may be null
-  serving::Histogram* scan_us_;           // may be null
-  serving::Gauge* health_gauge_;          // may be null
-  const int pin_cpu_;                     // -1 = unpinned
-
+  const Shard* shard_;
   serving::BoundedQueue<std::unique_ptr<ShardTask>> queue_;
-  std::atomic<int> health_{static_cast<int>(ReplicaHealth::kHealthy)};
-  std::atomic<int> failure_streak_{0};
-  std::atomic<int64_t> tasks_served_{0};
   std::atomic<bool> stopped_{false};
   std::thread thread_;
 };
@@ -132,4 +100,3 @@ class ShardWorker {
 }  // namespace halk::shard
 
 #endif  // HALK_SHARD_SHARD_WORKER_H_
-

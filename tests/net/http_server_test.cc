@@ -1,6 +1,7 @@
 #include "net/http_server.h"
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +151,51 @@ TEST(HttpServerTest, ConcurrentClients) {
   server.Stop();
   EXPECT_EQ(ok_count.load(), kClients * kRequests);
   EXPECT_EQ(handled.load(), kClients * kRequests);
+}
+
+/// Connects to 127.0.0.1:`port` and sends nothing; -1 on failure.
+int OpenIdleConnection(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// One idle client per pool thread (the default two) must neither wedge
+// /healthz nor hang Stop().
+TEST(HttpServerTest, IdleConnectionsDoNotWedgeServingOrStop) {
+  using Clock = std::chrono::steady_clock;
+  HttpServer server;
+  server.Handle("/healthz", [](const HttpRequest&) -> HttpResponse {
+    return {200, "application/json; charset=utf-8", "{\"status\":\"ok\"}\n"};
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<int> idle = {OpenIdleConnection(server.port()),
+                           OpenIdleConnection(server.port())};
+  for (const int fd : idle) ASSERT_GE(fd, 0);
+  // Let both pool threads pick up an idle connection first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Clock::time_point start = Clock::now();
+  EXPECT_EQ(HttpGet(server.port(), "/healthz").status, 200);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+
+  idle.push_back(OpenIdleConnection(server.port()));
+  idle.push_back(OpenIdleConnection(server.port()));
+  for (const int fd : idle) ASSERT_GE(fd, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  start = Clock::now();
+  server.Stop();
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+  for (const int fd : idle) ::close(fd);
 }
 
 }  // namespace

@@ -417,8 +417,10 @@ kg::Dataset* ModelEquivalenceTest::dataset_ = nullptr;
 kg::NodeGrouping* ModelEquivalenceTest::grouping_ = nullptr;
 
 TEST_P(ModelEquivalenceTest, UnshardedServingMatchesEvaluator) {
+  // One shard: every request is scanned inline on its serving worker.
   ServerOptions options;
   options.num_workers = 2;
+  options.num_shards = 1;
   options.cache_capacity = 0;  // every answer goes through the planner
   QueryServer server(model_.get(), &dataset_->train, options);
   ExpectServedMatchesEvaluator(&server, SupportedQueries(61, 2));

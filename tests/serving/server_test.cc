@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "query/sampler.h"
 #include "query/structures.h"
+#include "shard/slow_range_model.h"
 
 namespace halk::serving {
 namespace {
@@ -308,7 +309,7 @@ TEST_F(QueryServerTest, NanEntityIsNeverServedAndAnswersMatchEvaluator) {
   table.data()[nan_entity * model.config().dim + 3] =
       std::numeric_limits<float>::quiet_NaN();
   const int64_t n = model.config().num_entities;
-  for (const int64_t shards : {0, 3}) {
+  for (const int64_t shards : {1, 3}) {
     ServerOptions options;
     options.num_workers = 2;
     options.num_shards = shards;
@@ -372,22 +373,22 @@ TEST_F(QueryServerTest, ShardedServerAgreesWithEvaluatorAcrossStructures) {
 }
 
 TEST_F(QueryServerTest, ShardOutageServesPartialAnswersUncached) {
-  shard::ShardFaultInjector faults;
+  // Shard 3 stalls for 10x the request deadline, so it misses it.
+  constexpr std::chrono::milliseconds kDeadline{200};
+  shard::SlowRangeModel model(model_->config(), 10 * kDeadline);
   ServerOptions options;
   options.num_workers = 2;
   options.num_shards = 4;
-  options.shard_replication = 1;
-  options.shard_faults = &faults;
-  QueryServer server(model_, &dataset_->train, options);
+  QueryServer server(&model, &dataset_->train, options);
   query::GroundedQuery q = SampleQueries(StructureId::k2i, 1, 223)[0];
 
-  faults.SetShardDown(/*shard=*/3, /*num_replicas=*/1, true);
   const shard::EntityRange lost = server.coordinator()->shard_range(3);
+  model.SlowRange(lost.begin);
   const double expected_coverage =
       1.0 - static_cast<double>(lost.size()) /
                 static_cast<double>(dataset_->train.num_entities());
 
-  Result<TopKAnswer> degraded = server.Answer(q.graph, 10);
+  Result<TopKAnswer> degraded = server.Answer(q.graph, 10, kDeadline);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_DOUBLE_EQ(degraded->coverage, expected_coverage);
   EXPECT_EQ(degraded->completeness.code(), StatusCode::kPartialResult);
@@ -396,10 +397,10 @@ TEST_F(QueryServerTest, ShardOutageServesPartialAnswersUncached) {
     EXPECT_TRUE(e < lost.begin || e >= lost.end) << "entity " << e;
   }
 
-  // Degraded answers must not be cached: once the shard heals, the same
-  // query gets the full-coverage answer computed fresh.
-  faults.SetShardDown(3, 1, false);
-  core::Evaluator evaluator(model_);
+  // Partial answers must not be cached: once the shard is fast again, the
+  // same query gets the full-coverage answer computed fresh.
+  model.Heal();
+  core::Evaluator evaluator(&model);
   Result<TopKAnswer> healed = server.Answer(q.graph, 10);
   ASSERT_TRUE(healed.ok());
   EXPECT_FALSE(healed->from_cache);
@@ -451,14 +452,14 @@ TEST_F(QueryServerTest, TracedShardedRequestPhaseSpansTileTheLatency) {
   EXPECT_GT(phase_sum_ns, 0);
   EXPECT_LE(phase_sum_ns, root->duration_ns);
 
-  // Each shard contributed one replica_scan under the scatter span, with
+  // Each shard contributed one shard_scan under the scatter span, with
   // its scan statistics attached.
   const obs::SpanRecord* scatter = trace.Find("scatter");
   ASSERT_NE(scatter, nullptr);
   EXPECT_EQ(scatter->annotation("shards"), 2.0);
   EXPECT_EQ(scatter->annotation("uncovered_shards"), 0.0);
   const std::vector<const obs::SpanRecord*> scans =
-      trace.FindAll("replica_scan");
+      trace.FindAll("shard_scan");
   ASSERT_EQ(scans.size(), 2u);
   for (const obs::SpanRecord* scan : scans) {
     EXPECT_EQ(scan->parent, scatter->id);
@@ -498,58 +499,61 @@ TEST_F(QueryServerTest, SlowQueryLogKeysRepeatedSlowRequestsByFingerprint) {
   EXPECT_NE(entries[0].trace.Find("queue_wait"), nullptr);
 }
 
-TEST_F(QueryServerTest, ReplicaFailureDrivesHealthGaugeAndFailoverSpans) {
-  shard::ShardFaultInjector faults;
+TEST_F(QueryServerTest, TracedSingleShardRequestScansInline) {
   obs::Tracer tracer;
   tracer.set_enabled(true);
   ServerOptions options;
   options.num_workers = 1;
-  options.num_shards = 2;
-  options.shard_replication = 2;
-  options.shard_faults = &faults;
   options.cache_capacity = 0;
   options.tracer = &tracer;
   QueryServer server(model_, &dataset_->train, options);
-  MetricsRegistry* metrics = server.metrics();
-  const Labels replica00{{"replica", "0"}, {"shard", "0"}};
-  const Labels replica01{{"replica", "1"}, {"shard", "0"}};
-  EXPECT_EQ(metrics->GaugeValue("shard.replica_health", replica00), 0.0);
+  ASSERT_EQ(server.coordinator()->num_shards(), 1);
 
-  query::GroundedQuery q = SampleQueries(StructureId::k1p, 1, 401)[0];
-
-  // One failure: the shard fails over to replica 1 (full coverage) and
-  // replica 0 is demoted healthy -> suspect.
-  faults.FailNextCalls(/*shard=*/0, /*replica=*/0, 100);
-  Result<TopKAnswer> r = server.Answer(q.graph, 5);
+  query::GroundedQuery q = SampleQueries(StructureId::k2u, 1, 331)[0];
+  Result<TopKAnswer> r = server.Answer(q.graph, 10);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->coverage, 1.0);
-  EXPECT_EQ(metrics->GaugeValue("shard.replica_health", replica00), 1.0);
-  EXPECT_EQ(metrics->GaugeValue("shard.replica_health", replica01), 0.0);
+  EXPECT_EQ(r->entities, core::Evaluator(model_).TopK(q.graph, 10));
   ASSERT_NE(r->trace_id, 0u);
-  const obs::Trace trace = tracer.Collect(r->trace_id);
-  const std::vector<const obs::SpanRecord*> failovers =
-      trace.FindAll("failover");
-  ASSERT_GE(failovers.size(), 1u);
-  EXPECT_EQ(failovers[0]->annotation("shard", -1.0), 0.0);
-  EXPECT_EQ(failovers[0]->annotation("replica", -1.0), 0.0);
-  const obs::SpanRecord* scatter = trace.Find("scatter");
-  ASSERT_NE(scatter, nullptr);
-  EXPECT_EQ(failovers[0]->parent, scatter->id);
 
-  // Replica 1 now fails too, so the scatter keeps probing replica 0 until
-  // its consecutive failures cross the threshold: suspect -> down.
-  faults.FailNextCalls(0, 1, 100);
-  for (int i = 0; i < 4; ++i) {
-    Result<TopKAnswer> degraded = server.Answer(q.graph, 5);
-    ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-    EXPECT_EQ(degraded->completeness.code(), StatusCode::kPartialResult);
+  // One ranking path: scatter -> one shard_scan -> merge, as at S > 1.
+  const obs::Trace trace = tracer.Collect(r->trace_id);
+  const obs::SpanRecord* root = trace.Find("request");
+  ASSERT_NE(root, nullptr);
+  const obs::SpanRecord* scatter = trace.Find("scatter");
+  const obs::SpanRecord* merge = trace.Find("merge");
+  ASSERT_NE(scatter, nullptr);
+  ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(scatter->parent, root->id);
+  EXPECT_EQ(merge->parent, root->id);
+  EXPECT_EQ(scatter->annotation("shards"), 1.0);
+  EXPECT_LE(scatter->end_ns(), merge->start_ns);
+  const std::vector<const obs::SpanRecord*> scans =
+      trace.FindAll("shard_scan");
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_EQ(scans[0]->parent, scatter->id);
+  EXPECT_EQ(scans[0]->annotation("shard", -1.0), 0.0);
+  EXPECT_GT(scans[0]->annotation("entities_scanned"), 0.0);
+  EXPECT_EQ(trace.Find("score"), nullptr);
+  EXPECT_EQ(trace.Find("rank"), nullptr);
+  // The root's direct children are disjoint phases tiling its latency.
+  int64_t phase_sum_ns = 0;
+  for (const obs::SpanRecord& span : trace.spans()) {
+    if (span.parent != root->id) continue;
+    EXPECT_GE(span.start_ns, root->start_ns) << span.name;
+    EXPECT_LE(span.end_ns(), root->end_ns()) << span.name;
+    phase_sum_ns += span.duration_ns;
   }
-  EXPECT_EQ(metrics->GaugeValue("shard.replica_health", replica00), 2.0);
-  EXPECT_GE(metrics->CounterValue("shard.failovers", {{"shard", "0"}}), 3);
-  // The untouched shard's replicas stayed healthy throughout.
-  EXPECT_EQ(metrics->GaugeValue("shard.replica_health",
-                                {{"replica", "0"}, {"shard", "1"}}),
-            0.0);
+  EXPECT_GT(phase_sum_ns, 0);
+  EXPECT_LE(phase_sum_ns, root->duration_ns);
+
+  // The inline shard is instrumented like any worker shard.
+  MetricsRegistry* metrics = server.metrics();
+  EXPECT_EQ(metrics->CounterValue("shard.tasks", {{"shard", "0"}}), 1);
+  EXPECT_EQ(metrics->CounterValue("shard.requests"), 1);
+  EXPECT_NE(metrics->DumpText().find(
+                "histogram shard.scan_us{shard=\"0\"} count=1"),
+            std::string::npos)
+      << metrics->DumpText();
 }
 
 }  // namespace

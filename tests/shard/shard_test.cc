@@ -15,6 +15,7 @@
 #include "query/sampler.h"
 #include "query/structures.h"
 #include "serving/metrics.h"
+#include "shard/slow_range_model.h"
 
 namespace halk::shard {
 namespace {
@@ -104,7 +105,7 @@ TEST_F(ShardTest, DistancesToRangeMatchesFullScan) {
   }
 }
 
-// Acceptance property: with all replicas healthy, the sharded ranking is
+// Acceptance property: with no deadline, the sharded ranking is
 // identical to brute-force Evaluator::TopK for every structure, at every
 // shard count.
 TEST_F(ShardTest, EqualsEvaluatorForEveryStructureAndShardCount) {
@@ -135,75 +136,23 @@ TEST_F(ShardTest, KBeyondEntityCountReturnsFullRanking) {
   EXPECT_EQ(static_cast<int64_t>(top.entries.size()), kEntities);
 }
 
-TEST_F(ShardTest, SingleReplicaLossIsAnswerInvariant) {
-  core::Evaluator evaluator(model_);
-  ShardFaultInjector faults;
-  ShardOptions options;
-  options.num_shards = 4;
-  options.replication = 2;
-  serving::MetricsRegistry metrics;
-  ShardCoordinator coordinator(model_, options, &faults, &metrics);
-
-  faults.SetDown(/*shard=*/1, /*replica=*/0, true);
-  for (const query::GroundedQuery& q :
-       SampleQueries(StructureId::k2i, 4, 33)) {
-    ShardedTopK top = coordinator.TopK(q.graph, 10);
-    ASSERT_TRUE(top.ok()) << top.status.ToString();
-    EXPECT_EQ(top.coverage, 1.0);
-    EXPECT_EQ(Entities(top.entries), evaluator.TopK(q.graph, 10));
-  }
-  EXPECT_NE(coordinator.replica_health(1, 0), ReplicaHealth::kHealthy);
-  EXPECT_EQ(coordinator.replica_health(1, 1), ReplicaHealth::kHealthy);
-  EXPECT_GE(metrics.CounterValue("shard.failovers", {{"shard", "1"}}), 1);
-  EXPECT_EQ(metrics.CounterValue("shard.partial_results"), 0);
-  // The downed replica's health gauge mirrors its demotion; its sibling
-  // stayed healthy (0).
-  EXPECT_GT(
-      metrics.GaugeValue("shard.replica_health",
-                         {{"shard", "1"}, {"replica", "0"}}),
-      0.0);
-  EXPECT_EQ(
-      metrics.GaugeValue("shard.replica_health",
-                         {{"shard", "1"}, {"replica", "1"}}),
-      0.0);
-}
-
-TEST_F(ShardTest, TransientFailureFailsOverOnce) {
-  core::Evaluator evaluator(model_);
-  ShardFaultInjector faults;
-  ShardOptions options;
-  options.num_shards = 2;
-  options.replication = 2;
-  ShardCoordinator coordinator(model_, options, &faults);
-
-  faults.FailNextCalls(/*shard=*/0, /*replica=*/0, 1);
-  query::GroundedQuery q = SampleQueries(StructureId::k2p, 1, 44)[0];
-  ShardedTopK top = coordinator.TopK(q.graph, 8);
-  ASSERT_TRUE(top.ok());
-  EXPECT_EQ(Entities(top.entries), evaluator.TopK(q.graph, 8));
-  // The demoted replica is not re-picked while its twin stays healthy, so
-  // it sits at suspect (one failure, far from the down threshold).
-  ShardedTopK again = coordinator.TopK(q.graph, 8);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(coordinator.replica_health(0, 0), ReplicaHealth::kSuspect);
-  EXPECT_EQ(coordinator.replica_health(0, 1), ReplicaHealth::kHealthy);
-}
-
 TEST_F(ShardTest, FullShardLossDegradesToPartialResult) {
-  core::Evaluator evaluator(model_);
-  ShardFaultInjector faults;
+  // Shard 2 stalls for 10x the deadline, so it is left uncovered while the
+  // other three (shard 0 inline, shards 1 and 3 on workers) answer.
+  constexpr std::chrono::milliseconds kDeadline{200};
+  SlowRangeModel model(model_->config(), 10 * kDeadline);
+  core::Evaluator evaluator(&model);
   ShardOptions options;
   options.num_shards = 4;
-  options.replication = 2;
   serving::MetricsRegistry metrics;
-  ShardCoordinator coordinator(model_, options, &faults, &metrics);
+  ShardCoordinator coordinator(&model, options, &metrics);
 
   const int lost = 2;
-  faults.SetShardDown(lost, options.replication, true);
   const EntityRange lost_range = coordinator.shard_range(lost);
+  model.SlowRange(lost_range.begin);
 
   query::GroundedQuery q = SampleQueries(StructureId::k2i, 1, 55)[0];
-  ShardedTopK top = coordinator.TopK(q.graph, 10);
+  ShardedTopK top = coordinator.TopK(q.graph, 10, kDeadline);
   EXPECT_EQ(top.status.code(), StatusCode::kPartialResult);
   EXPECT_TRUE(top.partial());
   EXPECT_DOUBLE_EQ(top.coverage,
@@ -218,62 +167,45 @@ TEST_F(ShardTest, FullShardLossDegradesToPartialResult) {
     expected.Push(e, dist[static_cast<size_t>(e)]);
   }
   EXPECT_EQ(top.entries, expected.Take());
-  EXPECT_GE(metrics.CounterValue("shard.partial_results"), 1);
+  EXPECT_EQ(metrics.CounterValue("shard.partial_results"), 1);
+  EXPECT_EQ(metrics.CounterValue("shard.deadline_misses"), 1);
 
-  // Reviving the shard restores exact full-coverage answers.
-  faults.SetShardDown(lost, options.replication, false);
+  // Once the shard is fast again, answers are exact at full coverage.
+  model.Heal();
   ShardedTopK healed = coordinator.TopK(q.graph, 10);
   ASSERT_TRUE(healed.ok()) << healed.status.ToString();
   EXPECT_EQ(healed.coverage, 1.0);
   EXPECT_EQ(Entities(healed.entries), evaluator.TopK(q.graph, 10));
 }
 
-TEST_F(ShardTest, AllShardsDownIsUnavailable) {
-  ShardFaultInjector faults;
+TEST_F(ShardTest, ExpiredDeadlineIsDeadlineExceeded) {
   ShardOptions options;
   options.num_shards = 2;
-  options.replication = 1;
-  ShardCoordinator coordinator(model_, options, &faults);
-  faults.SetShardDown(0, 1, true);
-  faults.SetShardDown(1, 1, true);
+  serving::MetricsRegistry metrics;
+  ShardCoordinator coordinator(model_, options, &metrics);
   query::GroundedQuery q = SampleQueries(StructureId::k1p, 1, 66)[0];
-  ShardedTopK top = coordinator.TopK(q.graph, 5);
-  EXPECT_EQ(top.status.code(), StatusCode::kUnavailable);
+  std::vector<const query::QueryGraph*> single = {&q.graph};
+  BranchSet branches;
+  branches.embeddings.push_back(model_->EmbedQueries(single));
+  branches.rows.emplace_back(0, 0);
+  // A deadline already in the past: no shard starts its scan.
+  ShardedTopK top = coordinator.TopKEmbedded(
+      branches, 5, std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  EXPECT_EQ(top.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(top.coverage, 0.0);
   EXPECT_TRUE(top.entries.empty());
-}
-
-TEST_F(ShardTest, RepeatedFailuresMarkReplicaDown) {
-  ShardFaultInjector faults;
-  ShardOptions options;
-  options.num_shards = 2;
-  options.replication = 1;
-  options.down_after_failures = 3;
-  ShardCoordinator coordinator(model_, options, &faults);
-  // With no twin, every request retries the sole replica, so the failure
-  // streak climbs to the down threshold.
-  faults.SetDown(0, 0, true);
-  query::GroundedQuery q = SampleQueries(StructureId::k1p, 1, 77)[0];
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(coordinator.TopK(q.graph, 5).partial());
-  }
-  EXPECT_EQ(coordinator.replica_health(0, 0), ReplicaHealth::kDown);
-  // Down replicas are still probed as a last resort, so a replica revived
-  // behind the coordinator's back self-heals on the next request.
-  faults.SetDown(0, 0, false);
-  ShardedTopK healed = coordinator.TopK(q.graph, 5);
-  ASSERT_TRUE(healed.ok()) << healed.status.ToString();
-  EXPECT_EQ(coordinator.replica_health(0, 0), ReplicaHealth::kHealthy);
+  EXPECT_EQ(metrics.CounterValue("shard.deadline_misses"), 2);
+  EXPECT_EQ(metrics.CounterValue("shard.partial_results"), 0);
 }
 
 TEST_F(ShardTest, DegradedLatencyKeepsAnswersExact) {
-  core::Evaluator evaluator(model_);
-  ShardFaultInjector faults;
+  SlowRangeModel model(model_->config(), std::chrono::milliseconds(20));
+  core::Evaluator evaluator(&model);
   ShardOptions options;
   options.num_shards = 4;
-  ShardCoordinator coordinator(model_, options, &faults);
+  ShardCoordinator coordinator(&model, options);
   // A slow shard (no deadline) degrades latency, never correctness.
-  faults.AddLatency(2, 0, std::chrono::microseconds(20000));
+  model.SlowRange(coordinator.shard_range(2).begin);
   query::GroundedQuery q = SampleQueries(StructureId::k2p, 1, 88)[0];
   ShardedTopK top = coordinator.TopK(q.graph, 10);
   ASSERT_TRUE(top.ok());
@@ -281,31 +213,10 @@ TEST_F(ShardTest, DegradedLatencyKeepsAnswersExact) {
   EXPECT_EQ(Entities(top.entries), evaluator.TopK(q.graph, 10));
 }
 
-TEST_F(ShardTest, DeadlineTriggersFailoverToFastReplica) {
-  core::Evaluator evaluator(model_);
-  ShardFaultInjector faults;
-  ShardOptions options;
-  options.num_shards = 2;
-  options.replication = 2;
-  ShardCoordinator coordinator(model_, options, &faults);
-  // Replica (0,0) is slower than the whole-request deadline. The hedged
-  // gather abandons it after half the budget and the instant twin answers
-  // within the rest, so the request completes exactly despite it.
-  faults.AddLatency(0, 0, std::chrono::microseconds(800000));
-  query::GroundedQuery q = SampleQueries(StructureId::k2i, 1, 99)[0];
-  ShardedTopK top =
-      coordinator.TopK(q.graph, 10, std::chrono::microseconds(400000));
-  ASSERT_TRUE(top.ok()) << top.status.ToString();
-  EXPECT_EQ(top.coverage, 1.0);
-  EXPECT_EQ(Entities(top.entries), evaluator.TopK(q.graph, 10));
-  EXPECT_NE(coordinator.replica_health(0, 0), ReplicaHealth::kHealthy);
-}
-
 TEST_F(ShardTest, ConcurrentRequestsStayExact) {
   core::Evaluator evaluator(model_);
   ShardOptions options;
   options.num_shards = 4;
-  options.replication = 2;
   ShardCoordinator coordinator(model_, options);
 
   std::vector<query::GroundedQuery> pool =

@@ -121,15 +121,13 @@ TEST_F(StoreConcurrentTest, ParallelScansOverOneMappingStayExact) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// Pinned shard workers (ShardOptions::pin_threads) scanning the store
-// concurrently return the exact in-RAM ranking — the bench configuration,
-// under TSan.
-TEST_F(StoreConcurrentTest, PinnedShardedServingOverStoreIsExact) {
+// Four shards (shard 0 inline on each caller, three workers) scanning the
+// store for concurrent callers return the exact in-RAM ranking — the
+// store_sharded serving configuration, under TSan.
+TEST_F(StoreConcurrentTest, ShardedServingOverStoreIsExact) {
   core::Evaluator evaluator(model_);
   shard::ShardOptions options;
   options.num_shards = 4;
-  options.replication = 1;
-  options.pin_threads = true;
   shard::ShardCoordinator coordinator(served_, options);
 
   query::QuerySampler sampler(&dataset_->train, 53);
