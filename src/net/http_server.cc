@@ -24,6 +24,11 @@ using Clock = std::chrono::steady_clock;
 /// or trickling client can keep a thread from the next connection.
 constexpr std::chrono::milliseconds kRequestHeadTimeout{500};
 
+/// How long a client gets to take the whole response. A client that stops
+/// reading a large body (/metrics, /traces) is dropped at this deadline
+/// instead of holding a pool thread in send().
+constexpr std::chrono::milliseconds kResponseTimeout{1000};
+
 const char* ReasonPhrase(int status) {
   switch (status) {
     case 200: return "OK";
@@ -35,15 +40,28 @@ const char* ReasonPhrase(int status) {
   }
 }
 
-/// Writes all of `data`, tolerating partial writes and EINTR. MSG_NOSIGNAL
-/// turns a peer hangup into EPIPE instead of killing the process.
+/// Milliseconds left until `deadline`, for poll(); 0 once it has passed.
+int MillisLeft(Clock::time_point deadline) {
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      deadline - Clock::now());
+  return left.count() > 0 ? static_cast<int>(left.count()) : 0;
+}
+
+/// Writes as much of `data` as the client takes within kResponseTimeout,
+/// tolerating partial writes and EINTR. MSG_NOSIGNAL turns a peer hangup
+/// into EPIPE instead of killing the process.
 void SendAll(int fd, const std::string& data) {
+  const Clock::time_point deadline = Clock::now() + kResponseTimeout;
   size_t sent = 0;
   while (sent < data.size()) {
+    pollfd writable{fd, POLLOUT, 0};
+    const int polled = poll(&writable, 1, MillisLeft(deadline));
+    if (polled < 0 && errno == EINTR) continue;
+    if (polled <= 0) return;  // response deadline passed, or poll failed
     const ssize_t n = send(fd, data.data() + sent, data.size() - sent,
-                           MSG_NOSIGNAL);
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0) {
-      if (errno == EINTR) continue;
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return;  // peer went away; nothing useful to do
     }
     sent += static_cast<size_t>(n);
@@ -76,6 +94,36 @@ std::string QueryParam(const std::string& query, const std::string& key,
     pos = amp + 1;
   }
   return fallback;
+}
+
+Status ParseRequestHead(const std::string& head, HttpRequest* request) {
+  // Request line: METHOD SP request-target SP HTTP-version CRLF.
+  const std::string line = head.substr(0, head.find("\r\n"));
+  const size_t sp1 = line.find(' ');
+  const size_t sp2 = sp1 == std::string::npos ? std::string::npos
+                                              : line.find(' ', sp1 + 1);
+  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+    return Status::InvalidArgument("malformed request line");
+  }
+  request->method = line.substr(0, sp1);
+  std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  const size_t qmark = target.find('?');
+  request->query.clear();
+  if (qmark != std::string::npos) {
+    request->query = target.substr(qmark + 1);
+    target.resize(qmark);
+  }
+  request->path = std::move(target);
+
+  // Only origin-form targets are meaningful here; anything else (absolute
+  // URIs, or junk that happened to split into three tokens) is malformed.
+  if (request->path.empty() || request->path[0] != '/') {
+    return Status::InvalidArgument("malformed request line");
+  }
+  if (request->method != "GET") {
+    return Status::NotImplemented("only GET is supported");
+  }
+  return Status::OK();
 }
 
 HttpServer::HttpServer(const Options& options) : options_(options) {
@@ -211,12 +259,8 @@ void HttpServer::ServeConnection(int fd) {
                                   "request too large\n"}));
       return;
     }
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
     pollfd readable{fd, POLLIN, 0};
-    const int polled =
-        left.count() > 0 ? poll(&readable, 1, static_cast<int>(left.count()))
-                         : 0;
+    const int polled = poll(&readable, 1, MillisLeft(deadline));
     if (polled < 0 && errno == EINTR) continue;
     if (polled <= 0) return;  // head deadline passed, or poll failed
     const ssize_t n = recv(fd, buf, sizeof(buf), 0);
@@ -225,38 +269,13 @@ void HttpServer::ServeConnection(int fd) {
     head.append(buf, static_cast<size_t>(n));
   }
 
-  // Request line: METHOD SP request-target SP HTTP-version CRLF.
-  const size_t line_end = head.find("\r\n");
-  const std::string line = head.substr(0, line_end);
-  const size_t sp1 = line.find(' ');
-  const size_t sp2 = sp1 == std::string::npos ? std::string::npos
-                                              : line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
-    SendAll(fd, RenderResponse({400, "text/plain; charset=utf-8",
-                                "malformed request line\n"}));
-    return;
-  }
   HttpRequest request;
-  request.method = line.substr(0, sp1);
-  std::string target = line.substr(sp1 + 1, sp2 - sp1 - 1);
-  const size_t qmark = target.find('?');
-  if (qmark != std::string::npos) {
-    request.query = target.substr(qmark + 1);
-    target.resize(qmark);
-  }
-  request.path = std::move(target);
-
-  // Only origin-form targets are meaningful here; anything else (absolute
-  // URIs, or junk that happened to split into three tokens) is malformed.
-  if (request.path.empty() || request.path[0] != '/') {
-    SendAll(fd, RenderResponse({400, "text/plain; charset=utf-8",
-                                "malformed request line\n"}));
-    return;
-  }
-
-  if (request.method != "GET") {
-    SendAll(fd, RenderResponse({405, "text/plain; charset=utf-8",
-                                "only GET is supported\n"}));
+  const Status parsed = ParseRequestHead(head, &request);
+  if (!parsed.ok()) {
+    const int status =
+        parsed.code() == StatusCode::kNotImplemented ? 405 : 400;
+    SendAll(fd, RenderResponse({status, "text/plain; charset=utf-8",
+                                parsed.message() + "\n"}));
     return;
   }
   SendAll(fd, RenderResponse(Dispatch(request)));

@@ -29,6 +29,14 @@ struct HttpRequest {
 std::string QueryParam(const std::string& query, const std::string& key,
                        const std::string& fallback = "");
 
+/// Parses a request head (request line, headers, blank line) into
+/// `request`; only the request line is interpreted. Returns OK when the
+/// request can be dispatched, kInvalidArgument (answered 400) for a
+/// malformed request line or a target that is not origin-form, and
+/// kNotImplemented (answered 405) for any method but GET. Pure: no I/O.
+[[nodiscard]] Status ParseRequestHead(const std::string& head,
+                                      HttpRequest* request);
+
 struct HttpResponse {
   int status = 200;
   std::string content_type = "text/plain; charset=utf-8";
@@ -38,8 +46,9 @@ struct HttpResponse {
 /// Minimal embedded HTTP/1.1 server for the telemetry plane: POSIX
 /// sockets, a blocking accept loop shared by a small thread pool, one
 /// request per connection (`Connection: close`), GET only. A client gets
-/// a fixed deadline to deliver its request head, so idle connections
-/// cannot hold the pool's threads for long. Stdlib-only by
+/// a fixed deadline to deliver its request head and another to take its
+/// response, so idle or slow-reading connections cannot hold the pool's
+/// threads for long. Stdlib-only by
 /// design — observability must not pull a dependency into the serving
 /// binary. Not a general web server: no keep-alive, no TLS, no bodies;
 /// bind it to loopback (the default) and put a real proxy in front for

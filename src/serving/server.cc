@@ -17,9 +17,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double MicrosSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start)
-      .count();
+/// Distinct query fingerprints the slow-query log retains.
+constexpr size_t kSlowQueryLogCapacity = 32;
+
+/// An obs::NowNs() stamp as a steady-clock time point (the same clock).
+Clock::time_point AtNs(int64_t ns) {
+  return Clock::time_point(std::chrono::nanoseconds(ns));
+}
+
+double MicrosBetween(int64_t start_ns, int64_t end_ns) {
+  return static_cast<double>(end_ns - start_ns) / 1e3;
 }
 
 /// Unpacks a (distance, entity)-ordered ranking into the answer arrays.
@@ -82,7 +89,7 @@ QueryServer::QueryServer(core::QueryModel* model,
   if (options_.tracer != nullptr &&
       options_.slow_query_threshold.count() > 0) {
     slow_log_ = std::make_unique<obs::SlowQueryLog>(
-        options_.slow_query_log_capacity,
+        kSlowQueryLogCapacity,
         options_.slow_query_threshold.count() * 1000);
   }
   shard::ShardOptions shard_options;
@@ -163,86 +170,61 @@ Result<std::future<Result<TopKAnswer>>> QueryServer::Submit(
     return valid;
   }
   submitted_->Increment();
-  const Clock::time_point now = Clock::now();
-  const query::Fingerprint key = query::CanonicalFingerprint(query);
+  RequestRecord record;
+  record.submit_ns = obs::NowNs();
+  record.key = query::CanonicalFingerprint(query);
+  record.k = k;
 
   // One relaxed atomic load when tracing is off (StartTrace returns 0 and
   // every span helper below no-ops on the inactive context).
-  obs::TraceContext trace;
-  uint32_t root_span = 0;
-  int64_t submit_ns = 0;
   if (options_.tracer != nullptr) {
     const uint64_t trace_id = options_.tracer->StartTrace();
     if (trace_id != 0) {
       // The root span id is pre-allocated so every phase span can parent
       // it; the root itself is recorded when the request finishes.
-      root_span = options_.tracer->NextSpanId();
-      trace = {options_.tracer, trace_id, root_span};
-      submit_ns = obs::NowNs();
+      record.root_span = options_.tracer->NextSpanId();
+      record.trace = {options_.tracer, trace_id, record.root_span};
     }
   }
+  const bool traced = record.trace.active();
 
+  // The request's one answer-cache probe: it counts exactly one hit or one
+  // miss, and its end is where queue_wait starts.
+  int64_t enqueue_ns = 0;
   if (options_.cache_capacity > 0) {
-    obs::SpanGuard lookup(trace, "cache_lookup");
+    const int64_t lookup_start_ns = traced ? obs::NowNs() : 0;
     CachedAnswer cached;
-    if (cache_.Get(key, &cached) &&
-        static_cast<int64_t>(cached.entities.size()) >= std::min<int64_t>(
-            k, model_->config().num_entities)) {
-      cache_hits_->Increment();
-      completed_->Increment();
-      TopKAnswer answer;
+    const bool hit =
+        cache_.Get(record.key, &cached) &&
+        static_cast<int64_t>(cached.entities.size()) >=
+            std::min<int64_t>(k, model_->config().num_entities);
+    (hit ? cache_hits_ : cache_misses_)->Increment();
+    if (traced) {
+      enqueue_ns = obs::NowNs();
+      obs::RecordSpan(record.trace, "cache_lookup", lookup_start_ns,
+                      enqueue_ns, {{"hit", hit ? 1.0 : 0.0}});
+    }
+    if (hit) {
       const size_t take = static_cast<size_t>(
           std::min<int64_t>(k, static_cast<int64_t>(cached.entities.size())));
-      answer.entities.assign(cached.entities.begin(),
-                             cached.entities.begin() + take);
-      answer.distances.assign(cached.distances.begin(),
-                              cached.distances.begin() + take);
-      answer.from_cache = true;
-      answer.trace_id = trace.trace_id;
-      const double latency_us = MicrosSince(now);
-      latency_us_->Observe(latency_us, trace.trace_id);
-      if (options_.slo != nullptr) {
-        options_.slo->RecordRequest(latency_us, /*ok=*/true);
-      }
-      if (trace.active()) {
-        lookup.Annotate("hit", 1.0);
-        lookup.End();
-        obs::RecordSpan({trace.tracer, trace.trace_id, 0}, "request",
-                        submit_ns, obs::NowNs(), {{"cache_hit", 1.0}},
-                        root_span);
-      }
-      if (options_.serve_journal != nullptr) {
-        options_.serve_journal->Record(key.ToHex(), "OK", latency_us, k,
-                                       /*coverage=*/1.0, /*cache_hit=*/true,
-                                       trace.trace_id);
-      }
-      if (query_stats_ != nullptr) {
-        obs::QueryObservation observation;
-        observation.latency_us = latency_us;
-        observation.cache_hit = true;
-        query_stats_->Record(key.ToHex(), observation);
-      }
+      TopKAnswer answer;
+      answer.entities = std::move(cached.entities);
+      answer.distances = std::move(cached.distances);
+      answer.entities.resize(take);
+      answer.distances.resize(take);
+      record.observation.cache_hit = true;
       std::promise<Result<TopKAnswer>> ready;
-      ready.set_value(std::move(answer));
+      Finish(&record, std::move(answer), &ready);
       return ready.get_future();
     }
-    // Not counted as a miss yet: a twin in flight may fill the cache
-    // before a worker reaches this request. The worker-side triage counts
-    // each request as exactly one hit or one miss.
-    lookup.Annotate("hit", 0.0);
   }
 
   auto request = std::make_unique<PendingRequest>();
   request->graph = query;
-  request->k = k;
-  request->key = key;
-  request->submit_time = now;
-  request->has_deadline = timeout.count() > 0;
-  request->deadline =
-      request->has_deadline ? now + timeout : Clock::time_point::max();
-  request->trace = trace;
-  request->root_span = root_span;
-  request->submit_ns = submit_ns;
+  request->deadline = timeout.count() > 0 ? AtNs(record.submit_ns) + timeout
+                                          : Clock::time_point::max();
+  request->enqueue_ns = traced && enqueue_ns == 0 ? obs::NowNs() : enqueue_ns;
+  request->record = std::move(record);
   std::future<Result<TopKAnswer>> future = request->promise.get_future();
 
   // Bumped before the push so a worker that picks the request up
@@ -267,52 +249,67 @@ Result<TopKAnswer> QueryServer::Answer(const query::QueryGraph& query,
   return future.get();
 }
 
-void QueryServer::Finish(PendingRequest* request, Result<TopKAnswer> result) {
-  if (result.ok()) {
+void QueryServer::Finish(RequestRecord* record, Result<TopKAnswer> result,
+                         std::promise<Result<TopKAnswer>>* promise) {
+  obs::QueryObservation& observation = record->observation;
+  const obs::TraceContext& trace = record->trace;
+  const bool ok = result.ok();
+  if (ok) {
     completed_->Increment();
-    result->trace_id = request->trace.trace_id;
+    result->from_cache = observation.cache_hit;
+    result->trace_id = trace.trace_id;
   }
-  const double latency_us = MicrosSince(request->submit_time);
+  const int64_t end_ns = obs::NowNs();
+  observation.latency_us = MicrosBetween(record->submit_ns, end_ns);
   // The trace id rides along as the landing bucket's exemplar, so a
   // scraped latency histogram links back to a concrete trace.
-  latency_us_->Observe(latency_us, request->trace.trace_id);
+  latency_us_->Observe(observation.latency_us, trace.trace_id);
   if (options_.slo != nullptr) {
-    options_.slo->RecordRequest(latency_us, result.ok());
+    options_.slo->RecordRequest(observation.latency_us, ok);
   }
-  in_flight_->Add(-1.0);
-  if (request->trace.active()) {
-    const int64_t end_ns = obs::NowNs();
-    obs::RecordSpan({request->trace.tracer, request->trace.trace_id, 0},
-                    "request", request->submit_ns, end_ns,
-                    {{"ok", result.ok() ? 1.0 : 0.0}}, request->root_span);
-    if (slow_log_ != nullptr &&
-        end_ns - request->submit_ns >= slow_log_->threshold_ns()) {
-      slow_log_->Offer(
-          request->key.ToHex(),
-          request->trace.tracer->Collect(request->trace.trace_id),
-          request->plan_node_count, request->plan_dedup);
-    }
+  // Hits resolve inside Submit: only misses were queued and counted.
+  if (!observation.cache_hit) in_flight_->Add(-1.0);
+  bool slow = false;
+  if (trace.active()) {
+    obs::RecordSpan({trace.tracer, trace.trace_id, 0}, "request",
+                    record->submit_ns, end_ns,
+                    {{"ok", ok ? 1.0 : 0.0},
+                     {"cache_hit", observation.cache_hit ? 1.0 : 0.0}},
+                    record->root_span);
+    slow = slow_log_ != nullptr &&
+           end_ns - record->submit_ns >= slow_log_->threshold_ns();
+  }
+  // The join key of the slow log, the journal and /queryz: rendered at
+  // most once, and only when one of them is on.
+  std::string fingerprint;
+  if (slow || options_.serve_journal != nullptr || query_stats_ != nullptr) {
+    fingerprint = record->key.ToHex();
+  }
+  if (slow) {
+    slow_log_->Offer(fingerprint, trace.tracer->Collect(trace.trace_id),
+                     observation.plan_nodes, observation.dedup_ratio);
   }
   if (options_.serve_journal != nullptr) {
     options_.serve_journal->Record(
-        request->key.ToHex(),
-        result.ok() ? "OK" : StatusCodeToString(result.status().code()),
-        latency_us, request->k, result.ok() ? result->coverage : 0.0,
-        result.ok() && result->from_cache, request->trace.trace_id,
-        request->plan_node_count, request->plan_dedup);
+        fingerprint, ok ? "OK" : StatusCodeToString(result.status().code()),
+        observation.latency_us, record->k, ok ? result->coverage : 0.0,
+        observation.cache_hit, trace.trace_id, observation.plan_nodes,
+        observation.dedup_ratio);
   }
-  if (query_stats_ != nullptr) {
-    obs::QueryObservation observation;
-    observation.structure = std::move(request->structure);
-    observation.latency_us = latency_us;
-    observation.cache_hit = result.ok() && result->from_cache;
-    observation.plan_nodes = request->plan_node_count;
-    observation.dedup_ratio = request->plan_dedup;
-    observation.worst_qerror = request->worst_qerror;
-    observation.op_ns = request->op_ns;
-    query_stats_->Record(request->key.ToHex(), observation);
+  if (query_stats_ != nullptr) query_stats_->Record(fingerprint, observation);
+  promise->set_value(std::move(result));
+}
+
+void QueryServer::RecordChunkPhase(
+    const std::vector<std::unique_ptr<PendingRequest>>& live,
+    const char* name, int64_t start_ns, int64_t end_ns,
+    std::initializer_list<obs::Annotation> annotations, uint32_t lead_span) {
+  for (const std::unique_ptr<PendingRequest>& request : live) {
+    if (!request->record.trace.active()) continue;
+    obs::RecordSpan(request->record.trace, name, start_ns, end_ns,
+                    annotations, lead_span);
+    lead_span = 0;
   }
-  request->promise.set_value(std::move(result));
 }
 
 void QueryServer::WorkerLoop() {
@@ -326,185 +323,110 @@ void QueryServer::WorkerLoop() {
 
 void QueryServer::ServeChunk(
     std::vector<std::unique_ptr<PendingRequest>>* chunk) {
-  const Clock::time_point now = Clock::now();
-  bool any_traced = false;
-  for (const std::unique_ptr<PendingRequest>& request : *chunk) {
-    if (request->trace.active()) any_traced = true;
-  }
-  const int64_t pickup_ns = any_traced ? obs::NowNs() : 0;
-  // Admission-to-service triage: expired requests fail fast, and requests
-  // answered by a twin that completed while they sat in the queue are
-  // served straight from the cache.
+  // One clock read at pickup ends every queue_wait and is the deadline
+  // check's now. Every request here already missed the answer cache.
+  const int64_t pickup_ns = obs::NowNs();
   std::vector<std::unique_ptr<PendingRequest>> live;
   live.reserve(chunk->size());
   for (std::unique_ptr<PendingRequest>& request : *chunk) {
     queue_depth_->Add(-1.0);
-    // The queue-wait phase is timed after the fact: its start was stamped
-    // at Submit, its end is this pickup.
-    obs::RecordSpan(request->trace, "queue_wait", request->submit_ns,
+    obs::RecordSpan(request->record.trace, "queue_wait", request->enqueue_ns,
                     pickup_ns);
-    if (request->has_deadline && now > request->deadline) {
+    if (AtNs(pickup_ns) > request->deadline) {
       expired_->Increment();
-      Finish(request.get(),
-             Status::DeadlineExceeded("expired while queued"));
+      Finish(&request->record,
+             Status::DeadlineExceeded("expired while queued"),
+             &request->promise);
       continue;
-    }
-    if (options_.cache_capacity > 0) {
-      obs::SpanGuard lookup(request->trace, "cache_lookup");
-      CachedAnswer cached;
-      if (cache_.Get(request->key, &cached) &&
-          static_cast<int64_t>(cached.entities.size()) >=
-              std::min<int64_t>(request->k, model_->config().num_entities)) {
-        TopKAnswer answer;
-        const size_t take = static_cast<size_t>(std::min<int64_t>(
-            request->k, static_cast<int64_t>(cached.entities.size())));
-        answer.entities.assign(cached.entities.begin(),
-                               cached.entities.begin() + take);
-        answer.distances.assign(cached.distances.begin(),
-                                cached.distances.begin() + take);
-        answer.from_cache = true;
-        cache_hits_->Increment();
-        lookup.Annotate("hit", 1.0);
-        lookup.End();
-        Finish(request.get(), std::move(answer));
-        continue;
-      }
-      cache_misses_->Increment();
-      lookup.Annotate("hit", 0.0);
     }
     live.push_back(std::move(request));
   }
   if (live.empty()) return;
+  plan_requests_->Increment(static_cast<int64_t>(live.size()));
 
   // DNF-expand every live request; branches (not requests) are the unit of
   // planning, so one plan can mix branches of many requests.
   std::vector<std::vector<query::QueryGraph>> branches(live.size());
+  std::vector<plan::PlanItem> items;
   for (size_t r = 0; r < live.size(); ++r) {
-    obs::SpanGuard dnf(live[r]->trace, "dnf_expand");
+    obs::SpanGuard dnf(live[r]->record.trace, "dnf_expand");
     branches[r] = query::ToDnf(live[r]->graph);
     dnf.Annotate("branches", static_cast<double>(branches[r].size()));
     dnf.End();
-  }
-
-  ServeChunkPlanned(&live, branches, any_traced);
-}
-
-void QueryServer::ServeChunkPlanned(
-    std::vector<std::unique_ptr<PendingRequest>>* live_ptr,
-    const std::vector<std::vector<query::QueryGraph>>& branches,
-    bool any_traced) {
-  std::vector<std::unique_ptr<PendingRequest>>& live = *live_ptr;
-  plan_requests_->Increment(static_cast<int64_t>(live.size()));
-
-  std::vector<plan::PlanItem> items;
-  for (size_t r = 0; r < live.size(); ++r) {
     for (const query::QueryGraph& branch : branches[r]) {
       items.push_back({r, &branch});
     }
   }
 
-  // Plan construction is one pass shared by the whole chunk; each traced
-  // request records the shared interval as its own plan_build phase.
-  const Clock::time_point build_start = Clock::now();
-  const int64_t build_start_ns = any_traced ? obs::NowNs() : 0;
-  const plan::Plan plan = planner_->BuildPlan(items);
-  plan_build_us_->Observe(MicrosSince(build_start));
-  if (any_traced) {
-    const int64_t build_end_ns = obs::NowNs();
-    for (const std::unique_ptr<PendingRequest>& request : live) {
-      obs::RecordSpan(
-          request->trace, "plan_build", build_start_ns, build_end_ns,
-          {{"nodes", static_cast<double>(plan.nodes.size())},
-           {"dedup_ratio", plan.dedup_ratio()}});
-    }
-  }
-  plan_nodes_->Increment(plan.total_nodes);
-  plan_unique_nodes_->Increment(static_cast<int64_t>(plan.nodes.size()));
-
   // Span ids for the shared batch_assembly / embed phases are allocated up
   // front on the first traced request so the executor's subtree_cache_hit
-  // events and node_eval spans nest under them; the spans themselves are
-  // recorded once their intervals close. Other traced requests in the
-  // chunk record the same intervals without the children.
-  size_t lead = live.size();  // first traced request, if any
-  for (size_t r = 0; r < live.size(); ++r) {
-    if (live[r]->trace.active()) {
-      lead = r;
-      break;
-    }
-  }
+  // events and node_eval spans nest under them; RecordChunkPhase records
+  // the spans themselves once their intervals close.
   obs::TraceContext assembly_ctx;
-  uint32_t assembly_span = 0;
   obs::TraceContext embed_ctx;
-  uint32_t embed_span = 0;
-  if (lead < live.size()) {
-    const obs::TraceContext& trace = live[lead]->trace;
-    assembly_span = trace.tracer->NextSpanId();
-    assembly_ctx = {trace.tracer, trace.trace_id, assembly_span};
-    embed_span = trace.tracer->NextSpanId();
-    embed_ctx = {trace.tracer, trace.trace_id, embed_span};
+  for (const std::unique_ptr<PendingRequest>& request : live) {
+    const obs::TraceContext& trace = request->record.trace;
+    if (!trace.active()) continue;
+    assembly_ctx = trace.Child(trace.tracer->NextSpanId());
+    embed_ctx = trace.Child(trace.tracer->NextSpanId());
+    break;
   }
-
-  // Batch assembly on the planner path is Prepare: the top-down subtree
-  // cache probe plus grouping of still-needed nodes into batched operator
-  // calls.
   const bool analytics = query_stats_ != nullptr && options_.analytics;
   const int64_t sample_period =
       std::max<int64_t>(1, options_.analyze_sample_period);
-  const bool collect_actuals =
+  plan::ExecOptions exec_options;
+  exec_options.collect_actuals =
       analytics && analyze_chunk_counter_.fetch_add(1) %
                            static_cast<uint64_t>(sample_period) ==
                        0;
-  plan::ExecOptions exec_options;
-  exec_options.collect_actuals = collect_actuals;
   exec_options.sample_entities = options_.analyze_sample_entities;
-  const int64_t assembly_start_ns = any_traced ? obs::NowNs() : 0;
+
+  // One plan for the whole chunk, then batch assembly (Prepare: the
+  // top-down subtree-cache probe plus grouping still-needed nodes into
+  // batched operator calls), then one executor pass that materializes
+  // every unique subtree with one embedding row per DNF branch root. One
+  // clock read per phase boundary feeds both the histograms and the spans.
+  const int64_t build_start_ns = obs::NowNs();
+  const plan::Plan plan = planner_->BuildPlan(items);
+  const int64_t build_end_ns = obs::NowNs();
   plan::ExecSchedule schedule =
       plan_executor_->Prepare(plan, assembly_ctx, exec_options);
-  if (any_traced) {
-    const int64_t assembly_end_ns = obs::NowNs();
-    for (size_t r = 0; r < live.size(); ++r) {
-      obs::RecordSpan(
-          live[r]->trace, "batch_assembly", assembly_start_ns,
-          assembly_end_ns,
-          {{"batches", static_cast<double>(schedule.batches.size())},
-           {"chunk_requests", static_cast<double>(live.size())},
-           {"subtree_cache_hits",
-            static_cast<double>(schedule.stats.cache_hits)}},
-          r == lead ? assembly_span : 0);
-    }
-  }
+  const int64_t assembly_end_ns = obs::NowNs();
+  const core::EmbeddingBatch embedding =
+      plan_executor_->Run(plan, &schedule, embed_ctx);
+  const int64_t embed_end_ns = obs::NowNs();
+
+  plan_build_us_->Observe(MicrosBetween(build_start_ns, build_end_ns));
+  plan_exec_us_->Observe(MicrosBetween(assembly_end_ns, embed_end_ns));
+  plan_nodes_->Increment(plan.total_nodes);
+  plan_unique_nodes_->Increment(static_cast<int64_t>(plan.nodes.size()));
   plan_cache_hits_->Increment(schedule.stats.cache_hits);
   plan_cache_misses_->Increment(schedule.stats.cache_misses);
   plan_op_batches_->Increment(schedule.stats.op_batches);
+  plan_node_evals_->Increment(schedule.stats.evaluated);
   for (const plan::ExecSchedule::OpBatch& batch : schedule.batches) {
     batch_size_->Observe(static_cast<double>(batch.node_ids.size()));
   }
-
-  // One executor pass materializes every unique subtree of the chunk; the
-  // result has one embedding row per DNF branch root.
-  const Clock::time_point exec_start = Clock::now();
-  const int64_t embed_start_ns = any_traced ? obs::NowNs() : 0;
-  const core::EmbeddingBatch embedding =
-      plan_executor_->Run(plan, &schedule, embed_ctx);
-  plan_exec_us_->Observe(MicrosSince(exec_start));
-  plan_node_evals_->Increment(schedule.stats.evaluated);
   if (subtree_cache_ != nullptr) {
     plan_cache_bytes_->Set(static_cast<double>(subtree_cache_->bytes()));
   }
-  if (any_traced) {
-    const int64_t embed_end_ns = obs::NowNs();
-    for (size_t r = 0; r < live.size(); ++r) {
-      obs::RecordSpan(
-          live[r]->trace, "embed", embed_start_ns, embed_end_ns,
-          {{"rows", static_cast<double>(plan.roots.size())},
-           {"node_evals", static_cast<double>(schedule.stats.evaluated)}},
-          r == lead ? embed_span : 0);
-    }
-  }
+  RecordChunkPhase(live, "plan_build", build_start_ns, build_end_ns,
+                   {{"nodes", static_cast<double>(plan.nodes.size())},
+                    {"dedup_ratio", plan.dedup_ratio()}});
+  RecordChunkPhase(
+      live, "batch_assembly", build_end_ns, assembly_end_ns,
+      {{"batches", static_cast<double>(schedule.batches.size())},
+       {"chunk_requests", static_cast<double>(live.size())},
+       {"subtree_cache_hits", static_cast<double>(schedule.stats.cache_hits)}},
+      assembly_ctx.parent);
+  RecordChunkPhase(
+      live, "embed", assembly_end_ns, embed_end_ns,
+      {{"rows", static_cast<double>(plan.roots.size())},
+       {"node_evals", static_cast<double>(schedule.stats.evaluated)}},
+      embed_ctx.parent);
 
   // Analytics plane: per-node metric families, the feedback EWMAs, and
-  // per-request attribution stashed for Finish to fold into the store.
+  // each request's plan shape written into its record for Finish.
   // Plan-shape attribution covers every analytics chunk; the parts that
   // need per-node actuals only exist on the sampled chunks.
   if (analytics) {
@@ -534,26 +456,26 @@ void QueryServer::ServeChunkPlanned(
       for (const plan::PlanRoot& root : plan.roots) {
         if (root.request_index == r) stack.push_back(root.node);
       }
-      PendingRequest* request = live[r].get();
-      request->structure =
-          query::StructureFingerprint(request->graph).ToHex();
-      request->plan_dedup = plan.dedup_ratio();
+      obs::QueryObservation& observation = live[r]->record.observation;
+      observation.structure =
+          query::StructureFingerprint(live[r]->graph).ToHex();
+      observation.dedup_ratio = plan.dedup_ratio();
       while (!stack.empty()) {
         const int32_t id = stack.back();
         stack.pop_back();
         if (visited[static_cast<size_t>(id)]) continue;
         visited[static_cast<size_t>(id)] = 1;
-        ++request->plan_node_count;
+        ++observation.plan_nodes;
         const plan::PlanNode& node = plan.node(id);
         if (measured) {
           const plan::NodeActuals& a = actuals[static_cast<size_t>(id)];
           if (a.evaluated) {
-            request->op_ns[static_cast<size_t>(node.op)] += a.wall_ns;
+            observation.op_ns[static_cast<size_t>(node.op)] += a.wall_ns;
           }
           if (a.actual_rows >= 0.0) {
-            request->worst_qerror = std::max(
-                request->worst_qerror,
-                plan::QError(node.est_rows, a.actual_rows));
+            observation.worst_qerror =
+                std::max(observation.worst_qerror,
+                         plan::QError(node.est_rows, a.actual_rows));
           }
         }
         for (uint32_t j = 0; j < node.num_inputs; ++j) {
@@ -579,10 +501,11 @@ void QueryServer::ServeChunkPlanned(
 
 void QueryServer::FinishRanked(PendingRequest* request,
                                const shard::BranchSet& branches) {
+  RequestRecord& record = request->record;
   shard::ShardedTopK top = coordinator_->TopKEmbedded(
-      branches, request->k, request->deadline, request->trace);
+      branches, record.k, request->deadline, record.trace);
   if (!top.ok() && !top.partial()) {
-    Finish(request, top.status);
+    Finish(&record, top.status, &request->promise);
     return;
   }
   TopKAnswer answer;
@@ -593,9 +516,9 @@ void QueryServer::FinishRanked(PendingRequest* request,
   // get the full-coverage answer.
   if (options_.cache_capacity > 0 && top.ok()) {
     CachedAnswer entry{answer.entities, answer.distances};
-    cache_.Put(request->key, std::move(entry));
+    cache_.Put(record.key, std::move(entry));
   }
-  Finish(request, std::move(answer));
+  Finish(&record, std::move(answer), &request->promise);
 }
 
 plan::Plan QueryServer::PlanSolo(const query::QueryGraph& query) const {

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -69,8 +70,6 @@ struct ServerOptions {
   /// Requests slower than this land in the slow-query log (zero disables
   /// the log; it only retains traces, so it also requires `tracer`).
   std::chrono::microseconds slow_query_threshold{0};
-  /// Distinct query fingerprints retained by the slow-query log.
-  size_t slow_query_log_capacity = 32;
   /// Byte budget of the subtree (intermediate-result) cache; 0 disables
   /// it.
   size_t subtree_cache_bytes = 8u << 20;
@@ -218,42 +217,44 @@ class QueryServer {
     std::vector<float> distances;
   };
 
-  struct PendingRequest {
-    query::QueryGraph graph;
-    int64_t k = 0;
+  /// One request as every completion sink sees it. Submit fills it; a
+  /// cache hit hands it to Finish straight from the stack, and a miss
+  /// carries it through the queue inside its PendingRequest.
+  struct RequestRecord {
     query::Fingerprint key;
-    std::chrono::steady_clock::time_point submit_time;
-    std::chrono::steady_clock::time_point deadline;  // max() = none
-    bool has_deadline = false;
+    int64_t k = 0;
+    /// obs::NowNs() at Submit: the one time base of the request's latency,
+    /// root span and deadline.
+    int64_t submit_ns = 0;
     /// Trace handle parented at the request's root span; inactive when
     /// tracing is off. `root_span` is pre-allocated at Submit so children
-    /// can reference it before the root is recorded at Finish.
+    /// can reference it before Finish records the root.
     obs::TraceContext trace;
     uint32_t root_span = 0;
-    int64_t submit_ns = 0;
-    /// Analytics stashed by ServeChunkPlanned for Finish to fold into the
-    /// query-stats store, the slow-query log, and the serve journal:
-    /// structure fingerprint, reachable plan nodes, the chunk plan's dedup
-    /// ratio, worst node q-error, and per-operator attributed wall.
-    std::string structure;
-    int64_t plan_node_count = 0;
-    double plan_dedup = 0.0;
-    double worst_qerror = 0.0;
-    std::array<int64_t, obs::kNumOpKinds> op_ns{};
+    /// What the query-stats store receives, as is. Submit sets cache_hit,
+    /// the planned chunk fills the plan-shape fields, and Finish adds the
+    /// latency; the journal and slow log read their plan columns here.
+    obs::QueryObservation observation;
+  };
+
+  /// A cache miss on its way through the admission queue.
+  struct PendingRequest {
+    RequestRecord record;
+    query::QueryGraph graph;
+    std::chrono::steady_clock::time_point deadline;  // max() = none
+    /// Start of the queue_wait span: the end of the Submit probe (0 when
+    /// untraced).
+    int64_t enqueue_ns = 0;
     std::promise<Result<TopKAnswer>> promise;
   };
 
   void WorkerLoop();
+  /// Expires requests past their deadline, then plans the rest as one
+  /// deduplicated compute DAG with one embedding row per DNF branch root,
+  /// and ranks each request over its branches.
   void ServeChunk(std::vector<std::unique_ptr<PendingRequest>>* chunk);
-  /// One deduplicated compute DAG for the whole chunk, one embedding row
-  /// per DNF branch root. `branches[r]` are request r's DNF branches; both
-  /// vectors are indexed by position in `live`.
-  void ServeChunkPlanned(
-      std::vector<std::unique_ptr<PendingRequest>>* live,
-      const std::vector<std::vector<query::QueryGraph>>& branches,
-      bool any_traced);
   /// Ranks a request through the coordinator over its DNF `branches`,
-  /// fills the answer cache, and resolves the promise.
+  /// fills the answer cache, and finishes the request.
   void FinishRanked(PendingRequest* request,
                     const shard::BranchSet& branches);
   [[nodiscard]] Status ValidateQuery(const query::QueryGraph& query, int64_t k) const;
@@ -262,7 +263,21 @@ class QueryServer {
   /// Render options for Explain / ExplainAnalyze: live subtree-cache
   /// annotations and, when a KG is attached, entity / relation names.
   plan::ExplainOptions ExplainRenderOptions() const;
-  void Finish(PendingRequest* request, Result<TopKAnswer> result);
+  /// The one completion path, for cache hits and queued requests alike:
+  /// writes `completed`, the latency histogram (with its exemplar), the
+  /// SLO tracker, the root span, the slow log, the serve journal and the
+  /// query-stats store from `record` and one clock read, then resolves
+  /// `promise`.
+  void Finish(RequestRecord* record, Result<TopKAnswer> result,
+              std::promise<Result<TopKAnswer>>* promise);
+  /// Records the chunk-shared phase [start_ns, end_ns) on every traced
+  /// request of `live`. The first one's span takes `lead_span` when it is
+  /// nonzero, so spans the executor parented there nest under it.
+  static void RecordChunkPhase(
+      const std::vector<std::unique_ptr<PendingRequest>>& live,
+      const char* name, int64_t start_ns, int64_t end_ns,
+      std::initializer_list<obs::Annotation> annotations,
+      uint32_t lead_span = 0);
 
   core::QueryModel* model_;
   const kg::KnowledgeGraph* kg_;  // may be null

@@ -198,5 +198,62 @@ TEST(HttpServerTest, IdleConnectionsDoNotWedgeServingOrStop) {
   for (const int fd : idle) ::close(fd);
 }
 
+/// Connects to 127.0.0.1:`port` with a small receive buffer, sends a GET
+/// for `path`, and never reads the response; -1 on failure.
+int OpenSlowReader(int port, const std::string& path) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  const std::string request = "GET " + path + " HTTP/1.1\r\n\r\n";
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::send(fd, request.data(), request.size(), 0) !=
+          static_cast<ssize_t>(request.size())) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// One client per pool thread that requests a large body and never reads
+// it must neither wedge /healthz past the response deadline nor hang
+// Stop().
+TEST(HttpServerTest, SlowReadersDoNotWedgeServingOrStop) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::chrono::milliseconds kResponseDeadline{1000};
+  HttpServer server;
+  const std::string big(32u << 20, 'x');
+  server.Handle("/big", [&big](const HttpRequest&) -> HttpResponse {
+    return {200, "text/plain; charset=utf-8", big};
+  });
+  server.Handle("/healthz", [](const HttpRequest&) -> HttpResponse {
+    return {200, "application/json; charset=utf-8", "{\"status\":\"ok\"}\n"};
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<int> slow = {OpenSlowReader(server.port(), "/big"),
+                           OpenSlowReader(server.port(), "/big")};
+  for (const int fd : slow) ASSERT_GE(fd, 0);
+  // Let both pool threads fill their send buffers first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Clock::time_point start = Clock::now();
+  EXPECT_EQ(HttpGet(server.port(), "/healthz").status, 200);
+  EXPECT_LT(Clock::now() - start, kResponseDeadline + std::chrono::seconds(1));
+
+  slow.push_back(OpenSlowReader(server.port(), "/big"));
+  slow.push_back(OpenSlowReader(server.port(), "/big"));
+  for (const int fd : slow) ASSERT_GE(fd, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  start = Clock::now();
+  server.Stop();
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+  for (const int fd : slow) ::close(fd);
+}
+
 }  // namespace
 }  // namespace halk::net

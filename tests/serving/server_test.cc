@@ -7,6 +7,10 @@
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +19,9 @@
 #include "core/evaluator.h"
 #include "core/halk_model.h"
 #include "kg/synthetic.h"
+#include "obs/journal.h"
+#include "obs/query_stats.h"
+#include "obs/slo_tracker.h"
 #include "obs/trace.h"
 #include "query/sampler.h"
 #include "query/structures.h"
@@ -413,59 +420,86 @@ TEST_F(QueryServerTest, ShardOutageServesPartialAnswersUncached) {
 }
 
 TEST_F(QueryServerTest, TracedShardedRequestPhaseSpansTileTheLatency) {
-  obs::Tracer tracer;
-  tracer.set_enabled(true);
-  ServerOptions options;
-  options.num_workers = 2;
-  options.max_batch_size = 4;
-  options.num_shards = 2;
-  options.cache_capacity = 0;
-  options.tracer = &tracer;
-  QueryServer server(model_, &dataset_->train, options);
+  // With the answer cache on, the request's one probe runs at Submit, so
+  // its cache_lookup span must sit before queue_wait, not overlap it.
+  for (const size_t cache_capacity : {size_t{0}, size_t{4096}}) {
+    SCOPED_TRACE("cache_capacity " + std::to_string(cache_capacity));
+    obs::Tracer tracer;
+    tracer.set_enabled(true);
+    ServerOptions options;
+    options.num_workers = 2;
+    options.max_batch_size = 4;
+    options.num_shards = 2;
+    options.cache_capacity = cache_capacity;
+    options.tracer = &tracer;
+    QueryServer server(model_, &dataset_->train, options);
 
-  query::GroundedQuery q = SampleQueries(StructureId::k2i, 1, 301)[0];
-  Result<TopKAnswer> r = server.Answer(q.graph, 10);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_NE(r->trace_id, 0u);
+    query::GroundedQuery q = SampleQueries(StructureId::k2i, 1, 301)[0];
+    Result<TopKAnswer> r = server.Answer(q.graph, 10);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(r->trace_id, 0u);
 
-  const obs::Trace trace = tracer.Collect(r->trace_id);
-  const obs::SpanRecord* root = trace.Find("request");
-  ASSERT_NE(root, nullptr);
-  EXPECT_EQ(root->parent, 0u);
-  EXPECT_EQ(root->annotation("ok"), 1.0);
+    const obs::Trace trace = tracer.Collect(r->trace_id);
+    const obs::SpanRecord* root = trace.Find("request");
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(root->parent, 0u);
+    EXPECT_EQ(root->annotation("ok"), 1.0);
+    EXPECT_EQ(root->annotation("cache_hit", -1.0), 0.0);
 
-  // Every request-path phase must be present as a direct child of the root.
-  for (const char* phase : {"queue_wait", "dnf_expand", "batch_assembly",
-                            "embed", "scatter", "merge"}) {
-    const obs::SpanRecord* span = trace.Find(phase);
-    ASSERT_NE(span, nullptr) << "missing span " << phase;
-    EXPECT_EQ(span->parent, root->id) << phase;
-    EXPECT_GE(span->start_ns, root->start_ns) << phase;
-    EXPECT_LE(span->end_ns(), root->end_ns()) << phase;
-  }
-  // The phases are sequentially disjoint slices of the request, so their
-  // durations sum to at most the end-to-end latency.
-  int64_t phase_sum_ns = 0;
-  for (const obs::SpanRecord& span : trace.spans()) {
-    if (span.parent == root->id) phase_sum_ns += span.duration_ns;
-  }
-  EXPECT_GT(phase_sum_ns, 0);
-  EXPECT_LE(phase_sum_ns, root->duration_ns);
+    // Every request-path phase must be present as a direct child of the
+    // root.
+    for (const char* phase : {"queue_wait", "dnf_expand", "batch_assembly",
+                              "embed", "scatter", "merge"}) {
+      const obs::SpanRecord* span = trace.Find(phase);
+      ASSERT_NE(span, nullptr) << "missing span " << phase;
+      EXPECT_EQ(span->parent, root->id) << phase;
+      EXPECT_GE(span->start_ns, root->start_ns) << phase;
+      EXPECT_LE(span->end_ns(), root->end_ns()) << phase;
+    }
+    const std::vector<const obs::SpanRecord*> lookups =
+        trace.FindAll("cache_lookup");
+    EXPECT_EQ(lookups.size(), cache_capacity > 0 ? 1u : 0u);
+    if (!lookups.empty()) {
+      EXPECT_EQ(lookups[0]->parent, root->id);
+      EXPECT_EQ(lookups[0]->annotation("hit", -1.0), 0.0);
+    }
+    // The phases are sequentially disjoint slices of the request, so their
+    // durations sum to at most the end-to-end latency.
+    std::vector<const obs::SpanRecord*> phases;
+    int64_t phase_sum_ns = 0;
+    for (const obs::SpanRecord& span : trace.spans()) {
+      if (span.parent != root->id) continue;
+      phases.push_back(&span);
+      phase_sum_ns += span.duration_ns;
+    }
+    EXPECT_GT(phase_sum_ns, 0);
+    EXPECT_LE(phase_sum_ns, root->duration_ns);
+    for (size_t i = 0; i < phases.size(); ++i) {
+      for (size_t j = i + 1; j < phases.size(); ++j) {
+        EXPECT_TRUE(phases[i]->end_ns() <= phases[j]->start_ns ||
+                    phases[j]->end_ns() <= phases[i]->start_ns)
+            << phases[i]->name << " [" << phases[i]->start_ns << ", "
+            << phases[i]->end_ns() << ") overlaps " << phases[j]->name
+            << " [" << phases[j]->start_ns << ", " << phases[j]->end_ns()
+            << ")";
+      }
+    }
 
-  // Each shard contributed one shard_scan under the scatter span, with
-  // its scan statistics attached.
-  const obs::SpanRecord* scatter = trace.Find("scatter");
-  ASSERT_NE(scatter, nullptr);
-  EXPECT_EQ(scatter->annotation("shards"), 2.0);
-  EXPECT_EQ(scatter->annotation("uncovered_shards"), 0.0);
-  const std::vector<const obs::SpanRecord*> scans =
-      trace.FindAll("shard_scan");
-  ASSERT_EQ(scans.size(), 2u);
-  for (const obs::SpanRecord* scan : scans) {
-    EXPECT_EQ(scan->parent, scatter->id);
-    EXPECT_TRUE(scan->has_annotation("shard"));
-    EXPECT_TRUE(scan->has_annotation("entities_scanned"));
-    EXPECT_GT(scan->annotation("entities_scanned"), 0.0);
+    // Each shard contributed one shard_scan under the scatter span, with
+    // its scan statistics attached.
+    const obs::SpanRecord* scatter = trace.Find("scatter");
+    ASSERT_NE(scatter, nullptr);
+    EXPECT_EQ(scatter->annotation("shards"), 2.0);
+    EXPECT_EQ(scatter->annotation("uncovered_shards"), 0.0);
+    const std::vector<const obs::SpanRecord*> scans =
+        trace.FindAll("shard_scan");
+    ASSERT_EQ(scans.size(), 2u);
+    for (const obs::SpanRecord* scan : scans) {
+      EXPECT_EQ(scan->parent, scatter->id);
+      EXPECT_TRUE(scan->has_annotation("shard"));
+      EXPECT_TRUE(scan->has_annotation("entities_scanned"));
+      EXPECT_GT(scan->annotation("entities_scanned"), 0.0);
+    }
   }
 }
 
@@ -478,7 +512,6 @@ TEST_F(QueryServerTest, SlowQueryLogKeysRepeatedSlowRequestsByFingerprint) {
   options.tracer = &tracer;
   // Every request blows a 1us threshold, so each one lands in the log.
   options.slow_query_threshold = std::chrono::microseconds(1);
-  options.slow_query_log_capacity = 8;
   QueryServer server(model_, &dataset_->train, options);
   ASSERT_NE(server.slow_query_log(), nullptr);
 
@@ -554,6 +587,114 @@ TEST_F(QueryServerTest, TracedSingleShardRequestScansInline) {
                 "histogram shard.scan_us{shard=\"0\"} count=1"),
             std::string::npos)
       << metrics->DumpText();
+}
+
+// Every completion path (a Submit-time hit, a ranked miss, a request
+// expired in the queue, a partial answer, a smaller-k hit off a larger
+// cached entry) writes one record to each sink, and the sinks agree.
+TEST_F(QueryServerTest, EveryCompletionPathWritesOneRecordToEverySink) {
+  constexpr std::chrono::milliseconds kDeadline{250};
+  shard::SlowRangeModel model(model_->config(), 10 * kDeadline);
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  obs::SloTracker slo;
+  std::stringstream journal_out;
+  std::unique_ptr<obs::ServeJournal> journal =
+      obs::ServeJournal::ToStream(&journal_out);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.num_shards = 2;
+  // Every pickup lingers, so a 1us deadline has always passed by then.
+  options.batch_linger = std::chrono::milliseconds(20);
+  options.tracer = &tracer;
+  options.slo = &slo;
+  options.serve_journal = journal.get();
+  QueryServer server(&model, &dataset_->train, options);
+  ASSERT_NE(server.query_stats(), nullptr);
+  MetricsRegistry* metrics = server.metrics();
+  Histogram* latency = metrics->GetHistogram(
+      "serving.latency_us", Histogram::ExponentialBounds(1.0, 2.0, 26));
+
+  const std::vector<query::GroundedQuery> queries =
+      SampleQueries(StructureId::k2i, 3, 347);
+  // Journal latencies per fingerprint, folded as the query-stats store
+  // folds them.
+  std::map<std::string, obs::Welford> journal_latency;
+  size_t lines_read = 0;
+  auto check_path = [&](const char* path, const std::string& status,
+                        bool cache_hit, double coverage) {
+    SCOPED_TRACE(path);
+    std::vector<std::string> lines;
+    std::istringstream in(journal_out.str());
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    ASSERT_EQ(lines.size(), lines_read + 1);
+    Result<obs::JsonObject> record = obs::ParseJsonLine(lines.back());
+    lines_read = lines.size();
+    ASSERT_TRUE(record.ok()) << lines.back();
+    EXPECT_EQ(obs::FindKey(*record, "status")->string_value, status);
+    EXPECT_EQ(obs::FindKey(*record, "cache_hit")->bool_value, cache_hit);
+    EXPECT_EQ(obs::FindKey(*record, "coverage")->number, coverage);
+
+    EXPECT_EQ(slo.Evaluate().requests_fast, static_cast<int64_t>(lines_read));
+    EXPECT_EQ(latency->count(), static_cast<int64_t>(lines_read));
+    const std::string fingerprint =
+        obs::FindKey(*record, "fingerprint")->string_value;
+    obs::Welford& expected = journal_latency[fingerprint];
+    expected.Add(obs::FindKey(*record, "latency_us")->number);
+    obs::QueryStatsStore::Stats stats;
+    ASSERT_TRUE(server.query_stats()->Lookup(fingerprint, &stats));
+    EXPECT_EQ(stats.hits, expected.count);
+    EXPECT_EQ(stats.latency_us.mean, expected.mean);
+
+    const uint64_t trace_id = std::stoull(
+        obs::FindKey(*record, "trace_id")->string_value, nullptr, 16);
+    const obs::Trace trace = tracer.Collect(trace_id);
+    const std::vector<const obs::SpanRecord*> roots = trace.FindAll("request");
+    ASSERT_EQ(roots.size(), 1u);
+    EXPECT_EQ(roots[0]->annotation("ok", -1.0), status == "OK" ? 1.0 : 0.0);
+    EXPECT_EQ(roots[0]->annotation("cache_hit", -1.0), cache_hit ? 1.0 : 0.0);
+
+    EXPECT_EQ(metrics->CounterValue("serving.cache_hits") +
+                  metrics->CounterValue("serving.cache_misses"),
+              metrics->CounterValue("serving.submitted"));
+    EXPECT_EQ(metrics->GaugeValue("serving.in_flight"), 0.0);
+  };
+
+  Result<TopKAnswer> ranked = server.Answer(queries[0].graph, 10);
+  ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+  EXPECT_FALSE(ranked->from_cache);
+  check_path("ranked miss", "OK", /*cache_hit=*/false, 1.0);
+
+  Result<TopKAnswer> hit = server.Answer(queries[0].graph, 10);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->from_cache);
+  EXPECT_EQ(hit->entities, ranked->entities);
+  check_path("submit-time hit", "OK", /*cache_hit=*/true, 1.0);
+
+  Result<TopKAnswer> expired =
+      server.Answer(queries[1].graph, 10, std::chrono::microseconds(1));
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  check_path("expired in queue", "DeadlineExceeded", /*cache_hit=*/false,
+             0.0);
+
+  const shard::EntityRange lost = server.coordinator()->shard_range(1);
+  model.SlowRange(lost.begin);
+  Result<TopKAnswer> partial = server.Answer(queries[2].graph, 10, kDeadline);
+  model.Heal();
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  EXPECT_EQ(partial->completeness.code(), StatusCode::kPartialResult);
+  const double partial_coverage =
+      1.0 - static_cast<double>(lost.size()) /
+                static_cast<double>(dataset_->train.num_entities());
+  EXPECT_DOUBLE_EQ(partial->coverage, partial_coverage);
+  check_path("partial answer", "OK", /*cache_hit=*/false, partial->coverage);
+
+  Result<TopKAnswer> smaller = server.Answer(queries[0].graph, 3);
+  ASSERT_TRUE(smaller.ok());
+  EXPECT_TRUE(smaller->from_cache);
+  ASSERT_EQ(smaller->entities.size(), 3u);
+  check_path("smaller-k hit", "OK", /*cache_hit=*/true, 1.0);
 }
 
 }  // namespace
