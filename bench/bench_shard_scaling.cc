@@ -377,14 +377,14 @@ int RunOutOfCore(int64_t num_entities, bool fast) {
       std::chrono::duration<double>(Clock::now() - write_start).count();
 
   // Serve out of the mappings: checksum verification would fault in the
-  // whole table (that is `halk_store verify`'s offline job). The bounded
-  // residency window is what makes this run out-of-core in the literal
-  // sense — each scan drops its processed row groups once they exceed the
-  // window, so the process footprint is heap plus a few windows, not the
-  // table (docs/storage.md, memory-ceiling methodology).
+  // whole table (that is `halk_store verify`'s offline job). Releasing
+  // scanned pages is what makes this run out-of-core in the literal
+  // sense — each scan drops every row group once it is done with it, so
+  // the process footprint is heap plus a few row groups, not the table
+  // (docs/storage.md, memory-ceiling methodology).
   store::EmbeddingStore::OpenOptions open_options;
   open_options.verify_checksums = false;
-  open_options.residency_window_bytes = 4u << 20;
+  open_options.release_scanned_pages = true;
   auto opened = store::EmbeddingStore::Open(dir, open_options);
   HALK_CHECK(opened.ok()) << opened.status().ToString();
   auto served = store::OpenServingModel(**opened, nullptr);
@@ -403,7 +403,7 @@ int RunOutOfCore(int64_t num_entities, bool fast) {
   // Reference answers once through a 1-shard coordinator over the same
   // bounded store scan; every sweep configuration must reproduce them
   // bit-identically. The brute-force ScoreAllEntities is deliberately not
-  // used here: DistancesToAll reads every entity row with no residency window,
+  // used here: DistancesToAll reads every entity row and releases none,
   // which alone would push the RSS high-water to full table size — its
   // bit-identity against the store scan is pinned at in-RAM scale (RunInRam
   // and tests/store/) where the whole table is cheap to touch.

@@ -125,8 +125,8 @@ void ConeModel::DistancesToAll(const EmbeddingBatch& embedding, int64_t row,
       embedding.a.data() + row * d, embedding.b.data() + row * d, d,
       config_.rho, config_.eta);
   out->resize(static_cast<size_t>(config_.num_entities));
-  core::ArcDistancesToRows(entity_angles_.data(), d, config_.num_entities,
-                           arc, out->data());
+  core::EntityTable::RowMajor(entity_angles_.data(), config_.num_entities, d)
+      .Distances(arc, 0, config_.num_entities, out->data());
 }
 
 std::vector<Tensor> ConeModel::Parameters() const {

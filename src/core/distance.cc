@@ -47,7 +47,7 @@ float ArcPointDistance(const float* point_angles, const float* arc_center,
   const ArcConstants arc =
       MakeArcConstants(arc_center, arc_length, dim, rho, eta);
   float out = 0.0f;
-  ArcDistancesToRows(point_angles, dim, 1, arc, &out);
+  EntityTable::RowMajor(point_angles, 1, dim).Distances(arc, 0, 1, &out);
   return out;
 }
 
@@ -75,19 +75,29 @@ ArcConstants MakeArcConstants(const float* arc_center,
   return out;
 }
 
-void ArcDistancesToRows(const float* table, int64_t dim, int64_t rows,
-                        const ArcConstants& arc, float* out) {
-  const ScanKernelFn kernel = ScanKernel();
-  float partial[kScanLanes];
-  for (int64_t r = 0; r < rows; r += kScanLanes) {
-    const EntityBlock block{table + r * dim, std::min(kScanLanes, rows - r),
-                            dim, 1};
-    kernel(&arc, 1, block, std::numeric_limits<float>::infinity(), partial,
-           out + r);
-  }
+namespace {
+
+using Segment = EntityTable::Segment;
+
+/// First segment overlapping [begin, ...): the last one starting at or
+/// before `begin`.
+std::vector<Segment>::const_iterator SegmentFor(
+    const std::vector<Segment>& segments, int64_t begin) {
+  auto it = std::upper_bound(
+      segments.begin(), segments.end(), begin,
+      [](int64_t e, const Segment& s) { return e < s.first; });
+  return it == segments.begin() ? it : it - 1;
 }
 
-int64_t PushBlockTopK(const ArcConstants* arcs, size_t num_arcs,
+EntityBlock Block(const Segment& s, int64_t first_entity, int64_t rows) {
+  return {s.base + (first_entity - s.first) * s.row_stride, rows,
+          s.row_stride, s.dim_stride};
+}
+
+/// Scans one block against every DNF branch and pushes each entity's
+/// minimum distance into `acc` unless it exceeds the admission bound
+/// (acc->bound() with `prune`, else +inf). Returns the dimensions read.
+int64_t PushBlockTopK(const std::vector<ArcConstants>& arcs,
                       const EntityBlock& block, int64_t first_entity,
                       bool prune, float* partial, TopKAccumulator* acc,
                       ScanStats* stats) {
@@ -97,7 +107,7 @@ int64_t PushBlockTopK(const ArcConstants* arcs, size_t num_arcs,
       prune ? acc->bound() : std::numeric_limits<float>::infinity();
   float best[kScanLanes];
   const int64_t dims =
-      ScanKernel()(arcs, num_arcs, block, bound, partial, best);
+      ScanKernel()(arcs.data(), arcs.size(), block, bound, partial, best);
   if (dims < static_cast<int64_t>(arcs[0].dims.size())) {
     if (stats != nullptr) stats->entities_pruned += block.rows;
     return dims;
@@ -114,17 +124,68 @@ int64_t PushBlockTopK(const ArcConstants* arcs, size_t num_arcs,
   return dims;
 }
 
-void AccumulateRowsTopK(const float* table, int64_t dim,
-                        const std::vector<ArcConstants>& arcs, int64_t begin,
-                        int64_t end, bool prune, TopKAccumulator* acc,
-                        ScanStats* stats) {
+}  // namespace
+
+EntityTable EntityTable::RowMajor(const float* rows, int64_t num_entities,
+                                  int64_t dim) {
+  EntityTable table;
+  table.num_entities = num_entities;
+  table.dim = dim;
+  table.segments.push_back({0, num_entities, rows, dim, 1});
+  return table;
+}
+
+void EntityTable::CopyRow(int64_t entity, float* out) const {
+  HALK_CHECK(entity >= 0 && entity < num_entities);
+  const Segment& s = *SegmentFor(segments, entity);
+  const float* row = s.base + (entity - s.first) * s.row_stride;
+  for (int64_t j = 0; j < dim; ++j) out[j] = row[j * s.dim_stride];
+}
+
+void EntityTable::Distances(const ArcConstants& arc, int64_t begin,
+                            int64_t end, float* out) const {
+  HALK_CHECK(begin >= 0 && end <= num_entities);
+  const ScanKernelFn kernel = ScanKernel();
+  float partial[kScanLanes];
+  for (auto s = SegmentFor(segments, begin);
+       s != segments.end() && s->first < end; ++s) {
+    const int64_t hi = std::min(end, s->first + s->rows);
+    for (int64_t e = std::max(begin, s->first); e < hi; e += kScanLanes) {
+      kernel(&arc, 1, Block(*s, e, std::min(kScanLanes, hi - e)),
+             std::numeric_limits<float>::infinity(), partial,
+             out + (e - begin));
+    }
+  }
+}
+
+void EntityTable::AccumulateTopK(const std::vector<ArcConstants>& arcs,
+                                 int64_t begin, int64_t end, bool prune,
+                                 TopKAccumulator* acc,
+                                 ScanStats* stats) const {
+  begin = std::max<int64_t>(begin, 0);
+  end = std::min(end, num_entities);
   if (arcs.empty() || begin >= end) return;
   std::vector<float> partial(arcs.size() * kScanLanes);
-  for (int64_t e = begin; e < end; e += kScanLanes) {
-    const EntityBlock block{table + e * dim, std::min(kScanLanes, end - e),
-                            dim, 1};
-    PushBlockTopK(arcs.data(), arcs.size(), block, e, prune, partial.data(),
-                  acc, stats);
+  // Segments are visited in entity order, so the admission bound tightens
+  // in the same sequence whatever the layout: the result is bit-identical
+  // across in-RAM and store tables.
+  for (auto s = SegmentFor(segments, begin);
+       s != segments.end() && s->first < end; ++s) {
+    const int64_t hi = std::min(end, s->first + s->rows);
+    // A column block of the segment is read when any kernel block reads
+    // that dimension.
+    int64_t dims_read = 0;
+    for (int64_t e = std::max(begin, s->first); e < hi; e += kScanLanes) {
+      dims_read = std::max(
+          dims_read,
+          PushBlockTopK(arcs, Block(*s, e, std::min(kScanLanes, hi - e)), e,
+                        prune, partial.data(), acc, stats));
+    }
+    if (columnar && stats != nullptr) {
+      stats->column_blocks_scanned += dims_read;
+      stats->column_blocks_skipped += dim - dims_read;
+    }
+    if (release != nullptr) release(*s, dim);
   }
   if (stats != nullptr) stats->entities_scanned += end - begin;
 }

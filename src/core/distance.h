@@ -23,8 +23,8 @@ tensor::Tensor ArcDistance(const tensor::Tensor& point,
                            const EmbeddingBatch& arc, float rho, float eta);
 
 /// Distance from one entity (`point_angles`, width `dim`) to one arc: a
-/// one-entity block of the scan kernel (core/scan_kernel.h), so it equals
-/// the value every ranking path computes for that pair, bit for bit.
+/// one-row EntityTable scanned by the kernel (core/scan_kernel.h), so it
+/// equals the value every ranking path computes for that pair, bit for bit.
 /// Agrees with ArcDistance to float rounding (the kernel evaluates the
 /// half-angles by polynomial, not libm).
 float ArcPointDistance(const float* point_angles, const float* arc_center,
@@ -38,31 +38,60 @@ ArcConstants MakeArcConstants(const float* arc_center,
                               const float* arc_length, int64_t dim, float rho,
                               float eta);
 
-/// Exact distances from `rows` consecutive rows of a row-major table
-/// (`dim` floats each, starting at `table`) to `arc`: out[i] is row i's.
-void ArcDistancesToRows(const float* table, int64_t dim, int64_t rows,
-                        const ArcConstants& arc, float* out);
+/// Where the entity rows live: an entity-ordered list of segments, each a
+/// run of consecutive entities read in place through strides, exactly the
+/// layout facts an EntityBlock hands the scan kernel. The in-RAM table is
+/// one row-major segment (row_stride = dim, dim_stride = 1); the store's is
+/// one columnar segment per row group of every shard file (row_stride = 1,
+/// dim_stride = floats between the group's column blocks).
+///
+/// One loop per job runs over it: top-k, distances and row copy. Each walks
+/// the segments overlapping [begin, end) in blocks of at most kScanLanes
+/// rows, and no block crosses a segment boundary. The table does not own
+/// the rows; they must outlive it and stay immutable while it is scanned.
+/// All loops are const and safe to run concurrently.
+struct EntityTable {
+  struct Segment {
+    int64_t first = 0;  // entity id of the segment's row 0
+    int64_t rows = 0;
+    const float* base = nullptr;
+    int64_t row_stride = 0;
+    int64_t dim_stride = 0;
+  };
 
-/// Scans one block of entities (`first_entity` is block row 0's id)
-/// against `num_arcs` DNF branches and pushes each entity's minimum
-/// distance into `acc` unless it exceeds the admission bound. With `prune`
-/// the bound is acc->bound(), frozen for the block, and the kernel may
-/// abandon the block once every (entity, branch) partial sum exceeds it;
-/// exact for top-k whenever ρ > 0 and η >= 0. Without it, every entity is
-/// scored in full and pushed. `partial` is scratch of num_arcs *
-/// kScanLanes floats. Returns the number of dimensions read.
-int64_t PushBlockTopK(const ArcConstants* arcs, size_t num_arcs,
-                      const EntityBlock& block, int64_t first_entity,
-                      bool prune, float* partial, TopKAccumulator* acc,
-                      ScanStats* stats);
+  /// A row-major [num_entities, dim] array as a one-segment table.
+  static EntityTable RowMajor(const float* rows, int64_t num_entities,
+                              int64_t dim);
 
-/// Streams rows [begin, end) of a row-major table into `acc` in kernel
-/// blocks, scoring each entity by its minimum distance over `arcs` (see
-/// PushBlockTopK). Scratch is one arcs.size() * kScanLanes buffer.
-void AccumulateRowsTopK(const float* table, int64_t dim,
-                        const std::vector<ArcConstants>& arcs, int64_t begin,
-                        int64_t end, bool prune, TopKAccumulator* acc,
-                        ScanStats* stats);
+  /// Copies entity's row (`dim` floats) into `out`, bit for bit.
+  void CopyRow(int64_t entity, float* out) const;
+
+  /// Exact distances from entities [begin, end) to `arc`: out[i] is entity
+  /// begin + i's.
+  void Distances(const ArcConstants& arc, int64_t begin, int64_t end,
+                 float* out) const;
+
+  /// Streams entities [begin, end) (clamped to the table) into `acc`,
+  /// scoring each by its minimum distance over `arcs`, the DNF union
+  /// semantics. With `prune` each block is scanned against acc->bound(),
+  /// frozen for the block, and abandoned once every (entity, branch)
+  /// partial sum exceeds it; exact for top-k whenever ρ > 0 and η >= 0.
+  /// Admitted entities carry their full distance, so acc->Take() equals
+  /// pushing every entity's distance at any partition of the range.
+  /// Columnar tables also count column blocks read and skipped per
+  /// segment. Calls `release` (when set) on each segment once done with it.
+  void AccumulateTopK(const std::vector<ArcConstants>& arcs, int64_t begin,
+                      int64_t end, bool prune, TopKAccumulator* acc,
+                      ScanStats* stats) const;
+
+  int64_t num_entities = 0;
+  int64_t dim = 0;
+  bool columnar = false;
+  std::vector<Segment> segments;  // ascending, contiguous from entity 0
+  /// Optional hook run after a top-k scan finishes a segment: the store
+  /// uses it to drop the segment's mapped pages (bounded residency).
+  void (*release)(const Segment& segment, int64_t dim) = nullptr;
+};
 
 }  // namespace halk::core
 

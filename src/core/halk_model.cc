@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "core/distance.h"
-#include "core/entity_source.h"
 #include "nn/attention.h"
 #include "nn/init.h"
 
@@ -21,28 +20,31 @@ constexpr float kTwoPi = 2.0f * kPi;
 
 HalkModel::HalkModel(const ModelConfig& config,
                      const kg::NodeGrouping* grouping,
-                     const EntityScanSource* entity_source)
+                     const EntityTable* entity_table)
     : QueryModel(config),
       grouping_(grouping),
-      entity_source_(entity_source),
-      rng_(config.seed) {
+      rng_(config.seed),
+      table_(entity_table != nullptr ? entity_table : &ram_table_) {
   HALK_CHECK_GT(config.num_entities, 0);
   HALK_CHECK_GT(config.num_relations, 0);
   const int64_t d = config.dim;
   const int64_t h = config.hidden;
 
-  if (entity_source_ != nullptr) {
-    // Store-backed: the [N, d] table stays in the external source. Skipping
+  if (store_backed()) {
+    // Store-backed: the [N, d] table stays in the external rows. Skipping
     // its allocation (and its RNG draws) means the remaining tables init
     // differently from an equally-seeded in-RAM model — irrelevant in
     // practice, since store-backed models load every operator weight from
     // the snapshot's params blob.
-    HALK_CHECK_EQ(entity_source_->num_entities(), config.num_entities);
-    HALK_CHECK_EQ(entity_source_->dim(), d);
+    HALK_CHECK_EQ(table_->num_entities, config.num_entities);
+    HALK_CHECK_EQ(table_->dim, d);
   } else {
     entity_angles_ = Tensor::Zeros({config.num_entities, d});
     nn::UniformInit(&entity_angles_, 0.0f, kTwoPi, &rng_);
     entity_angles_.set_requires_grad(true);
+    // Training updates the tensor in place, so the table stays valid.
+    ram_table_ =
+        EntityTable::RowMajor(entity_angles_.data(), config.num_entities, d);
   }
 
   rel_center_ = Tensor::Zeros({config.num_relations, d});
@@ -98,16 +100,13 @@ EmbeddingBatch HalkModel::EmbedAnchors(const std::vector<int64_t>& entities) {
 }
 
 Tensor HalkModel::GatherEntityRows(const std::vector<int64_t>& entities) const {
-  if (entity_source_ == nullptr) {
-    return tensor::Gather(entity_angles_, entities);
-  }
-  // Store-backed lookup: bit-exact rows copied out of the source. No
+  if (!store_backed()) return tensor::Gather(entity_angles_, entities);
+  // Store-backed lookup: bit-exact rows copied out of the table. No
   // autograd edge — serving only.
   const int64_t d = config_.dim;
   Tensor out = Tensor::Zeros({static_cast<int64_t>(entities.size()), d});
   for (size_t i = 0; i < entities.size(); ++i) {
-    entity_source_->CopyRow(entities[i],
-                            out.data() + static_cast<int64_t>(i) * d);
+    table_->CopyRow(entities[i], out.data() + static_cast<int64_t>(i) * d);
   }
   return out;
 }
@@ -269,12 +268,7 @@ void HalkModel::DistancesToRange(const EmbeddingBatch& embedding, int64_t row,
       embedding.a.data() + row * d, embedding.b.data() + row * d, d,
       config_.rho, config_.eta);
   out->resize(static_cast<size_t>(end - begin));
-  if (entity_source_ != nullptr) {
-    entity_source_->Distances(arc, begin, end, out->data());
-    return;
-  }
-  ArcDistancesToRows(entity_angles_.data() + begin * d, d, end - begin, arc,
-                     out->data());
+  table_->Distances(arc, begin, end, out->data());
 }
 
 double HalkModel::MembershipThreshold(const EmbeddingBatch& embedding,
@@ -309,26 +303,14 @@ void HalkModel::AccumulateTopKRange(const std::vector<BranchRef>& branches,
   // Early exit is only a lower-bound argument when every per-dimension
   // term is non-negative.
   const bool prune = config_.rho > 0.0f && config_.eta >= 0.0f;
-  if (entity_source_ != nullptr) {
-    if (!prune) {
-      QueryModel::AccumulateTopKRange(branches, begin, end, acc, stats);
-      return;
-    }
-    // Out-of-core scan: the source runs the same kernel against the same
-    // admission bound and is contractually exact, so results are
-    // bit-identical to the in-RAM scan (tests/store pins this down).
-    entity_source_->AccumulateTopKRange(arcs, begin, end, acc, stats);
-    return;
-  }
-  AccumulateRowsTopK(entity_angles_.data(), d, arcs, begin, end, prune, acc,
-                     stats);
+  table_->AccumulateTopK(arcs, begin, end, prune, acc, stats);
 }
 
 std::vector<Tensor> HalkModel::Parameters() const {
   // Store-backed models have no in-RAM entity table: Parameters() is then
   // exactly the params-blob tensor list (store/writer.h).
   std::vector<Tensor> out;
-  if (entity_source_ == nullptr) out.push_back(entity_angles_);
+  if (!store_backed()) out.push_back(entity_angles_);
   out.push_back(rel_center_);
   out.push_back(rel_length_);
   out.push_back(kappa_first_);

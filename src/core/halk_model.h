@@ -7,13 +7,12 @@
 
 #include "common/rng.h"
 #include "core/arc.h"
+#include "core/distance.h"
 #include "core/query_model.h"
 #include "nn/deepsets.h"
 #include "nn/mlp.h"
 
 namespace halk::core {
-
-class EntityScanSource;
 
 /// The HaLk model (Sec. III of the paper): entities are points on a circle,
 /// query nodes are arc segments, and the five logical operators are
@@ -38,16 +37,16 @@ class HalkModel : public QueryModel {
   /// `grouping` (optional, may be null) enables the group-similarity factor
   /// z_i in the intersection attention (Eq. 10).
   ///
-  /// `entity_source` (optional) makes the model serve its entity table out
-  /// of an external read-only source (e.g. the mmap-backed store) instead
-  /// of an in-RAM tensor: no [N, d] allocation happens, anchor/distance
-  /// lookups copy rows from the source, and top-k scans delegate to it.
+  /// `entity_table` (optional) makes the model serve its entity table out
+  /// of external read-only rows (the mmap-backed store's table) instead of
+  /// an in-RAM tensor: no [N, d] allocation happens and anchor lookups copy
+  /// rows from the table. Either way ranking runs the same table loops.
   /// Store-backed models are serving-only — Parameters() excludes the
-  /// entity table (it is not trainable through the source), so operator
-  /// weights must be loaded from a snapshot params blob
-  /// (store::OpenServingModel). The source must outlive the model.
+  /// entity table (it is not trainable), so operator weights must be
+  /// loaded from a snapshot params blob (store::OpenServingModel). The
+  /// table must outlive the model.
   HalkModel(const ModelConfig& config, const kg::NodeGrouping* grouping,
-            const EntityScanSource* entity_source = nullptr);
+            const EntityTable* entity_table = nullptr);
 
   std::string name() const override { return "HaLk"; }
 
@@ -113,14 +112,13 @@ class HalkModel : public QueryModel {
   /// store-backed mode — check store_backed() first.
   const tensor::Tensor& entity_angles() const { return entity_angles_; }
 
-  /// True when the entity table lives in an external EntityScanSource
-  /// instead of entity_angles_.
-  bool store_backed() const { return entity_source_ != nullptr; }
-  const EntityScanSource* entity_source() const { return entity_source_; }
+  /// True when the entity table lives in external rows instead of
+  /// entity_angles_.
+  bool store_backed() const { return table_ != &ram_table_; }
 
  protected:
   /// Entity rows as a [B, d] tensor: autograd Gather from the in-RAM table,
-  /// or a plain bit-exact copy out of the external source.
+  /// or a plain bit-exact copy out of the external table.
   tensor::Tensor GatherEntityRows(const std::vector<int64_t>& entities) const;
 
   /// Semantic-average center via attention in rectangular coordinates:
@@ -130,11 +128,12 @@ class HalkModel : public QueryModel {
       const std::vector<tensor::Tensor>& scores) const;
 
   const kg::NodeGrouping* grouping_;  // not owned, may be null
-  const EntityScanSource* entity_source_;  // not owned, may be null
   Rng rng_;
 
   // Embedding tables.
-  tensor::Tensor entity_angles_;  // [N, d]
+  tensor::Tensor entity_angles_;  // [N, d], undefined when store-backed
+  EntityTable ram_table_;         // one row-major segment over it
+  const EntityTable* table_;      // &ram_table_, or the external table
   tensor::Tensor rel_center_;     // [M, d]
   tensor::Tensor rel_length_;     // [M, d]
 

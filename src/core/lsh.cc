@@ -95,11 +95,13 @@ std::vector<int64_t> AngularLshIndex::TopK(const float* arc_center,
   // Candidates are scattered, so each is its own one-entity kernel block.
   const ArcConstants arc =
       MakeArcConstants(arc_center, arc_length, dim_, rho, eta);
+  const EntityTable table =
+      EntityTable::RowMajor(angles_, num_entities_, dim_);
   std::vector<std::pair<float, int64_t>> scored;
   scored.reserve(candidates.size());
   for (int64_t e : candidates) {
     float distance = 0.0f;
-    ArcDistancesToRows(angles_ + e * dim_, dim_, 1, arc, &distance);
+    table.Distances(arc, e, e + 1, &distance);
     scored.emplace_back(distance, e);
   }
   const size_t kk = static_cast<size_t>(k);

@@ -46,10 +46,10 @@ struct ScanStats {
   /// Entities abandoned by a bound-aware early exit before their exact
   /// distance was known; 0 for the exhaustive base kernel.
   int64_t entities_pruned = 0;
-  /// Columnar-store scans only (src/store/): per-dimension column blocks
-  /// actually read vs. skipped because every entity in the row group was
-  /// already pruned. Skipped blocks are pages never faulted in — the
-  /// counters behind the out-of-core memory ceiling. 0 on in-RAM scans.
+  /// Columnar tables only (the store's, src/store/): per-dimension column
+  /// blocks actually read vs. skipped because every entity in the row
+  /// group was already pruned. Skipped blocks are pages never faulted in —
+  /// the counters behind the out-of-core memory ceiling. 0 on in-RAM scans.
   int64_t column_blocks_scanned = 0;
   int64_t column_blocks_skipped = 0;
 };

@@ -22,14 +22,7 @@ Plan Planner::BuildPlan(const std::vector<PlanItem>& items) const {
 
   for (size_t item_index = 0; item_index < items.size(); ++item_index) {
     HALK_CHECK(items[item_index].graph != nullptr);
-    // The rewritten graph (when enabled) only needs to live for this
-    // iteration: everything the plan keeps is copied into its arena.
-    query::QueryGraph rewritten;
     const query::QueryGraph* g = items[item_index].graph;
-    if (options_.apply_rewrites) {
-      rewritten = RewriteQuery(*g, options_.rewrites);
-      g = &rewritten;
-    }
     HALK_CHECK_GE(g->target(), 0) << "planning a target-less query";
 
     const std::vector<query::Fingerprint> fps =

@@ -8,19 +8,11 @@
 #include "obs/query_stats.h"
 #include "plan/cost_model.h"
 #include "plan/plan.h"
-#include "plan/rewrite.h"
 #include "query/dag.h"
 
 namespace halk::plan {
 
 struct PlannerOptions {
-  /// Run the algebraic rewrite pass (plan/rewrite.h) on each branch before
-  /// planning. Off by default on the serving path: the rewrites are exact
-  /// set identities, but they change which neural operators run, so served
-  /// answers would no longer be bit-identical to Evaluator::TopK on the
-  /// unrewritten graph.
-  bool apply_rewrites = false;
-  RewriteOptions rewrites;
   /// Cardinality-feedback source (not owned; must outlive the planner;
   /// null disables). When a subtree's fingerprint has enough observed
   /// actual-rows samples, the EWMA replaces the cost model's estimate in

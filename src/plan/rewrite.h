@@ -30,9 +30,8 @@ struct RewriteOptions {
 /// dropped). Every rewrite is an exact set identity — the rewritten query
 /// denotes the same answer set — but it swaps which *neural* operators
 /// run, so embeddings and rankings may shift. The serving planner therefore
-/// leaves this off by default (PlannerOptions::apply_rewrites) to stay
-/// bit-identical with Evaluator::TopK; training-time and offline pipelines
-/// opt in.
+/// never applies it, to stay bit-identical with Evaluator::TopK;
+/// training-time and offline pipelines call it before planning.
 query::QueryGraph RewriteQuery(const query::QueryGraph& query,
                                const RewriteOptions& options);
 

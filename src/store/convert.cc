@@ -186,7 +186,7 @@ Status ConvertSnapshotToCheckpoint(const std::string& dir,
   const int64_t d = store->dim();
   ckpt.tensors[0].resize(static_cast<size_t>(n * d));
   for (int64_t e = 0; e < n; ++e) {
-    store->CopyRow(e, ckpt.tensors[0].data() + e * d);
+    store->table().CopyRow(e, ckpt.tensors[0].data() + e * d);
   }
   for (size_t i = 0; i < params.size(); ++i) {
     ckpt.tensors[i + 1] = std::move(params[i]);
@@ -217,7 +217,7 @@ Result<std::unique_ptr<core::HalkModel>> OpenServingModel(
         "params blob checksum disagrees with the manifest");
   }
   auto model = std::make_unique<core::HalkModel>(snap.config, grouping,
-                                                 &store);
+                                                 &store.table());
   // Store-backed Parameters() excludes the entity table, so blob tensor i
   // maps straight onto parameter i.
   std::vector<tensor::Tensor> dst = model->Parameters();

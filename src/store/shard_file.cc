@@ -9,7 +9,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -222,23 +221,8 @@ Result<std::unique_ptr<MappedShardFile>> MappedShardFile::Open(
     return Status::ParseError(path + ": checksum table corrupt");
   }
 
-  int advice = MADV_NORMAL;
-  if (options.advice == Advice::kSequential) advice = MADV_SEQUENTIAL;
-  if (options.advice == Advice::kRandom) advice = MADV_RANDOM;
-  // Advisory only: a kernel that rejects the hint still serves the mapping.
-  (void)::madvise(const_cast<uint8_t*>(file->map_), file->map_len_, advice);
-  file->residency_window_bytes_ = options.residency_window_bytes;
-
   if (options.verify_checksums) {
     HALK_RETURN_NOT_OK(file->VerifyChecksums());
-  }
-  if (options.residency_window_bytes > 0) {
-    // Bounded-residency serving starts cold: pages faulted while mapping
-    // or validating (or left behind by the writer that just produced the
-    // file) are dropped so the ceiling holds from the first scan on.
-    // Dropping here, per file, also keeps the transient footprint of
-    // opening a many-file store at one file rather than the whole table.
-    file->DropResidency();
   }
   return file;
 }
@@ -253,18 +237,6 @@ const float* MappedShardFile::ColumnBlock(int64_t group,
                                           int64_t dim_index) const {
   return reinterpret_cast<const float*>(
       map_ + BlockOffset(header_, group, dim_index));
-}
-
-void MappedShardFile::CopyRow(int64_t entity, float* out) const {
-  HALK_CHECK_GE(entity, header_.entity_begin);
-  HALK_CHECK_LT(entity, header_.entity_end);
-  const int64_t local = entity - header_.entity_begin;
-  const int64_t group = local / header_.rows_per_group;
-  const int64_t row = local % header_.rows_per_group;
-  const int64_t d = header_.dim;
-  for (int64_t j = 0; j < d; ++j) {
-    out[j] = ColumnBlock(group, j)[row];
-  }
 }
 
 Status MappedShardFile::VerifyChecksums() const {
@@ -283,99 +255,6 @@ Status MappedShardFile::VerifyChecksums() const {
     }
   }
   return Status::OK();
-}
-
-core::EntityBlock MappedShardFile::Block(int64_t first_entity,
-                                         int64_t rows) const {
-  const int64_t offset = first_entity - header_.entity_begin;
-  const int64_t group = offset / header_.rows_per_group;
-  const int64_t row = offset - group * header_.rows_per_group;
-  const int64_t dim_stride = static_cast<int64_t>(
-      GroupBlockBytes(header_, group) / sizeof(float));
-  return {ColumnBlock(group, 0) + row, rows, 1, dim_stride};
-}
-
-void MappedShardFile::Distances(const core::ArcConstants& arc, int64_t begin,
-                                int64_t end, float* out) const {
-  const int64_t lo = std::max(begin, header_.entity_begin);
-  const int64_t hi = std::min(end, header_.entity_end);
-  const int64_t G = header_.rows_per_group;
-  const core::ScanKernelFn kernel = core::ScanKernel();
-  float partial[core::kScanLanes];
-  for (int64_t e = lo; e < hi;) {
-    // Kernel blocks never straddle a row group: the group's column blocks
-    // are the ones a block reads in place.
-    const int64_t group_end =
-        header_.entity_begin + ((e - header_.entity_begin) / G + 1) * G;
-    const int64_t rows = std::min({core::kScanLanes, hi - e, group_end - e});
-    kernel(&arc, 1, Block(e, rows), std::numeric_limits<float>::infinity(),
-           partial, out + (e - begin));
-    e += rows;
-  }
-}
-
-void MappedShardFile::Scan(const std::vector<core::ArcConstants>& arcs,
-                           int64_t begin, int64_t end,
-                           core::TopKAccumulator* acc,
-                           core::ScanStats* stats) const {
-  const int64_t lo = std::max(begin, header_.entity_begin);
-  const int64_t hi = std::min(end, header_.entity_end);
-  if (lo >= hi || arcs.empty()) return;
-  const int64_t d = header_.dim;
-  const int64_t G = header_.rows_per_group;
-  // The scan kernel walks each block of a row group dimension by dimension
-  // straight out of the mapped column blocks and abandons the block once
-  // every (entity, arc) pair is pruned against the accumulator bound, so
-  // later-dimension pages of fully pruned blocks are never read. Exact
-  // (docs/storage.md): the same kernel and bound rule as the in-RAM scan.
-  std::vector<float> partial(arcs.size() * core::kScanLanes);
-
-  const int64_t first_group = (lo - header_.entity_begin) / G;
-  const int64_t last_group = (hi - 1 - header_.entity_begin) / G;
-  // Bounded-residency mode (OpenOptions::residency_window_bytes): the scan
-  // walks groups in file order, so each completed span of groups can be
-  // dropped from the mapping as soon as it exceeds the window — the scan's
-  // resident footprint stays near the window size instead of growing to
-  // the table. Concurrent scans over the same file refault dropped pages;
-  // results are unaffected either way.
-  const uint64_t window = residency_window_bytes_;
-  int64_t drop_from = first_group;
-  uint64_t drop_span_bytes = 0;
-  for (int64_t g = first_group; g <= last_group; ++g) {
-    const int64_t group_first = header_.entity_begin + g * G;
-    const int64_t span_lo = std::max(lo, group_first);
-    const int64_t span_hi = std::min(hi, group_first + GroupRows(g));
-    // A column block of the group is read when any kernel block reads
-    // that dimension.
-    int64_t dims_read = 0;
-    for (int64_t e = span_lo; e < span_hi; e += core::kScanLanes) {
-      const int64_t rows = std::min(core::kScanLanes, span_hi - e);
-      dims_read = std::max(
-          dims_read,
-          core::PushBlockTopK(arcs.data(), arcs.size(), Block(e, rows), e,
-                              /*prune=*/true, partial.data(), acc, stats));
-    }
-    if (stats != nullptr) {
-      stats->column_blocks_scanned += dims_read;
-      stats->column_blocks_skipped += d - dims_read;
-    }
-
-    if (window > 0) {
-      drop_span_bytes += header_.dim * GroupBlockBytes(header_, g);
-      if (drop_span_bytes >= window || g == last_group) {
-        const uint64_t off = BlockOffset(header_, drop_from, 0);
-        DropRange(off, BlockOffset(header_, g, 0) +
-                           header_.dim * GroupBlockBytes(header_, g) - off);
-        drop_from = g + 1;
-        drop_span_bytes = 0;
-      }
-    }
-  }
-  if (stats != nullptr) stats->entities_scanned += hi - lo;
-}
-
-void MappedShardFile::DropRange(uint64_t offset, uint64_t bytes) const {
-  (void)::madvise(const_cast<uint8_t*>(map_) + offset, bytes, MADV_DONTNEED);
 }
 
 size_t MappedShardFile::ResidentBytes() const {

@@ -8,9 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/distance.h"
-#include "core/query_model.h"
-#include "core/topk.h"
 #include "store/format.h"
 
 namespace halk::store {
@@ -65,29 +62,19 @@ class ShardFileWriter {
 };
 
 /// One shard file opened read-only through mmap. The mapping is immutable
-/// and shared: any number of threads may CopyRow/Scan concurrently. The
-/// file is validated on open (magic, version, geometry, header checksum;
+/// and shared: any number of threads may read it concurrently. The file is
+/// validated on open (magic, version, geometry, header checksum;
 /// optionally every block checksum) and rejected with a clean Status — a
-/// corrupt store never produces silently wrong rankings.
+/// corrupt store never produces silently wrong rankings. Scanning goes
+/// through the store's core::EntityTable, whose segments are this file's
+/// row groups.
 class MappedShardFile {
  public:
-  /// madvise hint applied to the data region after mapping.
-  enum class Advice { kNormal, kSequential, kRandom };
-
   struct OpenOptions {
     /// Reads and verifies every column block checksum up front. Touches the
     /// whole file (faults in every page), so large out-of-core stores
     /// verify through `halk_store verify` instead of at serve time.
     bool verify_checksums = true;
-    Advice advice = Advice::kNormal;
-    /// Bounded-residency scans: when non-zero, Scan() drops the pages of
-    /// each processed row-group span (madvise MADV_DONTNEED) once the span
-    /// exceeds this many bytes, so one scan keeps at most about a window's
-    /// worth of the mapping resident instead of accumulating the whole
-    /// table. 0 (default) leaves pages to the kernel's page cache — faster
-    /// for repeated queries when the table fits in RAM. Dropped pages are
-    /// refaulted on the next access; results are unaffected.
-    uint64_t residency_window_bytes = 0;
   };
 
   [[nodiscard]] static Result<std::unique_ptr<MappedShardFile>> Open(
@@ -109,26 +96,6 @@ class MappedShardFile {
     return GroupRowCount(header_, group);
   }
 
-  /// Copies global entity `entity`'s row (dim floats) out of the mapping.
-  void CopyRow(int64_t entity, float* out) const;
-
-  /// Bound-aware columnar top-k scan of global ids
-  /// [max(begin, entity_begin), min(end, entity_end)): min arc distance
-  /// over `arcs` per entity, exact w.r.t. the in-RAM scan (see
-  /// docs/storage.md for the exactness argument). Hands each row group's
-  /// column blocks to the scan kernel in place, kScanLanes rows at a time;
-  /// a block stops reading dimensions once every (entity, arc) pair is
-  /// pruned against the accumulator bound — skipped blocks are pages never
-  /// read.
-  void Scan(const std::vector<core::ArcConstants>& arcs, int64_t begin,
-            int64_t end, core::TopKAccumulator* acc,
-            core::ScanStats* stats) const;
-
-  /// Exact distances from global ids [max(begin, entity_begin),
-  /// min(end, entity_end)) to `arc`, written to out[id - begin].
-  void Distances(const core::ArcConstants& arc, int64_t begin, int64_t end,
-                 float* out) const;
-
   /// Re-reads every column block against the checksum table.
   [[nodiscard]] Status VerifyChecksums() const;
 
@@ -142,19 +109,10 @@ class MappedShardFile {
  private:
   MappedShardFile() = default;
 
-  /// Kernel view of `rows` entities from `first_entity` on, all inside one
-  /// row group.
-  core::EntityBlock Block(int64_t first_entity, int64_t rows) const;
-
-  /// madvise(MADV_DONTNEED) on [offset, offset + bytes) of the mapping;
-  /// offsets must be page-aligned (group spans are, by construction).
-  void DropRange(uint64_t offset, uint64_t bytes) const;
-
   std::string path_;
   ShardFileHeader header_;
   const uint8_t* map_ = nullptr;
   size_t map_len_ = 0;
-  uint64_t residency_window_bytes_ = 0;
 };
 
 }  // namespace halk::store

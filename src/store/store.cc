@@ -1,12 +1,26 @@
 #include "store/store.h"
 
-#include <algorithm>
+#include <sys/mman.h>
 
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/trace.h"
 
 namespace halk::store {
+
+namespace {
+
+/// EntityTable::release for bounded residency: drops one row group's
+/// mapped pages. A segment is a whole group, whose column blocks are
+/// contiguous page multiples starting on a page boundary.
+void ReleaseRowGroup(const core::EntityTable::Segment& segment,
+                     int64_t dim) {
+  (void)::madvise(const_cast<float*>(segment.base),
+                  static_cast<size_t>(dim * segment.dim_stride) *
+                      sizeof(float),
+                  MADV_DONTNEED);
+}
+
+}  // namespace
 
 Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
     const std::string& dir, const OpenOptions& options) {
@@ -20,10 +34,13 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
   store->snapshot_ = snap;
   store->files_.reserve(snap.shards.size());
 
+  store->table_.num_entities = snap.config.num_entities;
+  store->table_.dim = snap.config.dim;
+  store->table_.columnar = true;
+  if (options.release_scanned_pages) store->table_.release = ReleaseRowGroup;
+
   MappedShardFile::OpenOptions file_options;
   file_options.verify_checksums = options.verify_checksums;
-  file_options.advice = options.advice;
-  file_options.residency_window_bytes = options.residency_window_bytes;
   for (const SnapshotShardEntry& entry : snap.shards) {
     auto opened =
         MappedShardFile::Open(dir + "/" + entry.file, file_options);
@@ -63,6 +80,21 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
           static_cast<unsigned long long>(h.header_checksum),
           static_cast<unsigned long long>(entry.header_checksum)));
     }
+    if (options.release_scanned_pages) {
+      // Bounded-residency serving starts cold: pages faulted while mapping
+      // or validating (or left behind by the writer that just produced the
+      // file) are dropped so the ceiling holds from the first scan on.
+      // Dropping here, per file, also keeps the transient footprint of
+      // opening a many-file store at one file rather than the whole table.
+      file->DropResidency();
+    }
+    // One columnar segment per row group, read in place.
+    for (int64_t g = 0; g < static_cast<int64_t>(h.num_groups); ++g) {
+      store->table_.segments.push_back(
+          {h.entity_begin + g * h.rows_per_group, file->GroupRows(g),
+           file->ColumnBlock(g, 0), 1,
+           static_cast<int64_t>(GroupBlockBytes(h, g) / sizeof(float))});
+    }
     store->files_.push_back(std::move(file));
   }
 
@@ -86,56 +118,6 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
     }
   }
   return store;
-}
-
-int64_t EmbeddingStore::FileFor(int64_t entity) const {
-  // Files are contiguous and sorted by range; binary-search the begins.
-  int64_t lo = 0;
-  int64_t hi = static_cast<int64_t>(files_.size()) - 1;
-  while (lo < hi) {
-    const int64_t mid = (lo + hi + 1) / 2;
-    if (files_[mid]->entity_begin() <= entity) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
-}
-
-void EmbeddingStore::CopyRow(int64_t entity, float* out) const {
-  HALK_CHECK(entity >= 0 && entity < num_entities());
-  files_[FileFor(entity)]->CopyRow(entity, out);
-}
-
-void EmbeddingStore::Distances(const core::ArcConstants& arc, int64_t begin,
-                               int64_t end, float* out) const {
-  HALK_CHECK(begin >= 0 && end <= num_entities());
-  if (begin >= end) return;
-  for (int64_t f = FileFor(begin);
-       f < static_cast<int64_t>(files_.size()) &&
-       files_[f]->entity_begin() < end;
-       ++f) {
-    files_[f]->Distances(arc, begin, end, out);
-  }
-}
-
-void EmbeddingStore::AccumulateTopKRange(
-    const std::vector<core::ArcConstants>& arcs, int64_t begin, int64_t end,
-    core::TopKAccumulator* acc, core::ScanStats* stats) const {
-  begin = std::max<int64_t>(begin, 0);
-  end = std::min<int64_t>(end, num_entities());
-  if (begin >= end) return;
-  // A range may straddle shard-file boundaries (the serving shard count
-  // need not match the file count); split it and let each file scan its
-  // slice. Sequential order keeps the accumulator bound tightening across
-  // files exactly as the in-RAM entity-major scan would.
-  for (int64_t f = FileFor(begin);
-       f < static_cast<int64_t>(files_.size()) &&
-       files_[f]->entity_begin() < end;
-       ++f) {
-    files_[f]->Scan(arcs, begin, end, acc, stats);
-  }
 }
 
 size_t EmbeddingStore::MappedBytes() const {

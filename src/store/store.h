@@ -8,59 +8,37 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/entity_source.h"
+#include "core/distance.h"
+#include "core/query_model.h"
+#include "core/topk.h"
 #include "serving/metrics.h"
 #include "store/shard_file.h"
 #include "store/snapshot.h"
 
 namespace halk::store {
 
-/// Non-owning view over one shard file of an open store: the handle a
-/// ShardWorker holds to scan its slice of the entity table directly out of
-/// the shared mapping. Copyable; valid while the owning EmbeddingStore
-/// lives.
-class ShardView {
- public:
-  ShardView(const MappedShardFile* file) : file_(file) {}
-
-  int64_t entity_begin() const { return file_->entity_begin(); }
-  int64_t entity_end() const { return file_->entity_end(); }
-
-  void CopyRow(int64_t entity, float* out) const {
-    file_->CopyRow(entity, out);
-  }
-  void Scan(const std::vector<core::ArcConstants>& arcs, int64_t begin,
-            int64_t end, core::TopKAccumulator* acc,
-            core::ScanStats* stats) const {
-    file_->Scan(arcs, begin, end, acc, stats);
-  }
-  size_t ResidentBytes() const { return file_->ResidentBytes(); }
-  size_t mapped_bytes() const { return file_->mapped_bytes(); }
-
- private:
-  const MappedShardFile* file_;
-};
-
 /// An open store snapshot: every shard file mapped read-only, presented to
-/// the core as one immutable entity table ([0, num_entities) global ids).
-/// Implements core::EntityScanSource so a HalkModel can serve directly out
-/// of the mappings instead of an in-RAM tensor — the out-of-core path.
+/// the core as one immutable core::EntityTable ([0, num_entities) global
+/// ids) with one columnar segment per row group of every file, so a
+/// HalkModel serves directly out of the mappings through the same table
+/// loops as an in-RAM model — the out-of-core path.
 /// Thread-safe after Open: all members are immutable and the mappings are
 /// shared, so any number of shard workers may scan concurrently.
-class EmbeddingStore : public core::EntityScanSource {
+class EmbeddingStore {
  public:
   struct OpenOptions {
     /// Verify every column block checksum while opening. Faults in the
     /// whole table — leave off for out-of-core serving and run
     /// `halk_store verify` offline instead.
     bool verify_checksums = true;
-    MappedShardFile::Advice advice = MappedShardFile::Advice::kNormal;
-    /// Bounded-residency scans (MappedShardFile::OpenOptions): when
-    /// non-zero, each scan drops its processed row-group pages once they
-    /// exceed this many bytes, capping the per-scan resident footprint at
-    /// about a window per shard file instead of the whole table. 0 leaves
-    /// caching to the kernel.
-    uint64_t residency_window_bytes = 0;
+    /// Bounded-residency serving: each file's pages are dropped once it is
+    /// opened, and every top-k scan drops each row group it has finished
+    /// with (madvise MADV_DONTNEED), so a scan keeps about one row group
+    /// per shard file resident instead of accumulating the whole table.
+    /// Off (default) leaves caching to the kernel — faster whenever the
+    /// table fits in RAM. Dropped pages refault on the next access;
+    /// results are unaffected.
+    bool release_scanned_pages = false;
     /// When set, the store registers `store.*` metrics here.
     serving::MetricsRegistry* metrics = nullptr;
   };
@@ -72,26 +50,29 @@ class EmbeddingStore : public core::EntityScanSource {
   [[nodiscard]] static Result<std::unique_ptr<EmbeddingStore>> Open(
       const std::string& dir, const OpenOptions& options);
 
-  // -- core::EntityScanSource --
-  int64_t num_entities() const override {
-    return snapshot_.config.num_entities;
-  }
-  int64_t dim() const override { return snapshot_.config.dim; }
-  void CopyRow(int64_t entity, float* out) const override;
-  void Distances(const core::ArcConstants& arc, int64_t begin, int64_t end,
-                 float* out) const override;
+  int64_t num_entities() const { return table_.num_entities; }
+  int64_t dim() const { return table_.dim; }
+  /// The entity table over every mapping, built once at Open.
+  const core::EntityTable& table() const { return table_; }
+
+  /// Bound-aware top-k scan of entities [begin, end) (clamped to the
+  /// table): table().AccumulateTopK with pruning on.
   void AccumulateTopKRange(const std::vector<core::ArcConstants>& arcs,
                            int64_t begin, int64_t end,
                            core::TopKAccumulator* acc,
-                           core::ScanStats* stats) const override;
+                           core::ScanStats* stats) const {
+    table_.AccumulateTopK(arcs, begin, end, /*prune=*/true, acc, stats);
+  }
 
   const StoreSnapshot& snapshot() const { return snapshot_; }
   const std::string& dir() const { return dir_; }
   int64_t num_shard_files() const {
     return static_cast<int64_t>(files_.size());
   }
-  /// View over shard file `i` (manifest order: ascending entity ranges).
-  ShardView view(int64_t i) const { return ShardView(files_[i].get()); }
+  /// Shard file `i` (manifest order: ascending entity ranges).
+  const MappedShardFile& file(int64_t i) const {
+    return *files_[static_cast<size_t>(i)];
+  }
 
   /// Sum of mapped file bytes — the full on-disk table footprint.
   size_t MappedBytes() const;
@@ -110,12 +91,10 @@ class EmbeddingStore : public core::EntityScanSource {
  private:
   EmbeddingStore() = default;
 
-  /// Shard file index covering global entity id `entity`.
-  int64_t FileFor(int64_t entity) const;
-
   std::string dir_;
   StoreSnapshot snapshot_;
   std::vector<std::unique_ptr<MappedShardFile>> files_;
+  core::EntityTable table_;
   serving::Gauge* resident_gauge_ = nullptr;  // null without a registry
 };
 

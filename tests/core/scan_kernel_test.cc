@@ -259,31 +259,48 @@ TEST(ScanKernelTest, MatchesTensorArcDistance) {
 
 TEST(ScanKernelTest, DistanceIsIndependentOfBlockAndLayout) {
   // The same entity scored in a full block, a partial block, a one-entity
-  // block, or columnar (store-style) layout gets the same bits.
+  // block, or a columnar (store-style) table gets the same bits.
   Rng rng(31);
   const int64_t n = 150;
   const int64_t dim = 9;
   const std::vector<float> table = RandomAngles(&rng, n * dim, 0, 2 * kPi);
   const std::vector<ArcConstants> arcs = RandomArcs(&rng, dim, 1, 1.0f, 0.9f);
+  const EntityTable row_major = EntityTable::RowMajor(table.data(), n, dim);
   std::vector<float> blocked(static_cast<size_t>(n));
-  ArcDistancesToRows(table.data(), dim, n, arcs[0], blocked.data());
-  std::vector<float> columns(static_cast<size_t>(n * dim));
-  for (int64_t e = 0; e < n; ++e) {
-    for (int64_t j = 0; j < dim; ++j) columns[j * n + e] = table[e * dim + j];
-  }
-  float partial[kScanLanes];
+  row_major.Distances(arcs[0], 0, n, blocked.data());
   for (int64_t e = 0; e < n; ++e) {
     float single = -1.0f;
-    ArcDistancesToRows(table.data() + e * dim, dim, 1, arcs[0], &single);
+    row_major.Distances(arcs[0], e, e + 1, &single);
     EXPECT_EQ(single, blocked[static_cast<size_t>(e)]) << e;
   }
-  std::vector<float> columnar(static_cast<size_t>(n));
-  for (int64_t e = 0; e < n; e += kScanLanes) {
-    const EntityBlock block{columns.data() + e, std::min(kScanLanes, n - e),
-                            1, n};
-    ScanKernel()(arcs.data(), 1, block, kInf, partial, columnar.data() + e);
+  // Two row groups of 100 and 50 rows, each dimension-major, as the store
+  // lays them out: blocks restart at the group boundary.
+  std::vector<float> columns(static_cast<size_t>(n * dim));
+  EntityTable columnar;
+  columnar.num_entities = n;
+  columnar.dim = dim;
+  columnar.columnar = true;
+  for (const auto& [first, rows] : {std::pair<int64_t, int64_t>{0, 100},
+                                    std::pair<int64_t, int64_t>{100, 50}}) {
+    float* group = columns.data() + first * dim;
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t j = 0; j < dim; ++j) {
+        group[j * rows + r] = table[static_cast<size_t>((first + r) * dim + j)];
+      }
+    }
+    columnar.segments.push_back({first, rows, group, 1, rows});
   }
-  EXPECT_TRUE(BitwiseEqual(columnar, blocked));
+  std::vector<float> from_columns(static_cast<size_t>(n));
+  columnar.Distances(arcs[0], 0, n, from_columns.data());
+  EXPECT_TRUE(BitwiseEqual(from_columns, blocked));
+  std::vector<float> row(static_cast<size_t>(dim));
+  for (int64_t e = 0; e < n; ++e) {
+    columnar.CopyRow(e, row.data());
+    for (int64_t j = 0; j < dim; ++j) {
+      ASSERT_EQ(row[static_cast<size_t>(j)],
+                table[static_cast<size_t>(e * dim + j)]);
+    }
+  }
 }
 
 TEST(ScanKernelTest, PrunedTopKEqualsFullScanTopK) {
@@ -291,6 +308,7 @@ TEST(ScanKernelTest, PrunedTopKEqualsFullScanTopK) {
   const int64_t n = 1000;
   const int64_t dim = 16;
   const std::vector<float> table = RandomAngles(&rng, n * dim, 0, 2 * kPi);
+  const EntityTable row_major = EntityTable::RowMajor(table.data(), n, dim);
   for (int branches : {1, 2, 4}) {
     const std::vector<ArcConstants> arcs =
         RandomArcs(&rng, dim, branches, 1.0f, 0.9f);
@@ -298,8 +316,8 @@ TEST(ScanKernelTest, PrunedTopKEqualsFullScanTopK) {
     std::vector<float> best(static_cast<size_t>(n));
     std::vector<float> dist(static_cast<size_t>(n));
     for (int b = 0; b < branches; ++b) {
-      ArcDistancesToRows(table.data(), dim, n, arcs[static_cast<size_t>(b)],
-                         b == 0 ? best.data() : dist.data());
+      row_major.Distances(arcs[static_cast<size_t>(b)], 0, n,
+                          b == 0 ? best.data() : dist.data());
       for (size_t i = 0; b > 0 && i < best.size(); ++i) {
         best[i] = std::min(best[i], dist[i]);
       }
@@ -307,11 +325,12 @@ TEST(ScanKernelTest, PrunedTopKEqualsFullScanTopK) {
     for (const int64_t k : {1, 10, 100}) {
       TopKAccumulator pruned(k);
       ScanStats stats;
-      AccumulateRowsTopK(table.data(), dim, arcs, 0, n, /*prune=*/true,
-                         &pruned, &stats);
+      row_major.AccumulateTopK(arcs, 0, n, /*prune=*/true, &pruned, &stats);
       EXPECT_EQ(pruned.Take(), TopKFromDistances(best, k))
           << branches << " branches, k " << k;
       EXPECT_EQ(stats.entities_scanned, n);
+      // Column-block counters are for columnar tables only.
+      EXPECT_EQ(stats.column_blocks_scanned, 0);
       if (k == 1) {
         EXPECT_GT(stats.entities_pruned, 0);
       }

@@ -8,6 +8,7 @@
 #include "kg/stats.h"
 #include "plan/cost_model.h"
 #include "plan/explain.h"
+#include "plan/rewrite.h"
 #include "serving/subtree_cache.h"
 
 namespace halk::plan {
@@ -213,14 +214,15 @@ TEST(PlannerTest, StatsDriveSelectivityOrderingWithinALevel) {
   EXPECT_LT(plan.node(depth1[0]).est_rows, plan.node(depth1[1]).est_rows);
 }
 
-TEST(PlannerTest, AppliesRewritesWhenEnabled) {
+// The planner never rewrites; a caller that wants the algebraic rewrites
+// applies RewriteQuery first and plans its output.
+TEST(PlannerTest, PlansRewrittenQueries) {
   QueryGraph g;
   int p = g.AddProjection(g.AddAnchor(1), 0);
   g.SetTarget(g.AddNegation(g.AddNegation(p)));
-  PlannerOptions options;
-  options.apply_rewrites = true;
-  Planner planner(nullptr, 100, options);
-  Plan plan = planner.BuildPlan({{0, &g}});
+  Planner planner(nullptr, 100);
+  const QueryGraph rewritten = RewriteQuery(g);
+  Plan plan = planner.BuildPlan({{0, &rewritten}});
   for (const PlanNode& n : plan.nodes) {
     EXPECT_NE(n.op, OpType::kNegation);
   }

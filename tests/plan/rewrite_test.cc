@@ -1,7 +1,6 @@
 // Ported from tests/query/optimizer_test.cc when the heuristic pass moved
-// into the planner (plan/rewrite.h): the same rewrites must hold when
-// requested through the planner path (PlannerOptions::apply_rewrites),
-// which plan_test.cc covers at the plan level.
+// into plan/rewrite.h. RewriteQuery is a free function the planner never
+// calls; planner_test.cc covers planning a rewritten query.
 #include "plan/rewrite.h"
 
 #include <gtest/gtest.h>

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/checkpoint.h"
 #include "core/distance.h"
 #include "core/evaluator.h"
@@ -90,11 +91,10 @@ TEST(ShardFileTest, RoundTripWithPartialTailGroup) {
   EXPECT_EQ(file.header().num_groups, 16u);
   EXPECT_EQ(file.GroupRows(15), 40);
 
-  std::vector<float> row(dim);
   for (int64_t e = begin; e < end; ++e) {
-    file.CopyRow(e, row.data());
+    const int64_t local = e - begin;
     for (int64_t j = 0; j < dim; ++j) {
-      ASSERT_EQ(row[static_cast<size_t>(j)], Cell(e, j))
+      ASSERT_EQ(file.ColumnBlock(local / 64, j)[local % 64], Cell(e, j))
           << "entity " << e << " dim " << j;
     }
   }
@@ -333,13 +333,28 @@ TEST(SnapshotWriterTest, BalancedFilesAndCrossBoundaryAppends) {
   EXPECT_EQ((*store)->dim(), 5);
   ASSERT_EQ((*store)->num_shard_files(), 4);
   // 103 = 26 + 26 + 26 + 25 (first `rem` files take the extra row).
-  EXPECT_EQ((*store)->view(0).entity_end(), 26);
-  EXPECT_EQ((*store)->view(3).entity_begin(), 78);
-  EXPECT_EQ((*store)->view(3).entity_end(), 103);
+  EXPECT_EQ((*store)->file(0).entity_end(), 26);
+  EXPECT_EQ((*store)->file(3).entity_begin(), 78);
+  EXPECT_EQ((*store)->file(3).entity_end(), 103);
+
+  // The table has one columnar segment per row group of every file
+  // (16 + 10 rows per 26-row file, 16 + 9 for the last), tiling [0, 103).
+  const core::EntityTable& table = (*store)->table();
+  EXPECT_TRUE(table.columnar);
+  ASSERT_EQ(table.segments.size(), 8u);
+  int64_t next = 0;
+  for (const core::EntityTable::Segment& segment : table.segments) {
+    EXPECT_EQ(segment.first, next);
+    EXPECT_EQ(segment.row_stride, 1);
+    next += segment.rows;
+  }
+  EXPECT_EQ(next, 103);
+  EXPECT_EQ(table.segments[1].rows, 10);
+  EXPECT_EQ(table.segments[7].rows, 9);
 
   std::vector<float> row(5);
   for (int64_t e = 0; e < 103; ++e) {
-    (*store)->CopyRow(e, row.data());
+    table.CopyRow(e, row.data());
     for (int64_t j = 0; j < 5; ++j) {
       ASSERT_EQ(row[static_cast<size_t>(j)], Cell(e, j)) << "entity " << e;
     }
@@ -376,12 +391,28 @@ TEST(SnapshotWriterTest, ReplacedShardFileIsRejectedByManifestBinding) {
 }
 
 TEST(StoreScanTest, BoundAwareScanSkipsColumnBlocksExactly) {
-  const std::string path = TempPath("scan_skip.halkstore");
-  const uint32_t dim = 8;
-  WriteTestShardFile(path, dim, 0, 256, /*rows_per_group=*/32);
-  MappedShardFile::OpenOptions options;
-  auto opened = MappedShardFile::Open(path, options);
-  ASSERT_TRUE(opened.ok());
+  const std::string dir = TempPath("snap_scan_skip");
+  const int64_t dim = 8;
+  SnapshotWriterOptions options;
+  options.dir = dir;
+  options.config.num_entities = 256;
+  options.config.num_relations = 1;
+  options.config.dim = dim;
+  options.num_shards = 1;
+  options.rows_per_group = 32;
+  auto writer = SnapshotWriter::Create(options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  std::vector<float> rows(256 * dim);
+  for (int64_t e = 0; e < 256; ++e) {
+    for (int64_t j = 0; j < dim; ++j) {
+      rows[static_cast<size_t>(e * dim + j)] = Cell(e, j);
+    }
+  }
+  ASSERT_TRUE((*writer)->AppendEntityRows(rows.data(), 256).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+  auto store = EmbeddingStore::Open(dir, {});
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const core::EntityTable& table = (*store)->table();
 
   std::vector<float> center(dim, 0.0f);
   std::vector<float> length(dim, 0.1f);
@@ -391,11 +422,11 @@ TEST(StoreScanTest, BoundAwareScanSkipsColumnBlocksExactly) {
   // Exactness: the scan's heap equals pushing every exact distance.
   core::TopKAccumulator scanned(10);
   core::ScanStats stats;
-  (*opened)->Scan(arcs, 0, 256, &scanned, &stats);
+  table.AccumulateTopK(arcs, 0, 256, /*prune=*/true, &scanned, &stats);
   core::TopKAccumulator expected(10);
   std::vector<float> row(dim);
   for (int64_t e = 0; e < 256; ++e) {
-    (*opened)->CopyRow(e, row.data());
+    table.CopyRow(e, row.data());
     expected.Push(e, core::ArcPointDistance(row.data(), center.data(),
                                             length.data(), dim, 1.0f, 0.9f));
   }
@@ -409,10 +440,9 @@ TEST(StoreScanTest, BoundAwareScanSkipsColumnBlocksExactly) {
   core::TopKAccumulator tight(1);
   tight.Push(/*entity=*/9999, 0.0f);
   core::ScanStats tight_stats;
-  (*opened)->Scan(arcs, 0, 256, &tight, &tight_stats);
+  table.AccumulateTopK(arcs, 0, 256, /*prune=*/true, &tight, &tight_stats);
   EXPECT_GT(tight_stats.column_blocks_skipped, 0);
   EXPECT_EQ(tight_stats.entities_pruned, 256);
-  std::remove(path.c_str());
 }
 
 /// End-to-end fixture: a trained-shape model over a small synthetic KG,
@@ -456,51 +486,99 @@ kg::Dataset* StoreServingTest::dataset_ = nullptr;
 core::HalkModel* StoreServingTest::model_ = nullptr;
 
 // Acceptance property: the store-backed model ranks bit-identically to the
-// in-RAM model, standalone and under every sharded partition.
+// in-RAM model, standalone and under every sharded partition. Inputs: the
+// fixture model (η >= 0, pruned scans) and an η < 0 model (unpruned scans),
+// each served from a store opened with scanned-page release off and on.
 TEST_F(StoreServingTest, StoreBackedTopKIsBitIdenticalToInRam) {
-  const std::string dir = TempPath("snap_serving");
-  ASSERT_TRUE(WriteModelSnapshot(*model_, dir, /*num_shards=*/3).ok());
-  auto store = EmbeddingStore::Open(dir, {});
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto served = OpenServingModel(**store, nullptr);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
-  EXPECT_TRUE((*served)->store_backed());
+  core::ModelConfig unpruned_config = model_->config();
+  unpruned_config.eta = -0.5f;
+  core::HalkModel unpruned(unpruned_config, nullptr);
+  EmbeddingStore::OpenOptions release_on;
+  release_on.release_scanned_pages = true;
 
-  core::Evaluator in_ram(model_);
-  core::Evaluator out_of_core(served->get());
-  query::QuerySampler sampler(&dataset_->train, 3);
-  for (StructureId s :
-       {StructureId::k1p, StructureId::k2p, StructureId::k2i,
-        StructureId::k2u}) {
-    auto queries = sampler.SampleMany(s, 3);
-    ASSERT_TRUE(queries.ok());
-    for (const query::GroundedQuery& q : *queries) {
-      EXPECT_EQ(in_ram.TopK(q.graph, 10), out_of_core.TopK(q.graph, 10))
-          << query::StructureName(s);
-      // Raw distances match bit-exactly, not just the ranking.
-      const std::vector<float> a = in_ram.ScoreAllEntities(q.graph);
-      const std::vector<float> b = out_of_core.ScoreAllEntities(q.graph);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i], b[i]) << "entity " << i;
+  for (core::HalkModel* in_ram_model : {model_, &unpruned}) {
+    const float eta = in_ram_model->config().eta;
+    const std::string dir =
+        TempPath(eta < 0.0f ? "snap_serving_unpruned" : "snap_serving");
+    ASSERT_TRUE(WriteModelSnapshot(*in_ram_model, dir, /*num_shards=*/3).ok());
+    core::Evaluator in_ram(in_ram_model);
+    // Per (shard count, query) scan counters of each store, to compare the
+    // release-on store against the release-off one.
+    std::vector<std::vector<core::ScanStats>> stats_by_store;
+
+    for (const EmbeddingStore::OpenOptions& open_options :
+         {EmbeddingStore::OpenOptions{}, release_on}) {
+      const std::string label =
+          StrFormat("eta %g, release %d", eta,
+                    static_cast<int>(open_options.release_scanned_pages));
+      auto store = EmbeddingStore::Open(dir, open_options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto served = OpenServingModel(**store, nullptr);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      EXPECT_TRUE((*served)->store_backed());
+
+      core::Evaluator out_of_core(served->get());
+      query::QuerySampler sampler(&dataset_->train, 3);
+      for (StructureId s :
+           {StructureId::k1p, StructureId::k2p, StructureId::k2i,
+            StructureId::k2u}) {
+        auto queries = sampler.SampleMany(s, 3);
+        ASSERT_TRUE(queries.ok());
+        for (const query::GroundedQuery& q : *queries) {
+          EXPECT_EQ(in_ram.TopK(q.graph, 10), out_of_core.TopK(q.graph, 10))
+              << query::StructureName(s) << ", " << label;
+          // Raw distances match bit-exactly, not just the ranking.
+          const std::vector<float> a = in_ram.ScoreAllEntities(q.graph);
+          const std::vector<float> b = out_of_core.ScoreAllEntities(q.graph);
+          ASSERT_EQ(a.size(), b.size());
+          for (size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i], b[i]) << "entity " << i << ", " << label;
+          }
+        }
+      }
+
+      // Sharded serving over the store: file count (3) deliberately
+      // differs from every shard count so ranges straddle shard-file
+      // boundaries.
+      const int64_t n = (*served)->config().num_entities;
+      std::vector<core::ScanStats>& stats = stats_by_store.emplace_back();
+      for (int shards : {1, 2, 4, 8}) {
+        shard::ShardOptions options;
+        options.num_shards = shards;
+        shard::ShardCoordinator coordinator(served->get(), options);
+        query::QuerySampler shard_sampler(&dataset_->train, 17);
+        for (const query::GroundedQuery& q :
+             shard_sampler.SampleMany(StructureId::k2i, 4).ValueOrDie()) {
+          shard::ShardedTopK top = coordinator.TopK(q.graph, 10);
+          ASSERT_TRUE(top.ok()) << top.status.ToString();
+          EXPECT_EQ(Entities(top.entries), in_ram.TopK(q.graph, 10))
+              << shards << " shards, " << label;
+          // The same partition scanned directly, for its counters.
+          const core::EmbeddingBatch embedding =
+              (*served)->EmbedQueries({&q.graph});
+          core::ScanStats& total = stats.emplace_back();
+          for (int i = 0; i < shards; ++i) {
+            core::TopKAccumulator acc(10);
+            (*served)->AccumulateTopKRange({{&embedding, 0}}, n * i / shards,
+                                           n * (i + 1) / shards, &acc,
+                                           &total);
+          }
+          EXPECT_EQ(total.entities_scanned, n);
+        }
       }
     }
-  }
 
-  // Sharded serving over the store: file count (3) deliberately differs
-  // from every shard count so ranges straddle shard-file boundaries.
-  core::Evaluator evaluator(model_);
-  for (int shards : {1, 2, 4, 8}) {
-    shard::ShardOptions options;
-    options.num_shards = shards;
-    shard::ShardCoordinator coordinator(served->get(), options);
-    query::QuerySampler shard_sampler(&dataset_->train, 17);
-    for (const query::GroundedQuery& q :
-         shard_sampler.SampleMany(StructureId::k2i, 4).ValueOrDie()) {
-      shard::ShardedTopK top = coordinator.TopK(q.graph, 10);
-      ASSERT_TRUE(top.ok()) << top.status.ToString();
-      EXPECT_EQ(Entities(top.entries), evaluator.TopK(q.graph, 10))
-          << shards << " shards";
+    // Releasing scanned pages changes what stays resident, never what the
+    // scan reads or prunes.
+    ASSERT_EQ(stats_by_store.size(), 2u);
+    ASSERT_EQ(stats_by_store[0].size(), stats_by_store[1].size());
+    for (size_t i = 0; i < stats_by_store[0].size(); ++i) {
+      const core::ScanStats& off = stats_by_store[0][i];
+      const core::ScanStats& on = stats_by_store[1][i];
+      EXPECT_EQ(off.entities_scanned, on.entities_scanned) << i;
+      EXPECT_EQ(off.entities_pruned, on.entities_pruned) << i;
+      EXPECT_EQ(off.column_blocks_scanned, on.column_blocks_scanned) << i;
+      EXPECT_EQ(off.column_blocks_skipped, on.column_blocks_skipped) << i;
     }
   }
 }

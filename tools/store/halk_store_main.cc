@@ -64,13 +64,11 @@ int Inspect(const std::string& dir) {
               static_cast<long long>((*store)->num_shard_files()));
   for (size_t i = 0; i < snap.shards.size(); ++i) {
     const halk::store::SnapshotShardEntry& entry = snap.shards[i];
-    const halk::store::ShardView view =
-        (*store)->view(static_cast<int64_t>(i));
     std::printf("  %-24s entities [%lld, %lld)  %zu bytes  0x%016llx\n",
                 entry.file.c_str(),
                 static_cast<long long>(entry.entity_begin),
                 static_cast<long long>(entry.entity_end),
-                view.mapped_bytes(),
+                (*store)->file(static_cast<int64_t>(i)).mapped_bytes(),
                 static_cast<unsigned long long>(entry.header_checksum));
   }
   return 0;
