@@ -6,10 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "core/scan_filter.h"
 #include "core/scan_kernel.h"
 #include "halk/halk.h"
 
@@ -114,11 +116,28 @@ struct ScanFixture {
     embedding = model->Projection(model->EmbedAnchors({0}), {1});
     arc = halk::core::MakeArcConstants(embedding.a.data(), embedding.b.data(),
                                        kDim, config.rho, config.eta);
+    // Four more arcs (distinct anchors and relations) for the multi-arc
+    // passes, and the table with and without the filter's codes.
+    const halk::core::EmbeddingBatch more =
+        model->Projection(model->EmbedAnchors({11, 222, 3333, 44444}),
+                          {0, 1, 2, 3});
+    for (int64_t r = 0; r < 4; ++r) {
+      arcs.push_back(halk::core::MakeArcConstants(
+          more.a.data() + r * kDim, more.b.data() + r * kDim, kDim,
+          config.rho, config.eta));
+    }
+    plain = halk::core::EntityTable::RowMajor(model->entity_angles().data(),
+                                              kEntities, kDim);
+    coded = plain;
+    coded.EncodeCodes(0, kEntities);
   }
 
   std::unique_ptr<halk::core::HalkModel> model;
   halk::core::EmbeddingBatch embedding;
   halk::core::ArcConstants arc;
+  std::vector<halk::core::ArcConstants> arcs;
+  halk::core::EntityTable plain;
+  halk::core::EntityTable coded;
 };
 
 ScanFixture& Scan() {
@@ -175,6 +194,72 @@ void BM_ScanKernel_avx2(benchmark::State& state) {
   RunScanKernel(state, halk::core::Avx2ScanKernel());
 }
 
+/// The one-stage bound-aware top-k (k = 10) over the uncoded table, with
+/// state.range(0) arcs in one pass: the kernel alone.
+void BM_BoundedScan(benchmark::State& state) {
+  const std::vector<halk::core::ArcConstants> arcs(
+      Scan().arcs.begin(), Scan().arcs.begin() + state.range(0));
+  for (auto _ : state) {
+    halk::core::TopKAccumulator acc(10);
+    Scan().plain.AccumulateTopK(arcs, 0, ScanFixture::kEntities,
+                                /*prune=*/true, &acc, nullptr);
+    benchmark::DoNotOptimize(acc.Take());
+  }
+  SetNsPerEntityDim(state);
+}
+
+/// The two-stage top-k (k = 10) over the coded table with state.range(0)
+/// arcs in one pass (the reported time), split into its layers by a
+/// separate, untimed-for-the-report run of stage one:
+/// `filter_ns_per_entity_dim` is stage one alone (tables plus filter sums
+/// over every entity·dim),
+/// `survivor_ns_per_entity_dim` the rest of the pass (seeding, gathering
+/// and the kernel) per survivor entity·dim, and `survivor_fraction` the
+/// share of entities the filter let through to the kernel.
+void BM_FilteredScan(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const std::vector<halk::core::ArcConstants> arcs(
+      Scan().arcs.begin(), Scan().arcs.begin() + state.range(0));
+  const halk::core::EntityTable& table = Scan().coded;
+  const int64_t n = ScanFixture::kEntities;
+  const int64_t d = ScanFixture::kDim;
+  const halk::core::FilterKernelFn filter = halk::core::FilterKernel();
+  std::vector<uint16_t> sums(static_cast<size_t>(n + halk::core::kScanLanes));
+  double filter_s = 0.0;
+  double total_s = 0.0;
+  int64_t survivors = 0;
+  for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
+    halk::core::FilterTables tables;
+    halk::core::BuildFilterTables(arcs, &tables);
+    for (int64_t c = 0; c * halk::core::kScanLanes < n; ++c) {
+      (void)filter(tables.lut.data(), tables.num_arcs, d, table.codes.Block(c),
+             sums.data() + c * halk::core::kScanLanes);
+    }
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
+    const Clock::time_point t1 = Clock::now();
+    halk::core::TopKAccumulator acc(10);
+    halk::core::ScanStats stats;
+    table.AccumulateTopK(arcs, 0, n, /*prune=*/true, &acc, &stats);
+    benchmark::DoNotOptimize(acc.Take());
+    const Clock::time_point t2 = Clock::now();
+    filter_s += std::chrono::duration<double>(t1 - t0).count();
+    total_s += std::chrono::duration<double>(t2 - t1).count();
+    state.SetIterationTime(std::chrono::duration<double>(t2 - t1).count());
+    survivors += stats.entities_scanned - stats.entities_filtered;
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["filter_ns_per_entity_dim"] =
+      filter_s * 1e9 / (iterations * static_cast<double>(n * d));
+  state.counters["survivor_ns_per_entity_dim"] =
+      survivors == 0 ? 0.0
+                     : (total_s - filter_s) * 1e9 /
+                           static_cast<double>(survivors * d);
+  state.counters["survivor_fraction"] =
+      static_cast<double>(survivors) / (iterations * static_cast<double>(n));
+}
+
 BENCHMARK(BM_Projection)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_Intersection)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_Difference)->Arg(1)->Arg(32)->Arg(128);
@@ -185,6 +270,19 @@ BENCHMARK(BM_ScanKernel_portable)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScanKernel_avx2)
     ->Name("BM_ScanKernel/avx2")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BoundedScan)
+    ->ArgName("arcs")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FilteredScan)
+    ->ArgName("arcs")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -25,11 +25,11 @@
 //   $ ./bench/bench_shard_scaling                         # in-RAM scale
 //   $ HALK_BENCH_ENTITIES=1000000 ./bench/bench_shard_scaling
 //
-// Evaluator::TopK ranks through the same bound-aware scan kernel as the
-// shard workers (AccumulateTopKRange over the whole table), so the speedup
-// over it comes from thread parallelism across shards alone. On a
-// single-core machine — see the "cores" key in the JSON — per-shard
-// bookkeeping makes higher shard counts slightly slower, not faster.
+// Evaluator::TopK scores every entity (DistancesToAll, no pruning and no
+// filter), so the speedup over it is thread parallelism across shards plus
+// the shards' bound-aware scan. On a single-core machine — see the "cores"
+// key in the JSON — per-shard bookkeeping makes higher shard counts slower
+// than one shard, not faster.
 //
 // The model is untrained: ranking cost depends on entity count and
 // dimension, not on the learned weights.

@@ -6,6 +6,7 @@
 
 #include "core/arc.h"
 #include "core/query_model.h"
+#include "core/scan_filter.h"
 #include "core/scan_kernel.h"
 #include "core/topk.h"
 
@@ -48,8 +49,9 @@ ArcConstants MakeArcConstants(const float* arc_center,
 /// One loop per job runs over it: top-k, distances and row copy. Each walks
 /// the segments overlapping [begin, end) in blocks of at most kScanLanes
 /// rows, and no block crosses a segment boundary. The table does not own
-/// the rows; they must outlive it and stay immutable while it is scanned.
-/// All loops are const and safe to run concurrently.
+/// the rows; they must outlive it and stay immutable while it is scanned —
+/// and, once EncodeCodes has run, for as long as the codes are kept. All
+/// loops are const and safe to run concurrently.
 struct EntityTable {
   struct Segment {
     int64_t first = 0;  // entity id of the segment's row 0
@@ -73,16 +75,25 @@ struct EntityTable {
 
   /// Streams entities [begin, end) (clamped to the table) into `acc`,
   /// scoring each by its minimum distance over `arcs`, the DNF union
-  /// semantics. With `prune` each block is scanned against acc->bound(),
-  /// frozen for the block, and abandoned once every (entity, branch)
-  /// partial sum exceeds it; exact for top-k whenever ρ > 0 and η >= 0.
-  /// Admitted entities carry their full distance, so acc->Take() equals
-  /// pushing every entity's distance at any partition of the range.
-  /// Columnar tables also count column blocks read and skipped per
-  /// segment. Calls `release` (when set) on each segment once done with it.
+  /// semantics. With `prune` each kernel block is scanned against
+  /// acc->bound(), frozen for the block, and abandoned once every (entity,
+  /// branch) partial sum exceeds it; exact for top-k whenever ρ > 0 and
+  /// η >= 0. With `prune` and codes (EncodeCodes) the scan is two-stage:
+  /// the filter (core/scan_filter.h) first sums every entity's lower bound,
+  /// the k lowest are scored to seed the bound, and only entities whose
+  /// bound does not exceed acc->bound() are gathered into blocks for the
+  /// kernel. Admitted entities carry their full kernel distance either way,
+  /// so acc->Take() equals pushing every entity's distance at any partition
+  /// of the range. Filter-dropped entities count as pruned. Columnar tables
+  /// also count column blocks read and skipped per segment. Calls `release`
+  /// (when set) on each segment once done with it.
   void AccumulateTopK(const std::vector<ArcConstants>& arcs, int64_t begin,
                       int64_t end, bool prune, TopKAccumulator* acc,
                       ScanStats* stats) const;
+
+  /// Codes entities [begin, end) into `codes`, sizing it on the first call;
+  /// ranges must come in ascending order. Reads every row once.
+  void EncodeCodes(int64_t begin, int64_t end);
 
   int64_t num_entities = 0;
   int64_t dim = 0;
@@ -91,6 +102,8 @@ struct EntityTable {
   /// Optional hook run after a top-k scan finishes a segment: the store
   /// uses it to drop the segment's mapped pages (bounded residency).
   void (*release)(const Segment& segment, int64_t dim) = nullptr;
+  /// The filter's codes; empty (the one-stage scan) until EncodeCodes.
+  EntityCodes codes;
 };
 
 }  // namespace halk::core

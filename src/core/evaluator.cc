@@ -36,24 +36,10 @@ std::vector<float> Evaluator::ScoreAllEntities(
 std::vector<int64_t> Evaluator::TopK(const query::QueryGraph& query,
                                      int64_t k) {
   HALK_PROFILE_SCOPE("eval/topk");
-  // One embedding per DNF branch, ranked together by the model's top-k
-  // scan over the whole table: the entity score is the minimum over
-  // branches, as in ScoreAllEntities.
-  std::vector<EmbeddingBatch> embeddings;
-  for (const query::QueryGraph& branch : query::ToDnf(query)) {
-    embeddings.push_back(model_->EmbedQueries({&branch}));
-  }
-  std::vector<BranchRef> branches;
-  branches.reserve(embeddings.size());
-  for (const EmbeddingBatch& embedding : embeddings) {
-    branches.push_back({&embedding, 0});
-  }
-  TopKAccumulator acc(k);
-  model_->AccumulateTopKRange(branches, 0, model_->config().num_entities,
-                              &acc);
   std::vector<int64_t> ids;
-  ids.reserve(acc.size());
-  for (const ScoredEntity& s : acc.Take()) ids.push_back(s.entity);
+  for (const ScoredEntity& s : TopKFromDistances(ScoreAllEntities(query), k)) {
+    ids.push_back(s.entity);
+  }
   return ids;
 }
 

@@ -36,9 +36,10 @@ class Evaluator {
   /// branches). Exposed for the pruning study and examples.
   std::vector<float> ScoreAllEntities(const query::QueryGraph& query);
 
-  /// The `k` entities closest to the query embedding, ranked by the
-  /// model's AccumulateTopKRange over [0, N) — the scan a 1-shard serving
-  /// engine runs.
+  /// The `k` entities closest to the query, ranked from ScoreAllEntities
+  /// (ascending distance, lower id first on ties). Every entity is scored,
+  /// with no bound-aware pruning and no filter, so this is the brute-force
+  /// reference that served rankings must equal bit for bit.
   std::vector<int64_t> TopK(const query::QueryGraph& query, int64_t k);
 
  private:

@@ -271,6 +271,16 @@ void HalkModel::DistancesToRange(const EmbeddingBatch& embedding, int64_t row,
   table_->Distances(arc, begin, end, out->data());
 }
 
+void HalkModel::PrepareForServing() {
+  if (store_backed()) return;
+  // Code into a copy and publish only on a change, so preparing an
+  // unchanged model again writes nothing a concurrent scan could read.
+  EntityTable coded = EntityTable::RowMajor(
+      entity_angles_.data(), config_.num_entities, config_.dim);
+  coded.EncodeCodes(0, coded.num_entities);
+  if (coded.codes != ram_table_.codes) ram_table_.codes = std::move(coded.codes);
+}
+
 double HalkModel::MembershipThreshold(const EmbeddingBatch& embedding,
                                       int64_t row) const {
   const float rho = config_.rho;

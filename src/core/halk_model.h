@@ -69,6 +69,12 @@ class HalkModel : public QueryModel {
                            int64_t begin, int64_t end, TopKAccumulator* acc,
                            ScanStats* stats = nullptr) const override;
 
+  /// Codes the in-RAM entity table for the two-stage scan (the filter of
+  /// core/scan_filter.h), re-coding only when the angles changed since the
+  /// last call; a store-backed table was coded when the store opened. A
+  /// model that is never served keeps the one-stage scan.
+  void PrepareForServing() override;
+
   /// Arc-membership threshold: an entity inside the arc on every dimension
   /// has d_o = 0 and d_i <= Σ_d half_width_d, so its distance is at most
   /// η·Σ_d 2ρ|sin(A_l/(4ρ))|. Anchors (zero-length arcs) get 0 — only the
@@ -111,6 +117,9 @@ class HalkModel : public QueryModel {
   /// Raw entity angle table [N, d] (tests/diagnostics). Undefined in
   /// store-backed mode — check store_backed() first.
   const tensor::Tensor& entity_angles() const { return entity_angles_; }
+
+  /// The table every ranking path scans (in-RAM or external).
+  const EntityTable& entity_table() const { return *table_; }
 
   /// True when the entity table lives in external rows instead of
   /// entity_angles_.

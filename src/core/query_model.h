@@ -46,6 +46,10 @@ struct ScanStats {
   /// Entities abandoned by a bound-aware early exit before their exact
   /// distance was known; 0 for the exhaustive base kernel.
   int64_t entities_pruned = 0;
+  /// Of those, the entities the two-stage scan's filter dropped without
+  /// reading their θ (core/scan_filter.h); the rest of the range survived
+  /// to the kernel. 0 on one-stage scans.
+  int64_t entities_filtered = 0;
   /// Columnar tables only (the store's, src/store/): per-dimension column
   /// blocks actually read vs. skipped because every entity in the row
   /// group was already pruned. Skipped blocks are pages never faulted in —
@@ -138,6 +142,13 @@ class QueryModel : public OperatorModel {
       stats->entities_scanned += static_cast<int64_t>(best.size());
     }
   }
+
+  /// Called once by every serving engine's constructor (QueryServer)
+  /// before it ranks anything: a model may derive read-only serving state
+  /// from its parameters here. From then on the parameters must not change
+  /// while the engine serves, as the engine already requires; after
+  /// training, construct a new engine. The default does nothing.
+  virtual void PrepareForServing() {}
 
   /// Distance below which an entity counts as a member of the set that
   /// embedding row `row` denotes, or a negative value when the model's

@@ -384,7 +384,10 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
                   static_cast<size_t>(dim) * sizeof(float));
       std::memcpy(dst + dim, lengths + i * static_cast<size_t>(dim),
                   static_cast<size_t>(dim) * sizeof(float));
-      if (cache_ != nullptr && batch.op != OpType::kAnchor) {
+      // Only a subtree's second sighting is admitted (the doorkeeper), so
+      // one-off subtrees leave the budget to recurring ones.
+      if (cache_ != nullptr && batch.op != OpType::kAnchor &&
+          cache_->Admit(plan.node(id).key)) {
         const PlanNode& node = plan.node(id);
         serving::SubtreeCache::Entry entry;
         entry.row.assign(dst, dst + row_floats);

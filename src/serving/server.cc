@@ -86,6 +86,7 @@ QueryServer::QueryServer(core::QueryModel* model,
   HALK_CHECK_GT(options_.num_workers, 0);
   HALK_CHECK_GT(options_.max_batch_size, 0u);
   HALK_CHECK_GT(options_.queue_capacity, 0u);
+  model_->PrepareForServing();
   if (options_.tracer != nullptr &&
       options_.slow_query_threshold.count() > 0) {
     slow_log_ = std::make_unique<obs::SlowQueryLog>(

@@ -28,8 +28,12 @@ namespace halk::serving {
 /// can evict exactly the embeddings it staled with InvalidateRelation(r).
 /// (Entity or parameter updates are coarser — use Clear().)
 ///
-/// Thread-safe; one mutex guards the recency list and index, same
-/// reasoning as LruCache.
+/// Admission is the caller's choice: the plan executor Puts a subtree only
+/// once Admit reports its second sighting, so one-off subtrees never take
+/// budget from recurring ones.
+///
+/// Thread-safe; one mutex guards the recency list, index and doorkeeper,
+/// same reasoning as LruCache.
 class SubtreeCache {
  public:
   struct Entry {
@@ -40,7 +44,10 @@ class SubtreeCache {
   };
 
   explicit SubtreeCache(size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+      : capacity_bytes_(capacity_bytes),
+        doorkeeper_keys_(std::max<size_t>(1, capacity_bytes /
+                                                 kNodeOverheadBytes)),
+        doorkeeper_((doorkeeper_keys_ * kDoorkeeperBitsPerKey + 63) / 64) {}
 
   SubtreeCache(const SubtreeCache&) = delete;
   SubtreeCache& operator=(const SubtreeCache&) = delete;
@@ -64,6 +71,33 @@ class SubtreeCache {
   bool Contains(const query::Fingerprint& key) const HALK_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return index_.find(key) != index_.end();
+  }
+
+  /// TinyLFU's doorkeeper (Einziger, Friedman & Manes, 2017): records a
+  /// sighting of `key` and returns whether it had been seen before, i.e.
+  /// whether its entry is worth a Put. The record is a bit set of
+  /// kDoorkeeperBitsPerKey bits per key the budget could hold at the
+  /// smallest charge (kNodeOverheadBytes), probed at two positions per key;
+  /// it is cleared once it has recorded that many new keys, so a sighting
+  /// is remembered for about one budget's worth of distinct subtrees. A
+  /// false positive admits a one-off key; a repeat is refused only on its
+  /// first sighting since the last clear.
+  bool Admit(const query::Fingerprint& key) HALK_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    const size_t bits = doorkeeper_.size() * 64;
+    const size_t a = static_cast<size_t>(key.lo % bits);
+    const size_t b = static_cast<size_t>(key.hi % bits);
+    auto test = [&](size_t i) {
+      return (doorkeeper_[i / 64] >> (i % 64) & 1u) != 0;
+    };
+    if (test(a) && test(b)) return true;
+    if (++doorkeeper_recorded_ > doorkeeper_keys_) {
+      std::fill(doorkeeper_.begin(), doorkeeper_.end(), 0);
+      doorkeeper_recorded_ = 1;
+    }
+    doorkeeper_[a / 64] |= uint64_t{1} << (a % 64);
+    doorkeeper_[b / 64] |= uint64_t{1} << (b % 64);
+    return false;
   }
 
   /// Inserts or overwrites, then evicts least-recently-used entries until
@@ -154,8 +188,10 @@ class SubtreeCache {
   }
 
   static constexpr size_t kNodeOverheadBytes = 96;
+  static constexpr size_t kDoorkeeperBitsPerKey = 8;
 
   const size_t capacity_bytes_;
+  const size_t doorkeeper_keys_;
   mutable Mutex mu_;
   /// front = most recently used
   std::list<std::pair<query::Fingerprint, Entry>> order_
@@ -170,6 +206,8 @@ class SubtreeCache {
   int64_t misses_ HALK_GUARDED_BY(mu_) = 0;
   int64_t evictions_ HALK_GUARDED_BY(mu_) = 0;
   int64_t invalidations_ HALK_GUARDED_BY(mu_) = 0;
+  std::vector<uint64_t> doorkeeper_ HALK_GUARDED_BY(mu_);
+  size_t doorkeeper_recorded_ HALK_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace halk::serving

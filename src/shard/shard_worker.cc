@@ -36,6 +36,8 @@ Result<std::vector<core::ScoredEntity>> ScanShard(
                   static_cast<double>(stats.entities_scanned));
     scan.Annotate("entities_pruned",
                   static_cast<double>(stats.entities_pruned));
+    scan.Annotate("entities_filtered",
+                  static_cast<double>(stats.entities_filtered));
     scan.Annotate("early_exit_rate",
                   stats.entities_scanned == 0
                       ? 0.0

@@ -80,20 +80,24 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
           static_cast<unsigned long long>(h.header_checksum),
           static_cast<unsigned long long>(entry.header_checksum)));
     }
-    if (options.release_scanned_pages) {
-      // Bounded-residency serving starts cold: pages faulted while mapping
-      // or validating (or left behind by the writer that just produced the
-      // file) are dropped so the ceiling holds from the first scan on.
-      // Dropping here, per file, also keeps the transient footprint of
-      // opening a many-file store at one file rather than the whole table.
-      file->DropResidency();
-    }
     // One columnar segment per row group, read in place.
     for (int64_t g = 0; g < static_cast<int64_t>(h.num_groups); ++g) {
       store->table_.segments.push_back(
           {h.entity_begin + g * h.rows_per_group, file->GroupRows(g),
            file->ColumnBlock(g, 0), 1,
            static_cast<int64_t>(GroupBlockBytes(h, g) / sizeof(float))});
+    }
+    // The two-stage scan's codes are derived here, not stored: the file
+    // format is unchanged, and every top-k scan of the store filters.
+    store->table_.EncodeCodes(h.entity_begin, h.entity_end);
+    if (options.release_scanned_pages) {
+      // Bounded-residency serving starts cold: pages faulted while mapping,
+      // validating or coding (or left behind by the writer that just
+      // produced the file) are dropped so the ceiling holds from the first
+      // scan on. Dropping here, per file, also keeps the transient
+      // footprint of opening a many-file store at one file rather than the
+      // whole table.
+      file->DropResidency();
     }
     store->files_.push_back(std::move(file));
   }

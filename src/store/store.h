@@ -22,6 +22,9 @@ namespace halk::store {
 /// ids) with one columnar segment per row group of every file, so a
 /// HalkModel serves directly out of the mappings through the same table
 /// loops as an in-RAM model — the out-of-core path.
+/// Open also derives the table's filter codes (core/scan_filter.h) from
+/// the mapped rows, so every top-k scan of a store is two-stage; the file
+/// format does not change.
 /// Thread-safe after Open: all members are immutable and the mappings are
 /// shared, so any number of shard workers may scan concurrently.
 class EmbeddingStore {
@@ -56,7 +59,8 @@ class EmbeddingStore {
   const core::EntityTable& table() const { return table_; }
 
   /// Bound-aware top-k scan of entities [begin, end) (clamped to the
-  /// table): table().AccumulateTopK with pruning on.
+  /// table): table().AccumulateTopK with pruning on, two-stage because Open
+  /// codes every store table.
   void AccumulateTopKRange(const std::vector<core::ArcConstants>& arcs,
                            int64_t begin, int64_t end,
                            core::TopKAccumulator* acc,

@@ -1,11 +1,15 @@
 // The scan kernel (core/scan_kernel.h): portable vs AVX2 bitwise equality,
 // half-angle accuracy and robustness, agreement with the differentiable
 // ArcDistance, exactness of bound-aware pruning, and Evaluate metrics
-// against the libm form of the distance it replaced.
+// against the libm form of the distance it replaced. The filter of the
+// two-stage scan (core/scan_filter.h): its lower bound never exceeds the
+// kernel's distance, its builds agree, and coded tables rank identically.
 
 #include "core/scan_kernel.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -19,6 +23,7 @@
 #include "core/distance.h"
 #include "core/evaluator.h"
 #include "core/halk_model.h"
+#include "core/scan_filter.h"
 #include "core/trainer.h"
 #include "kg/synthetic.h"
 #include "query/dnf.h"
@@ -309,6 +314,9 @@ TEST(ScanKernelTest, PrunedTopKEqualsFullScanTopK) {
   const int64_t dim = 16;
   const std::vector<float> table = RandomAngles(&rng, n * dim, 0, 2 * kPi);
   const EntityTable row_major = EntityTable::RowMajor(table.data(), n, dim);
+  // The same table with codes: the two-stage scan (core/scan_filter.h).
+  EntityTable coded = row_major;
+  coded.EncodeCodes(0, n);
   for (int branches : {1, 2, 4}) {
     const std::vector<ArcConstants> arcs =
         RandomArcs(&rng, dim, branches, 1.0f, 0.9f);
@@ -322,17 +330,213 @@ TEST(ScanKernelTest, PrunedTopKEqualsFullScanTopK) {
         best[i] = std::min(best[i], dist[i]);
       }
     }
-    for (const int64_t k : {1, 10, 100}) {
-      TopKAccumulator pruned(k);
-      ScanStats stats;
-      row_major.AccumulateTopK(arcs, 0, n, /*prune=*/true, &pruned, &stats);
-      EXPECT_EQ(pruned.Take(), TopKFromDistances(best, k))
-          << branches << " branches, k " << k;
-      EXPECT_EQ(stats.entities_scanned, n);
-      // Column-block counters are for columnar tables only.
-      EXPECT_EQ(stats.column_blocks_scanned, 0);
-      if (k == 1) {
-        EXPECT_GT(stats.entities_pruned, 0);
+    for (const EntityTable* t : {&row_major, static_cast<const EntityTable*>(&coded)}) {
+      for (const int64_t k : {1, 10, 100}) {
+        TopKAccumulator pruned(k);
+        ScanStats stats;
+        t->AccumulateTopK(arcs, 0, n, /*prune=*/true, &pruned, &stats);
+        EXPECT_EQ(pruned.Take(), TopKFromDistances(best, k))
+            << branches << " branches, k " << k << ", coded "
+            << !t->codes.empty();
+        EXPECT_EQ(stats.entities_scanned, n);
+        // Column-block counters are for columnar tables only.
+        EXPECT_EQ(stats.column_blocks_scanned, 0);
+        if (k == 1) {
+          EXPECT_GT(stats.entities_pruned, 0);
+        }
+      }
+    }
+  }
+}
+
+/// Random arcs plus the shapes the filter's geometry must survive:
+/// zero-length anchors, full-circle and wrapping lengths, and centers far
+/// off [0, 2π).
+std::vector<ArcConstants> FilterArcs(Rng* rng, int64_t dim, float rho,
+                                     float eta) {
+  std::vector<ArcConstants> arcs = RandomArcs(rng, dim, 3, rho, eta);
+  const float full = 2.0f * kPi * rho;  // A_l / 2ρ = π: endpoints meet
+  for (const float length : {0.0f, full, 2.0f * full, 5.3f * full}) {
+    std::vector<float> center = RandomAngles(rng, dim, -50.0f, 50.0f);
+    center[0] = 1e4f;
+    const std::vector<float> lengths(static_cast<size_t>(dim), length);
+    arcs.push_back(
+        MakeArcConstants(center.data(), lengths.data(), dim, rho, eta));
+  }
+  return arcs;
+}
+
+/// A [n, dim] table: random angles over several turns, with the
+/// adversarial angles spread over every dimension of the first rows.
+std::vector<float> FilterTable(Rng* rng, int64_t n, int64_t dim) {
+  std::vector<float> table = RandomAngles(rng, n * dim, -20.0f, 20.0f);
+  const std::vector<float> adversarial = AdversarialAngles();
+  for (size_t i = 0; i < adversarial.size() * 2 && i < table.size(); ++i) {
+    table[(i * 5) % table.size()] = adversarial[i % adversarial.size()];
+  }
+  return table;
+}
+
+/// The filter sums of entities [0, n) against `tables` (one per entity).
+std::vector<uint16_t> FilterSums(FilterKernelFn filter,
+                                 const FilterTables& tables,
+                                 const EntityCodes& codes) {
+  std::vector<uint16_t> sums;
+  uint16_t block[kScanLanes];
+  for (int64_t c = 0; c * kScanLanes < codes.num_entities; ++c) {
+    const uint16_t low = filter(tables.lut.data(), tables.num_arcs,
+                                tables.dim, codes.Block(c), block);
+    EXPECT_EQ(low, *std::min_element(block, block + kScanLanes));
+    for (int64_t i = 0; i < kScanLanes && c * kScanLanes + i < codes.num_entities;
+         ++i) {
+      sums.push_back(block[i]);
+    }
+  }
+  return sums;
+}
+
+// The filter's soundness property: for every coded entity, its de-quantized
+// filter sum less the summation slack never exceeds the kernel's distance,
+// so the threshold test drops only entities the kernel would reject.
+TEST(ScanFilterTest, LowerBoundNeverExceedsKernelDistance) {
+  Rng rng(41);
+  const int64_t n = 300;
+  for (const int64_t dim : {int64_t{1}, int64_t{7}, int64_t{32}}) {
+    const std::vector<float> table = FilterTable(&rng, n, dim);
+    EntityTable coded = EntityTable::RowMajor(table.data(), n, dim);
+    coded.EncodeCodes(0, n);
+    ASSERT_FALSE(coded.codes.always_scored.empty());
+    for (const float rho : {1.0f, 0.37f, 3.0f}) {
+      for (const float eta : {0.0f, 0.02f, 0.9f, 2.5f}) {
+        for (const ArcConstants& arc : FilterArcs(&rng, dim, rho, eta)) {
+          FilterTables tables;
+          ASSERT_TRUE(BuildFilterTables({arc}, &tables));
+          const std::vector<uint16_t> sums =
+              FilterSums(FilterKernel(), tables, coded.codes);
+          std::vector<float> dist(static_cast<size_t>(n));
+          coded.Distances(arc, 0, n, dist.data());
+          size_t next_uncoded = 0;
+          for (int64_t e = 0; e < n; ++e) {
+            const auto& uncoded = coded.codes.always_scored;
+            if (next_uncoded < uncoded.size() &&
+                uncoded[next_uncoded] == e) {
+              ++next_uncoded;
+              continue;
+            }
+            const double d = dist[static_cast<size_t>(e)];
+            const uint16_t sum = sums[static_cast<size_t>(e)];
+            ASSERT_LE(sum * tables.unit * (1.0 - tables.sum_slack), d)
+                << "dim " << dim << ", rho " << rho << ", eta " << eta
+                << ", entity " << e;
+            // The threshold at the entity's own distance never drops it.
+            ASSERT_LE(sum, tables.Threshold(dist[static_cast<size_t>(e)]));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ScanFilterTest, PortableAndAvx2FiltersAgree) {
+  const FilterKernelFn avx2 = Avx2FilterKernel();
+  if (avx2 == nullptr) GTEST_SKIP() << "CPU has no AVX2 build";
+  Rng rng(43);
+  for (const int64_t dim : {int64_t{1}, int64_t{9}, int64_t{32},
+                            int64_t{256}}) {
+    for (const size_t arcs : {size_t{1}, size_t{3}}) {
+      // Random codes and tables, saturated entries included.
+      std::vector<uint8_t> codes(static_cast<size_t>(dim * kCodeBytesPerDim));
+      for (uint8_t& c : codes) c = static_cast<uint8_t>(rng.Next() & 0xff);
+      std::vector<uint8_t> lut(arcs * static_cast<size_t>(dim) * 16);
+      for (uint8_t& v : lut) {
+        v = rng.Uniform() < 0.2 ? 255 : static_cast<uint8_t>(rng.Next() & 0xff);
+      }
+      uint16_t a[kScanLanes];
+      uint16_t b[kScanLanes];
+      const uint16_t low_a =
+          PortableFilterKernel()(lut.data(), arcs, dim, codes.data(), a);
+      const uint16_t low_b = avx2(lut.data(), arcs, dim, codes.data(), b);
+      ASSERT_EQ(low_a, low_b);
+      ASSERT_EQ(low_a, *std::min_element(a, a + kScanLanes));
+      for (int64_t i = 0; i < kScanLanes; ++i) {
+        ASSERT_EQ(a[i], b[i]) << "dim " << dim << ", arcs " << arcs
+                              << ", lane " << i;
+      }
+    }
+  }
+  // And over real codes and tables.
+  const int64_t n = 200;
+  const int64_t dim = 12;
+  const std::vector<float> table = FilterTable(&rng, n, dim);
+  EntityTable coded = EntityTable::RowMajor(table.data(), n, dim);
+  coded.EncodeCodes(0, n);
+  FilterTables tables;
+  ASSERT_TRUE(BuildFilterTables(FilterArcs(&rng, dim, 1.0f, 0.9f), &tables));
+  EXPECT_EQ(FilterSums(PortableFilterKernel(), tables, coded.codes),
+            FilterSums(avx2, tables, coded.codes));
+}
+
+TEST(ScanFilterTest, FilterRefusesArcsItCannotBound) {
+  Rng rng(47);
+  const int64_t dim = 4;
+  FilterTables tables;
+  EXPECT_TRUE(BuildFilterTables(RandomArcs(&rng, dim, 2, 1.0f, 0.9f), &tables));
+  EXPECT_FALSE(BuildFilterTables({}, &tables));
+  EXPECT_FALSE(
+      BuildFilterTables(RandomArcs(&rng, dim, 1, 1.0f, -0.5f), &tables));
+  EXPECT_FALSE(BuildFilterTables(RandomArcs(&rng, dim, 1, 0.0f, 0.9f), &tables));
+  std::vector<ArcConstants> nan_arc = RandomArcs(&rng, dim, 1, 1.0f, 0.9f);
+  nan_arc[0].dims[2].sin_start = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(BuildFilterTables(nan_arc, &tables));
+  EXPECT_FALSE(
+      BuildFilterTables(RandomArcs(&rng, 257, 1, 1.0f, 0.9f), &tables));
+  EXPECT_TRUE(BuildFilterTables(RandomArcs(&rng, 256, 1, 1.0f, 0.9f), &tables));
+}
+
+// A table seeded with the adversarial angles (NaN, ±inf, huge, denormal,
+// kπ/2 ± 1 ulp) ranks identically with and without codes, at every k and
+// over unions, and both equal the full distance scan.
+TEST(ScanFilterTest, AdversarialTableRanksIdenticallyWithAndWithoutCodes) {
+  Rng rng(53);
+  const int64_t n = 700;
+  const int64_t dim = 10;
+  const std::vector<float> table = FilterTable(&rng, n, dim);
+  const EntityTable plain = EntityTable::RowMajor(table.data(), n, dim);
+  EntityTable coded = plain;
+  coded.EncodeCodes(0, n);
+  ASSERT_FALSE(coded.codes.always_scored.empty());
+  for (int branches : {1, 2, 3}) {
+    std::vector<ArcConstants> arcs = FilterArcs(&rng, dim, 1.0f, 0.9f);
+    arcs.resize(static_cast<size_t>(branches));
+    std::vector<float> best(static_cast<size_t>(n));
+    std::vector<float> dist(static_cast<size_t>(n));
+    for (int b = 0; b < branches; ++b) {
+      plain.Distances(arcs[static_cast<size_t>(b)], 0, n,
+                      b == 0 ? best.data() : dist.data());
+      for (size_t i = 0; b > 0 && i < best.size(); ++i) {
+        best[i] = dist[i] < best[i] ? dist[i] : best[i];
+      }
+    }
+    for (const int64_t k : {int64_t{1}, int64_t{10}, int64_t{64}, n + 5}) {
+      // Whole table and an unaligned sub-range, as a shard scans it.
+      for (const auto& [begin, end] : {std::pair<int64_t, int64_t>{0, n},
+                                       std::pair<int64_t, int64_t>{37, 611}}) {
+        TopKAccumulator one_stage(k);
+        TopKAccumulator two_stage(k);
+        ScanStats stats;
+        plain.AccumulateTopK(arcs, begin, end, true, &one_stage, nullptr);
+        coded.AccumulateTopK(arcs, begin, end, true, &two_stage, &stats);
+        std::vector<float> slice(best.begin() + begin, best.begin() + end);
+        const std::vector<ScoredEntity> want =
+            TopKFromDistances(slice, k, begin);
+        EXPECT_EQ(one_stage.Take(), want);
+        EXPECT_EQ(two_stage.Take(), want)
+            << branches << " branches, k " << k << ", [" << begin << ", "
+            << end << ")";
+        EXPECT_EQ(stats.entities_scanned, end - begin);
+        if (k == 1 && begin == 0) {
+          EXPECT_GT(stats.entities_pruned, n / 2);
+        }
       }
     }
   }

@@ -129,6 +129,12 @@ TEST_F(PlanExecutorTest, WarmSubtreeCacheShortCircuitsWholePlan) {
   EXPECT_EQ(cold.stats.cache_hits, 0);
   EXPECT_GT(cold.stats.evaluated, 0);
   core::EmbeddingBatch first = executor.Run(plan, &cold);
+  // The doorkeeper admits a subtree on its second sighting: the second
+  // cold run evaluates everything again and fills the cache.
+  ExecSchedule again = executor.Prepare(plan);
+  EXPECT_EQ(again.stats.cache_hits, 0);
+  EXPECT_EQ(again.stats.evaluated, cold.stats.evaluated);
+  ExpectRowEqual(executor.Run(plan, &again), 0, first, 0);
 
   // Every non-anchor subtree is now cached; a hit at the root prunes the
   // entire sub-DAG, so nothing is evaluated on the warm run.
@@ -151,7 +157,9 @@ TEST_F(PlanExecutorTest, RelationInvalidationForcesPartialReevaluation) {
   PlanExecutor executor(model_, model_->AsOperatorModel(), &cache);
   Plan plan = planner_->BuildPlan({{0, &g}});
   ExecStats stats;
+  // Two runs: the doorkeeper admits a subtree on its second sighting.
   core::EmbeddingBatch first = executor.Execute(plan, &stats);
+  ExpectRowEqual(executor.Execute(plan, &stats), 0, first, 0);
 
   const PlanNode& root = plan.node(plan.roots[0].node);
   ASSERT_EQ(root.op, query::OpType::kProjection);

@@ -119,5 +119,55 @@ TEST(SubtreeCacheTest, GetWithNullOutOnlyTouchesRecency) {
   EXPECT_EQ(cache.hits(), 1);
 }
 
+/// A well-mixed fingerprint, as the planner's Merkle digests are.
+query::Fingerprint MixedKey(uint64_t n) {
+  auto mix = [](uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  return {mix(n), mix(n ^ 0x5555555555555555ULL)};
+}
+
+TEST(SubtreeCacheTest, DoorkeeperAdmitsOnTheSecondSighting) {
+  SubtreeCache cache(1024);
+  // A one-off key is refused; its second sighting is admitted, and so is
+  // every later one.
+  EXPECT_FALSE(cache.Admit(MixedKey(1)));
+  EXPECT_TRUE(cache.Admit(MixedKey(1)));
+  EXPECT_TRUE(cache.Admit(MixedKey(1)));
+  // Admit records sightings only: the cache itself is untouched.
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.misses(), 0);
+
+  // A stream of one-off keys is refused, but for the bit set's rare false
+  // positives.
+  int admitted = 0;
+  for (uint64_t n = 100; n < 1100; ++n) {
+    admitted += cache.Admit(MixedKey(n)) ? 1 : 0;
+  }
+  EXPECT_LT(admitted, 100);
+}
+
+TEST(SubtreeCacheTest, DoorkeeperKeepsTheByteBudget) {
+  SubtreeCache cache(512);  // room for four tag-free entries
+  int64_t puts = 0;
+  for (uint64_t n = 0; n < 200; ++n) {
+    // Every key is seen twice, as a recurring subtree would be; the
+    // executor Puts only what Admit lets through.
+    for (int sighting = 0; sighting < 2; ++sighting) {
+      if (cache.Admit(MixedKey(n))) {
+        cache.Put(MixedKey(n), MakeEntry(static_cast<float>(n)));
+        ++puts;
+      }
+      EXPECT_LE(cache.bytes(), cache.capacity_bytes());
+    }
+  }
+  EXPECT_GE(puts, 200);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_TRUE(cache.Contains(MixedKey(199)));
+}
+
 }  // namespace
 }  // namespace halk::serving

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -107,13 +108,23 @@ TEST_F(ShardTest, DistancesToRangeMatchesFullScan) {
 
 // Acceptance property: with no deadline, the sharded ranking is
 // identical to brute-force Evaluator::TopK for every structure, at every
-// shard count.
+// shard count. The ranked model is a twin of the fixture model with codes,
+// as a QueryServer prepares it, so every shard runs the two-stage scan; the
+// reference scores every entity of the uncoded fixture model.
 TEST_F(ShardTest, EqualsEvaluatorForEveryStructureAndShardCount) {
+  core::HalkModel served(model_->config(), nullptr);
+  served.PrepareForServing();
+  ASSERT_FALSE(served.entity_table().codes.empty());
+  ASSERT_TRUE(model_->entity_table().codes.empty());
+  ASSERT_EQ(std::memcmp(served.entity_angles().data(),
+                        model_->entity_angles().data(),
+                        sizeof(float) * served.entity_angles().numel()),
+            0);
   core::Evaluator evaluator(model_);
   for (int shards : {1, 2, 4, 8}) {
     ShardOptions options;
     options.num_shards = shards;
-    ShardCoordinator coordinator(model_, options);
+    ShardCoordinator coordinator(&served, options);
     for (StructureId s : query::AllStructures()) {
       for (const query::GroundedQuery& q : SampleQueries(s, 2, 301)) {
         ShardedTopK top = coordinator.TopK(q.graph, 10);

@@ -1,4 +1,7 @@
+#include <stdlib.h>
+
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -43,7 +46,12 @@ class StoreConcurrentTest : public ::testing::Test {
     config.seed = 9;
     model_ = new core::HalkModel(config, nullptr);
 
-    dir_ = new std::string(testing::TempDir() + "/store_concurrent_snap");
+    // One directory per process: ctest runs each case in its own process,
+    // possibly at once, and one must never rewrite files the other has
+    // mapped.
+    std::string pattern = testing::TempDir() + "/store_concurrent_XXXXXX";
+    ASSERT_NE(::mkdtemp(pattern.data()), nullptr) << pattern;
+    dir_ = new std::string(pattern);
     ASSERT_TRUE(WriteModelSnapshot(*model_, *dir_, /*num_shards=*/4).ok());
     auto store = EmbeddingStore::Open(*dir_, {});
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -57,6 +65,10 @@ class StoreConcurrentTest : public ::testing::Test {
     delete store_;
     delete model_;
     delete dataset_;
+    if (dir_ != nullptr) {
+      std::error_code ignored;
+      std::filesystem::remove_all(*dir_, ignored);
+    }
     delete dir_;
     served_ = nullptr;
     store_ = nullptr;

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -488,7 +490,9 @@ core::HalkModel* StoreServingTest::model_ = nullptr;
 // Acceptance property: the store-backed model ranks bit-identically to the
 // in-RAM model, standalone and under every sharded partition. Inputs: the
 // fixture model (η >= 0, pruned scans) and an η < 0 model (unpruned scans),
-// each served from a store opened with scanned-page release off and on.
+// each served from a store opened with scanned-page release off and on
+// (stores always have codes), plus an in-RAM twin of each with codes
+// built, so the two-stage scan is held to the one-stage scan in RAM too.
 TEST_F(StoreServingTest, StoreBackedTopKIsBitIdenticalToInRam) {
   core::ModelConfig unpruned_config = model_->config();
   unpruned_config.eta = -0.5f;
@@ -502,6 +506,33 @@ TEST_F(StoreServingTest, StoreBackedTopKIsBitIdenticalToInRam) {
         TempPath(eta < 0.0f ? "snap_serving_unpruned" : "snap_serving");
     ASSERT_TRUE(WriteModelSnapshot(*in_ram_model, dir, /*num_shards=*/3).ok());
     core::Evaluator in_ram(in_ram_model);
+    ASSERT_TRUE(in_ram_model->entity_table().codes.empty());
+    core::HalkModel coded(in_ram_model->config(), nullptr);
+    coded.PrepareForServing();
+    ASSERT_FALSE(coded.entity_table().codes.empty());
+    ASSERT_EQ(std::memcmp(coded.entity_angles().data(),
+                          in_ram_model->entity_angles().data(),
+                          sizeof(float) * coded.entity_angles().numel()),
+              0);
+    core::Evaluator in_ram_coded(&coded);
+    // The filter runs only where pruning is exact (η >= 0): the η < 0
+    // twin's scan prunes nothing, codes or not.
+    {
+      const int64_t n = coded.config().num_entities;
+      const query::GroundedQuery q =
+          query::QuerySampler(&dataset_->train, 5)
+              .Sample(StructureId::k2i)
+              .ValueOrDie();
+      const core::EmbeddingBatch embedding = coded.EmbedQueries({&q.graph});
+      core::TopKAccumulator acc(10);
+      core::ScanStats coded_stats;
+      coded.AccumulateTopKRange({{&embedding, 0}}, 0, n, &acc, &coded_stats);
+      if (eta < 0.0f) {
+        EXPECT_EQ(coded_stats.entities_pruned, 0);
+      } else {
+        EXPECT_GT(coded_stats.entities_pruned, 0);
+      }
+    }
     // Per (shard count, query) scan counters of each store, to compare the
     // release-on store against the release-off one.
     std::vector<std::vector<core::ScanStats>> stats_by_store;
@@ -527,6 +558,8 @@ TEST_F(StoreServingTest, StoreBackedTopKIsBitIdenticalToInRam) {
         for (const query::GroundedQuery& q : *queries) {
           EXPECT_EQ(in_ram.TopK(q.graph, 10), out_of_core.TopK(q.graph, 10))
               << query::StructureName(s) << ", " << label;
+          EXPECT_EQ(in_ram.TopK(q.graph, 10), in_ram_coded.TopK(q.graph, 10))
+              << query::StructureName(s) << ", " << label;
           // Raw distances match bit-exactly, not just the ranking.
           const std::vector<float> a = in_ram.ScoreAllEntities(q.graph);
           const std::vector<float> b = out_of_core.ScoreAllEntities(q.graph);
@@ -546,12 +579,28 @@ TEST_F(StoreServingTest, StoreBackedTopKIsBitIdenticalToInRam) {
         shard::ShardOptions options;
         options.num_shards = shards;
         shard::ShardCoordinator coordinator(served->get(), options);
+        shard::ShardCoordinator plain_coordinator(in_ram_model, options);
+        shard::ShardCoordinator coded_coordinator(&coded, options);
         query::QuerySampler shard_sampler(&dataset_->train, 17);
         for (const query::GroundedQuery& q :
              shard_sampler.SampleMany(StructureId::k2i, 4).ValueOrDie()) {
           shard::ShardedTopK top = coordinator.TopK(q.graph, 10);
           ASSERT_TRUE(top.ok()) << top.status.ToString();
           EXPECT_EQ(Entities(top.entries), in_ram.TopK(q.graph, 10))
+              << shards << " shards, " << label;
+          // In RAM, with codes and without: the same entities at the same
+          // distances, bit for bit.
+          shard::ShardedTopK plain = plain_coordinator.TopK(q.graph, 10);
+          shard::ShardedTopK with_codes = coded_coordinator.TopK(q.graph, 10);
+          ASSERT_TRUE(plain.ok() && with_codes.ok());
+          ASSERT_EQ(plain.entries.size(), with_codes.entries.size());
+          for (size_t i = 0; i < plain.entries.size(); ++i) {
+            EXPECT_EQ(plain.entries[i].entity, with_codes.entries[i].entity);
+            EXPECT_EQ(std::bit_cast<uint32_t>(plain.entries[i].distance),
+                      std::bit_cast<uint32_t>(with_codes.entries[i].distance))
+                << shards << " shards, " << label;
+          }
+          EXPECT_EQ(top.entries, with_codes.entries)
               << shards << " shards, " << label;
           // The same partition scanned directly, for its counters.
           const core::EmbeddingBatch embedding =

@@ -44,7 +44,8 @@ bool IsStorePath(const std::string& path) {
 }
 
 bool IsScanKernelPath(const std::string& path) {
-  for (const char* file : {"core/scan_kernel.cc", "core/scan_kernel.h"}) {
+  for (const char* file : {"core/scan_kernel.cc", "core/scan_kernel.h",
+                           "core/scan_filter.cc", "core/scan_filter.h"}) {
     if (EndsWith(path, file)) return true;
   }
   return false;
@@ -432,7 +433,9 @@ FileResult LintFileContent(const std::string& path, const std::string& text,
   // evaluates its half-angles by a fixed polynomial so that its portable
   // and AVX2 builds are bitwise equal and no libm call sits in the hot
   // loop. libm trigonometry in the kernel TU or in the store's scan would
-  // reintroduce a second, differently rounded copy of the distance.
+  // reintroduce a second, differently rounded copy of the distance. The
+  // two-stage scan's filter (core/scan_filter.*) bounds that distance from
+  // the kernel's own arc constants and codes with no libm at all.
   static const std::regex kLibmTrigRe(
       R"((^|[^A-Za-z0-9_])(__builtin_)?(sin|cos|sinf|cosf|sincos|sincosf)\s*\()");
   if (IsStorePath(path) || IsScanKernelPath(path)) {
