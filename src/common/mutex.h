@@ -1,7 +1,6 @@
 #ifndef HALK_COMMON_MUTEX_H_
 #define HALK_COMMON_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -44,8 +43,8 @@ class HALK_SCOPED_CAPABILITY MutexLock {
   Mutex& mu_;
 };
 
-/// Condition variable paired with Mutex. Wait/WaitUntil require the mutex
-/// held (checked by the analysis); internally they adopt the underlying
+/// Condition variable paired with Mutex. Wait requires the mutex held
+/// (checked by the analysis); internally it adopts the underlying
 /// std::mutex for the wait, so there is zero overhead over
 /// `std::condition_variable` + `std::unique_lock`.
 class CondVar {
@@ -67,17 +66,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock, std::move(pred));
     lock.release();
-  }
-
-  /// Waits until `pred()` is true or `deadline` passes; returns pred().
-  template <typename Clock, typename Duration, typename Pred>
-  bool WaitUntil(Mutex& mu,
-                 const std::chrono::time_point<Clock, Duration>& deadline,
-                 Pred pred) HALK_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const bool satisfied = cv_.wait_until(lock, deadline, std::move(pred));
-    lock.release();
-    return satisfied;
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -1,7 +1,6 @@
 #ifndef HALK_SERVING_REQUEST_QUEUE_H_
 #define HALK_SERVING_REQUEST_QUEUE_H_
 
-#include <chrono>
 #include <deque>
 #include <utility>
 #include <vector>
@@ -15,8 +14,7 @@ namespace halk::serving {
 /// Bounded multi-producer/multi-consumer FIFO used as the serving
 /// admission queue. Producers fail fast (kUnavailable) when the queue is
 /// full — backpressure is surfaced to the client instead of buffering
-/// unboundedly — and consumers pop in micro-batches, lingering briefly for
-/// more work when the queue runs shallow.
+/// unboundedly — and consumers pop whatever is queued, up to a batch cap.
 template <typename T>
 class BoundedQueue {
  public:
@@ -40,37 +38,20 @@ class BoundedQueue {
   }
 
   /// Blocks until at least one item (or close), then drains up to
-  /// `max_items`, waiting at most `linger` for stragglers to coalesce a
-  /// fuller batch. Returns false only when the queue is closed and empty —
-  /// the consumer's signal to exit.
-  bool PopBatch(std::vector<T>* out, size_t max_items,
-                std::chrono::microseconds linger) HALK_EXCLUDES(mu_) {
+  /// `max_items` of what is queued and returns at once: a batch fills only
+  /// from a backlog, and a lone item is never held back. Returns false
+  /// only when the queue is closed and empty — the consumer's signal to
+  /// exit.
+  bool PopBatch(std::vector<T>* out, size_t max_items) HALK_EXCLUDES(mu_) {
     out->clear();
     MutexLock lock(mu_);
     ready_.Wait(mu_, [this]() HALK_REQUIRES(mu_) {
       return !items_.empty() || closed_;
     });
     if (items_.empty()) return false;  // closed and drained
-    auto take = [&]() HALK_REQUIRES(mu_) {
-      while (!items_.empty() && out->size() < max_items) {
-        out->push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-    };
-    take();
-    if (out->size() < max_items && linger.count() > 0 && !closed_) {
-      // Linger until the batch fills, the queue closes, or the window
-      // elapses — re-arming after each partial arrival so stragglers keep
-      // coalescing into this batch.
-      const auto deadline = std::chrono::steady_clock::now() + linger;
-      while (out->size() < max_items && !closed_) {
-        if (!ready_.WaitUntil(mu_, deadline, [this]() HALK_REQUIRES(mu_) {
-              return !items_.empty() || closed_;
-            })) {
-          break;  // window elapsed with nothing new
-        }
-        take();
-      }
+    while (!items_.empty() && out->size() < max_items) {
+      out->push_back(std::move(items_.front()));
+      items_.pop_front();
     }
     return true;
   }

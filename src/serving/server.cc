@@ -59,6 +59,9 @@ QueryServer::QueryServer(core::QueryModel* model,
       cache_misses_(metrics_.GetCounter("serving.cache_misses")),
       latency_us_(metrics_.GetHistogram(
           "serving.latency_us", Histogram::ExponentialBounds(1.0, 2.0, 26))),
+      queue_wait_us_(metrics_.GetHistogram(
+          "serving.queue_wait_us",
+          Histogram::ExponentialBounds(1.0, 2.0, 26))),
       batch_size_(metrics_.GetHistogram(
           "serving.batch_size", Histogram::ExponentialBounds(1.0, 2.0, 12))),
       queue_depth_(metrics_.GetGauge("serving.queue_depth")),
@@ -224,7 +227,7 @@ Result<std::future<Result<TopKAnswer>>> QueryServer::Submit(
   request->graph = query;
   request->deadline = timeout.count() > 0 ? AtNs(record.submit_ns) + timeout
                                           : Clock::time_point::max();
-  request->enqueue_ns = traced && enqueue_ns == 0 ? obs::NowNs() : enqueue_ns;
+  request->enqueue_ns = enqueue_ns != 0 ? enqueue_ns : obs::NowNs();
   request->record = std::move(record);
   std::future<Result<TopKAnswer>> future = request->promise.get_future();
 
@@ -315,8 +318,7 @@ void QueryServer::RecordChunkPhase(
 
 void QueryServer::WorkerLoop() {
   std::vector<std::unique_ptr<PendingRequest>> chunk;
-  while (queue_.PopBatch(&chunk, options_.max_batch_size,
-                         options_.batch_linger)) {
+  while (queue_.PopBatch(&chunk, options_.max_batch_size)) {
     ServeChunk(&chunk);
     chunk.clear();
   }
@@ -324,13 +326,15 @@ void QueryServer::WorkerLoop() {
 
 void QueryServer::ServeChunk(
     std::vector<std::unique_ptr<PendingRequest>>* chunk) {
-  // One clock read at pickup ends every queue_wait and is the deadline
-  // check's now. Every request here already missed the answer cache.
+  // One clock read at pickup ends every queue wait (span and histogram)
+  // and is the deadline check's now. Every request here already missed
+  // the answer cache.
   const int64_t pickup_ns = obs::NowNs();
   std::vector<std::unique_ptr<PendingRequest>> live;
   live.reserve(chunk->size());
   for (std::unique_ptr<PendingRequest>& request : *chunk) {
     queue_depth_->Add(-1.0);
+    queue_wait_us_->Observe(MicrosBetween(request->enqueue_ns, pickup_ns));
     obs::RecordSpan(request->record.trace, "queue_wait", request->enqueue_ns,
                     pickup_ns);
     if (AtNs(pickup_ns) > request->deadline) {

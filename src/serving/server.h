@@ -40,10 +40,10 @@ struct ServerOptions {
   int num_workers = 4;
   /// Admission-queue capacity; Submit rejects (kUnavailable) beyond it.
   size_t queue_capacity = 1024;
-  /// Upper bound on requests per worker chunk (one plan per chunk).
+  /// Upper bound on requests per worker chunk (one plan per chunk). A
+  /// worker takes what is queued, up to this many, and starts at once:
+  /// chunks fill only from a backlog.
   size_t max_batch_size = 16;
-  /// How long a worker lingers for stragglers when its chunk is not full.
-  std::chrono::microseconds batch_linger{100};
   /// Entry capacity of the answer cache; 0 disables caching outright.
   size_t cache_capacity = 4096;
   /// Entity-table shards ranked in parallel per request (>= 1). Shard 0
@@ -242,8 +242,8 @@ class QueryServer {
     RequestRecord record;
     query::QueryGraph graph;
     std::chrono::steady_clock::time_point deadline;  // max() = none
-    /// Start of the queue_wait span: the end of the Submit probe (0 when
-    /// untraced).
+    /// Start of the queue wait (its span and serving.queue_wait_us): the
+    /// end of the Submit probe.
     int64_t enqueue_ns = 0;
     std::promise<Result<TopKAnswer>> promise;
   };
@@ -305,6 +305,7 @@ class QueryServer {
   Counter* cache_hits_;
   Counter* cache_misses_;
   Histogram* latency_us_;
+  Histogram* queue_wait_us_;  // enqueue → pickup, every queued request
   Histogram* batch_size_;
   Gauge* queue_depth_;  // requests admitted, not yet picked up
   Gauge* in_flight_;    // requests admitted, not yet finished

@@ -15,6 +15,17 @@
 
 namespace halk::serving {
 
+namespace internal {
+
+/// Size of the heap block glibc's malloc hands out for an `n`-byte request
+/// on a 64-bit target: an 8-byte header, 16-byte alignment and a 32-byte
+/// minimum. Zero for an empty buffer, which allocates nothing.
+constexpr size_t HeapBlockBytes(size_t n) {
+  return n == 0 ? 0 : std::max<size_t>(32, (n + 8 + 15) / 16 * 16);
+}
+
+}  // namespace internal
+
 /// Intermediate-result cache of the planner path: one embedding row
 /// (center row ‖ length row, 2·d floats) per unique subtree fingerprint,
 /// shared by every serving worker. Where the final-answer LRU cache only
@@ -23,9 +34,11 @@ namespace halk::serving {
 /// constantly.
 ///
 /// Unlike LruCache it is byte-budgeted — entries are small but unbounded
-/// in count — and carries invalidation hooks: each entry is tagged with
-/// the sorted relations of its subtree, so a KG update along relation r
-/// can evict exactly the embeddings it staled with InvalidateRelation(r).
+/// in count — and each entry is charged every heap block it takes
+/// (ChargedBytes), so the budget bounds the memory the cache holds. It
+/// also carries invalidation hooks: each entry is tagged with the sorted
+/// relations of its subtree, so a KG update along relation r can evict
+/// exactly the embeddings it staled with InvalidateRelation(r).
 /// (Entity or parameter updates are coarser — use Clear().)
 ///
 /// Admission is the caller's choice: the plan executor Puts a subtree only
@@ -46,7 +59,7 @@ class SubtreeCache {
   explicit SubtreeCache(size_t capacity_bytes)
       : capacity_bytes_(capacity_bytes),
         doorkeeper_keys_(std::max<size_t>(1, capacity_bytes /
-                                                 kNodeOverheadBytes)),
+                                                 kEntryOverheadBytes)),
         doorkeeper_((doorkeeper_keys_ * kDoorkeeperBitsPerKey + 63) / 64) {}
 
   SubtreeCache(const SubtreeCache&) = delete;
@@ -77,7 +90,7 @@ class SubtreeCache {
   /// sighting of `key` and returns whether it had been seen before, i.e.
   /// whether its entry is worth a Put. The record is a bit set of
   /// kDoorkeeperBitsPerKey bits per key the budget could hold at the
-  /// smallest charge (kNodeOverheadBytes), probed at two positions per key;
+  /// smallest charge (kEntryOverheadBytes), probed at two positions per key;
   /// it is cleared once it has recorded that many new keys, so a sighting
   /// is remembered for about one budget's worth of distinct subtrees. A
   /// false positive admits a one-off key; a repeat is refused only on its
@@ -105,11 +118,11 @@ class SubtreeCache {
   /// dropped on the floor.
   void Put(const query::Fingerprint& key, Entry entry) HALK_EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    const size_t entry_bytes = EntryBytes(entry);
+    const size_t entry_bytes = ChargedBytes(entry);
     if (entry_bytes > capacity_bytes_) return;
     auto it = index_.find(key);
     if (it != index_.end()) {
-      bytes_ -= EntryBytes(it->second->second);
+      bytes_ -= ChargedBytes(it->second->second);
       it->second->second = std::move(entry);
       bytes_ += entry_bytes;
       order_.splice(order_.begin(), order_, it->second);
@@ -119,7 +132,7 @@ class SubtreeCache {
       bytes_ += entry_bytes;
     }
     while (bytes_ > capacity_bytes_ && !order_.empty()) {
-      bytes_ -= EntryBytes(order_.back().second);
+      bytes_ -= ChargedBytes(order_.back().second);
       index_.erase(order_.back().first);
       order_.pop_back();
       ++evictions_;
@@ -134,7 +147,7 @@ class SubtreeCache {
     for (auto it = order_.begin(); it != order_.end();) {
       const std::vector<int64_t>& tags = it->second.relations;
       if (std::binary_search(tags.begin(), tags.end(), relation)) {
-        bytes_ -= EntryBytes(it->second);
+        bytes_ -= ChargedBytes(it->second);
         index_.erase(it->first);
         it = order_.erase(it);
         ++dropped;
@@ -144,6 +157,16 @@ class SubtreeCache {
     }
     invalidations_ += static_cast<int64_t>(dropped);
     return dropped;
+  }
+
+  /// Bytes `entry` is charged against the budget: its list node, index
+  /// node and bucket slots (kEntryOverheadBytes) plus its row and tag
+  /// buffers, each as the allocator rounds it.
+  static size_t ChargedBytes(const Entry& entry) {
+    using internal::HeapBlockBytes;
+    return kEntryOverheadBytes +
+           HeapBlockBytes(entry.row.capacity() * sizeof(float)) +
+           HeapBlockBytes(entry.relations.capacity() * sizeof(int64_t));
   }
 
   void Clear() HALK_EXCLUDES(mu_) {
@@ -180,26 +203,28 @@ class SubtreeCache {
   }
 
  private:
-  /// Charged bytes: payload plus a fixed estimate of list/map node
-  /// overhead, so millions of tiny entries cannot blow past the budget.
-  static size_t EntryBytes(const Entry& entry) {
-    return entry.row.size() * sizeof(float) +
-           entry.relations.size() * sizeof(int64_t) + kNodeOverheadBytes;
-  }
+  using Order = std::list<std::pair<query::Fingerprint, Entry>>;
 
-  static constexpr size_t kNodeOverheadBytes = 96;
+  /// The payload-free part of every charge: the recency-list node (two
+  /// links, key and Entry), the index node (a link, key, list iterator
+  /// and cached hash), and two bucket slots — the index keeps at most one
+  /// entry per bucket and doubles its bucket array as it grows.
+  static constexpr size_t kEntryOverheadBytes =
+      internal::HeapBlockBytes(2 * sizeof(void*) +
+                               sizeof(Order::value_type)) +
+      internal::HeapBlockBytes(2 * sizeof(void*) +
+                               sizeof(query::Fingerprint) +
+                               sizeof(Order::iterator)) +
+      2 * sizeof(void*);
   static constexpr size_t kDoorkeeperBitsPerKey = 8;
 
   const size_t capacity_bytes_;
   const size_t doorkeeper_keys_;
   mutable Mutex mu_;
   /// front = most recently used
-  std::list<std::pair<query::Fingerprint, Entry>> order_
-      HALK_GUARDED_BY(mu_);
-  std::unordered_map<
-      query::Fingerprint,
-      std::list<std::pair<query::Fingerprint, Entry>>::iterator,
-      query::FingerprintHash>
+  Order order_ HALK_GUARDED_BY(mu_);
+  std::unordered_map<query::Fingerprint, Order::iterator,
+                     query::FingerprintHash>
       index_ HALK_GUARDED_BY(mu_);
   size_t bytes_ HALK_GUARDED_BY(mu_) = 0;
   int64_t hits_ HALK_GUARDED_BY(mu_) = 0;

@@ -76,7 +76,7 @@ Status ShardWorker::Submit(std::unique_ptr<ShardTask> task) {
 
 void ShardWorker::Loop() {
   std::vector<std::unique_ptr<ShardTask>> batch;
-  while (queue_.PopBatch(&batch, 1, std::chrono::microseconds::zero())) {
+  while (queue_.PopBatch(&batch, 1)) {
     ShardTask* task = batch[0].get();
     task->result.set_value(ScanShard(*model_, *shard_, *task->branches,
                                      task->k, task->deadline, task->trace));

@@ -5,6 +5,7 @@
 // in baselines::AvailableModels(). Every comparison below is exact
 // (EXPECT_EQ on float vectors).
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -27,6 +28,7 @@
 #include "query/sampler.h"
 #include "query/structures.h"
 #include "serving/server.h"
+#include "shard/slow_range_model.h"
 
 namespace halk::serving {
 namespace {
@@ -169,13 +171,20 @@ TEST_F(PlannerEquivalenceTest, DuplicateSubtreeBatchesStayBitIdentical) {
   // A chunk hand-built from a shared subtree library: every query
   // extends the same 1p/2p prefixes, so the planner merges aggressively
   // across requests — and each answer must still match its own solo
-  // evaluation.
+  // evaluation. The one worker is held inside a gated scan while the
+  // batch queues, so it picks the whole batch up as one chunk. The gated
+  // model is a twin of the fixture's (same config and grouping), which
+  // stays the reference.
+  shard::SlowRangeModel gated(model_->config(), std::chrono::seconds(10),
+                              grouping_);
   ServerOptions options;
-  options.num_workers = 1;  // one worker => whole batch in one chunk
+  options.num_workers = 1;
   options.max_batch_size = 16;
-  options.batch_linger = std::chrono::microseconds(20000);
   options.cache_capacity = 0;
-  QueryServer server(model_, &dataset_->train, options);
+  QueryServer server(&gated, &dataset_->train, options);
+  MetricsRegistry* metrics = server.metrics();
+  Histogram* chunks = metrics->GetHistogram(
+      "plan.build_us", Histogram::ExponentialBounds(1.0, 2.0, 20));
 
   std::vector<query::QueryGraph> queries;
   for (int64_t tail_relation = 0; tail_relation < 4; ++tail_relation) {
@@ -195,21 +204,40 @@ TEST_F(PlannerEquivalenceTest, DuplicateSubtreeBatchesStayBitIdentical) {
   queries.push_back(queries[0]);
   queries.push_back(queries[1]);
 
+  // The gate: a lone request whose shard-0 scan stalls until Heal().
+  query::QueryGraph gate;
+  gate.SetTarget(gate.AddProjection(gate.AddAnchor(3), 1));
+  gated.SlowRange(server.coordinator()->shard_range(0).begin);
+  auto gate_future = server.Submit(gate, 10);
+  ASSERT_TRUE(gate_future.ok()) << gate_future.status().ToString();
+  gated.AwaitStall();
+  // The gate's plan is counted before its scan starts.
+  const int64_t total_before = metrics->CounterValue("plan.nodes");
+  const int64_t unique_before = metrics->CounterValue("plan.unique_nodes");
+
   std::vector<std::future<Result<TopKAnswer>>> futures;
   for (const query::QueryGraph& g : queries) {
     auto submitted = server.Submit(g, 10);
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     futures.push_back(std::move(*submitted));
   }
+  gated.Heal();
+  Result<TopKAnswer> gate_served = gate_future->get();
+  ASSERT_TRUE(gate_served.ok()) << gate_served.status().ToString();
+  ExpectBitIdentical(*gate_served, gate, 10);
   for (size_t i = 0; i < futures.size(); ++i) {
     Result<TopKAnswer> served = futures[i].get();
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     ExpectBitIdentical(*served, queries[i], 10);
   }
+  // Two chunks: the gate, then the whole batch.
+  EXPECT_EQ(chunks->count(), 2);
+  EXPECT_EQ(metrics->CounterValue("plan.requests"),
+            static_cast<int64_t>(queries.size()) + 1);
   // The shared prefix must actually have been merged.
-  const int64_t total = server.metrics()->CounterValue("plan.nodes");
+  const int64_t total = metrics->CounterValue("plan.nodes") - total_before;
   const int64_t unique =
-      server.metrics()->CounterValue("plan.unique_nodes");
+      metrics->CounterValue("plan.unique_nodes") - unique_before;
   EXPECT_LT(unique, total);
 }
 

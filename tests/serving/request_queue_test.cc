@@ -1,6 +1,5 @@
 #include "serving/request_queue.h"
 
-#include <chrono>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,9 +19,9 @@ TEST(BoundedQueueTest, PopBatchDrainsUpToMax) {
   BoundedQueue<int> q(8);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.TryPush(i).ok());
   std::vector<int> out;
-  ASSERT_TRUE(q.PopBatch(&out, 3, std::chrono::microseconds(0)));
+  ASSERT_TRUE(q.PopBatch(&out, 3));
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  ASSERT_TRUE(q.PopBatch(&out, 3, std::chrono::microseconds(0)));
+  ASSERT_TRUE(q.PopBatch(&out, 3));
   EXPECT_EQ(out, (std::vector<int>{3, 4}));
 }
 
@@ -32,9 +31,9 @@ TEST(BoundedQueueTest, CloseDrainsThenSignalsExit) {
   q.Close();
   EXPECT_EQ(q.TryPush(8).code(), StatusCode::kUnavailable);
   std::vector<int> out;
-  EXPECT_TRUE(q.PopBatch(&out, 4, std::chrono::microseconds(0)));
+  EXPECT_TRUE(q.PopBatch(&out, 4));
   EXPECT_EQ(out, (std::vector<int>{7}));
-  EXPECT_FALSE(q.PopBatch(&out, 4, std::chrono::microseconds(0)));
+  EXPECT_FALSE(q.PopBatch(&out, 4));
 }
 
 }  // namespace

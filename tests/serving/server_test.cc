@@ -171,7 +171,6 @@ TEST_F(QueryServerTest, QueuedRequestsPastDeadlineExpire) {
   ServerOptions options;
   options.num_workers = 1;
   options.max_batch_size = 4;
-  options.batch_linger = std::chrono::microseconds(0);
   options.cache_capacity = 0;
   QueryServer server(model_, &dataset_->train, options);
 
@@ -604,8 +603,6 @@ TEST_F(QueryServerTest, EveryCompletionPathWritesOneRecordToEverySink) {
   ServerOptions options;
   options.num_workers = 1;
   options.num_shards = 2;
-  // Every pickup lingers, so a 1us deadline has always passed by then.
-  options.batch_linger = std::chrono::milliseconds(20);
   options.tracer = &tracer;
   options.slo = &slo;
   options.serve_journal = journal.get();
@@ -614,6 +611,8 @@ TEST_F(QueryServerTest, EveryCompletionPathWritesOneRecordToEverySink) {
   MetricsRegistry* metrics = server.metrics();
   Histogram* latency = metrics->GetHistogram(
       "serving.latency_us", Histogram::ExponentialBounds(1.0, 2.0, 26));
+  Histogram* queue_wait = metrics->GetHistogram(
+      "serving.queue_wait_us", Histogram::ExponentialBounds(1.0, 2.0, 26));
 
   const std::vector<query::GroundedQuery> queries =
       SampleQueries(StructureId::k2i, 3, 347);
@@ -621,22 +620,26 @@ TEST_F(QueryServerTest, EveryCompletionPathWritesOneRecordToEverySink) {
   // folds them.
   std::map<std::string, obs::Welford> journal_latency;
   size_t lines_read = 0;
+  // Checks the next journal record; `later` more requests have finished
+  // since this one, so their records follow it.
   auto check_path = [&](const char* path, const std::string& status,
-                        bool cache_hit, double coverage) {
+                        bool cache_hit, double coverage, size_t later = 0) {
     SCOPED_TRACE(path);
     std::vector<std::string> lines;
     std::istringstream in(journal_out.str());
     for (std::string line; std::getline(in, line);) lines.push_back(line);
-    ASSERT_EQ(lines.size(), lines_read + 1);
-    Result<obs::JsonObject> record = obs::ParseJsonLine(lines.back());
-    lines_read = lines.size();
-    ASSERT_TRUE(record.ok()) << lines.back();
+    ASSERT_EQ(lines.size(), lines_read + 1 + later);
+    const std::string& line = lines[lines_read];
+    Result<obs::JsonObject> record = obs::ParseJsonLine(line);
+    ++lines_read;
+    ASSERT_TRUE(record.ok()) << line;
     EXPECT_EQ(obs::FindKey(*record, "status")->string_value, status);
     EXPECT_EQ(obs::FindKey(*record, "cache_hit")->bool_value, cache_hit);
     EXPECT_EQ(obs::FindKey(*record, "coverage")->number, coverage);
 
-    EXPECT_EQ(slo.Evaluate().requests_fast, static_cast<int64_t>(lines_read));
-    EXPECT_EQ(latency->count(), static_cast<int64_t>(lines_read));
+    EXPECT_EQ(slo.Evaluate().requests_fast,
+              static_cast<int64_t>(lines.size()));
+    EXPECT_EQ(latency->count(), static_cast<int64_t>(lines.size()));
     const std::string fingerprint =
         obs::FindKey(*record, "fingerprint")->string_value;
     obs::Welford& expected = journal_latency[fingerprint];
@@ -658,25 +661,39 @@ TEST_F(QueryServerTest, EveryCompletionPathWritesOneRecordToEverySink) {
                   metrics->CounterValue("serving.cache_misses"),
               metrics->CounterValue("serving.submitted"));
     EXPECT_EQ(metrics->GaugeValue("serving.in_flight"), 0.0);
+    // Every miss waited in the queue once, expired or not; hits never
+    // queue.
+    EXPECT_EQ(queue_wait->count(),
+              metrics->CounterValue("serving.cache_misses"));
   };
 
-  Result<TopKAnswer> ranked = server.Answer(queries[0].graph, 10);
+  // The ranked miss holds the one worker inside its shard-0 scan while a
+  // request with a 1us deadline queues behind it, so that deadline has
+  // passed by pickup.
+  model.SlowRange(server.coordinator()->shard_range(0).begin);
+  auto ranked_future = server.Submit(queries[0].graph, 10);
+  ASSERT_TRUE(ranked_future.ok()) << ranked_future.status().ToString();
+  model.AwaitStall();
+  auto expired_future =
+      server.Submit(queries[1].graph, 10, std::chrono::microseconds(1));
+  ASSERT_TRUE(expired_future.ok()) << expired_future.status().ToString();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  model.Heal();
+  Result<TopKAnswer> ranked = ranked_future->get();
+  Result<TopKAnswer> expired = expired_future->get();
   ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
   EXPECT_FALSE(ranked->from_cache);
-  check_path("ranked miss", "OK", /*cache_hit=*/false, 1.0);
+  check_path("ranked miss", "OK", /*cache_hit=*/false, 1.0, /*later=*/1);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  check_path("expired in queue", "DeadlineExceeded", /*cache_hit=*/false,
+             0.0);
 
   Result<TopKAnswer> hit = server.Answer(queries[0].graph, 10);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->from_cache);
   EXPECT_EQ(hit->entities, ranked->entities);
   check_path("submit-time hit", "OK", /*cache_hit=*/true, 1.0);
-
-  Result<TopKAnswer> expired =
-      server.Answer(queries[1].graph, 10, std::chrono::microseconds(1));
-  ASSERT_FALSE(expired.ok());
-  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
-  check_path("expired in queue", "DeadlineExceeded", /*cache_hit=*/false,
-             0.0);
 
   const shard::EntityRange lost = server.coordinator()->shard_range(1);
   model.SlowRange(lost.begin);

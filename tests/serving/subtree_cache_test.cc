@@ -5,13 +5,31 @@
 
 #include <gtest/gtest.h>
 
+// mallinfo2 (glibc >= 2.33) reports what glibc's own allocator holds; the
+// sanitizer runtimes replace that allocator, so the heap-growth case below
+// runs only without them.
+#if defined(__GLIBC__)
+#if __GLIBC_PREREQ(2, 33)
+#include <malloc.h>
+#define HALK_TEST_GLIBC_MALLINFO2 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#undef HALK_TEST_GLIBC_MALLINFO2
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#undef HALK_TEST_GLIBC_MALLINFO2
+#endif
+#endif
+
 namespace halk::serving {
 namespace {
 
 query::Fingerprint Key(uint64_t n) { return {n, n * 31 + 7}; }
 
-/// An entry of 8 floats charges 32 + 96 overhead = 128 bytes (before
-/// relation tags), so byte budgets divide evenly in the tests below.
+/// An entry of 8 floats, optionally tagged.
 SubtreeCache::Entry MakeEntry(float fill,
                               std::vector<int64_t> relations = {}) {
   SubtreeCache::Entry entry;
@@ -19,6 +37,11 @@ SubtreeCache::Entry MakeEntry(float fill,
   entry.relations = std::move(relations);
   return entry;
 }
+
+/// Charges of a tag-free and a one-tag MakeEntry; the byte budgets below
+/// are multiples of them.
+size_t Plain() { return SubtreeCache::ChargedBytes(MakeEntry(0.0f)); }
+size_t OneTag() { return SubtreeCache::ChargedBytes(MakeEntry(0.0f, {0})); }
 
 TEST(SubtreeCacheTest, PutGetRoundTrip) {
   SubtreeCache cache(1024);
@@ -37,18 +60,18 @@ TEST(SubtreeCacheTest, TracksByteFootprint) {
   SubtreeCache cache(1024);
   EXPECT_EQ(cache.bytes(), 0u);
   cache.Put(Key(1), MakeEntry(1.0f));
-  EXPECT_EQ(cache.bytes(), 128u);
+  EXPECT_EQ(cache.bytes(), Plain());
   cache.Put(Key(2), MakeEntry(2.0f, {3}));
-  EXPECT_EQ(cache.bytes(), 128u + 136u);
+  EXPECT_EQ(cache.bytes(), Plain() + OneTag());
   EXPECT_EQ(cache.size(), 2u);
   // Overwriting replaces the old entry's charge, not adds to it.
   cache.Put(Key(2), MakeEntry(3.0f));
-  EXPECT_EQ(cache.bytes(), 256u);
+  EXPECT_EQ(cache.bytes(), 2 * Plain());
   EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(SubtreeCacheTest, EvictsLeastRecentlyUsedOverBudget) {
-  SubtreeCache cache(256);  // room for exactly two tag-free entries
+  SubtreeCache cache(2 * Plain());  // room for exactly two tag-free entries
   cache.Put(Key(1), MakeEntry(1.0f));
   cache.Put(Key(2), MakeEntry(2.0f));
   ASSERT_TRUE(cache.Get(Key(1), nullptr));  // 2 becomes LRU
@@ -69,7 +92,7 @@ TEST(SubtreeCacheTest, OversizeEntryIsDropped) {
 }
 
 TEST(SubtreeCacheTest, ContainsHasNoSideEffects) {
-  SubtreeCache cache(256);
+  SubtreeCache cache(2 * Plain());
   cache.Put(Key(1), MakeEntry(1.0f));
   cache.Put(Key(2), MakeEntry(2.0f));
   EXPECT_TRUE(cache.Contains(Key(1)));
@@ -96,7 +119,7 @@ TEST(SubtreeCacheTest, InvalidateRelationDropsTaggedEntriesOnly) {
   EXPECT_TRUE(cache.Contains(Key(4)));
   EXPECT_EQ(cache.InvalidateRelation(2), 0u);
   // Byte accounting survives the evictions.
-  EXPECT_EQ(cache.bytes(), 128u + 136u);
+  EXPECT_EQ(cache.bytes(), OneTag() + Plain());
 }
 
 TEST(SubtreeCacheTest, ClearEmptiesEverything) {
@@ -151,7 +174,7 @@ TEST(SubtreeCacheTest, DoorkeeperAdmitsOnTheSecondSighting) {
 }
 
 TEST(SubtreeCacheTest, DoorkeeperKeepsTheByteBudget) {
-  SubtreeCache cache(512);  // room for four tag-free entries
+  SubtreeCache cache(4 * Plain());  // room for four tag-free entries
   int64_t puts = 0;
   for (uint64_t n = 0; n < 200; ++n) {
     // Every key is seen twice, as a recurring subtree would be; the
@@ -167,6 +190,34 @@ TEST(SubtreeCacheTest, DoorkeeperKeepsTheByteBudget) {
   EXPECT_GE(puts, 200);
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_TRUE(cache.Contains(MixedKey(199)));
+}
+
+TEST(SubtreeCacheTest, ChargeBoundsTheHeapGrowth) {
+#if defined(HALK_TEST_GLIBC_MALLINFO2)
+  // Served entries at d = 32 (2·d floats) with two relation tags, into a
+  // budget that never evicts: the heap in use (arena blocks plus mmapped
+  // blocks, which hold the index's bucket array once it is large) must
+  // grow by no more than the bytes the cache charged for them.
+  constexpr size_t kEntries = 50000;
+  SubtreeCache cache(size_t{64} << 20);
+  const struct mallinfo2 before = mallinfo2();
+  for (uint64_t n = 0; n < kEntries; ++n) {
+    SubtreeCache::Entry entry;
+    entry.row.assign(64, static_cast<float>(n));
+    entry.relations = {static_cast<int64_t>(n % 6), 7};
+    cache.Put(MixedKey(n), std::move(entry));
+  }
+  const struct mallinfo2 after = mallinfo2();
+  ASSERT_EQ(cache.size(), kEntries);
+  ASSERT_EQ(cache.evictions(), 0);
+  const size_t grown =
+      (after.uordblks + after.hblkhd) - (before.uordblks + before.hblkhd);
+  EXPECT_LE(grown, cache.bytes())
+      << "heap bytes per entry " << grown / kEntries << ", charged "
+      << cache.bytes() / kEntries;
+#else
+  GTEST_SKIP() << "needs glibc's own allocator and mallinfo2";
+#endif
 }
 
 }  // namespace
