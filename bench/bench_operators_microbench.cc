@@ -177,7 +177,7 @@ void RunScanKernel(benchmark::State& state, halk::core::ScanKernelFn kernel) {
   for (auto _ : state) {
     for (int64_t e = 0; e < n; e += halk::core::kScanLanes) {
       const halk::core::EntityBlock block{
-          table + e * d, std::min(halk::core::kScanLanes, n - e), d, 1};
+          table + e * d, std::min(halk::core::kScanLanes, n - e)};
       kernel(&Scan().arc, 1, block, std::numeric_limits<float>::infinity(),
              partial, out.data() + e);
     }

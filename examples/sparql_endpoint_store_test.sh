@@ -31,9 +31,9 @@ cmp -s "$TMP/first_topk.txt" "$TMP/second_topk.txt" || {
   exit 1
 }
 
-# Flip the last byte of a shard file (inside the final column block, whose
-# checksum covers its zero padding): the open-time verification must catch
-# it and the endpoint must refuse to serve or retrain.
+# Flip the last byte of a shard file (inside the last row group's zero
+# padding, which that group's checksum covers): the open-time verification
+# must catch it and the endpoint must refuse to serve or retrain.
 SHARD="$(ls "$TMP/snap"/entities-*.halkstore | head -n 1)"
 printf '\377' | dd of="$SHARD" bs=1 seek=$(( $(wc -c < "$SHARD") - 1 )) \
   conv=notrunc 2> /dev/null

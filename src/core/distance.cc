@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -91,19 +92,19 @@ std::vector<Segment>::const_iterator SegmentFor(
   return it == segments.begin() ? it : it - 1;
 }
 
-EntityBlock Block(const Segment& s, int64_t first_entity, int64_t rows) {
-  return {s.base + (first_entity - s.first) * s.row_stride, rows,
-          s.row_stride, s.dim_stride};
+/// Entity `entity`'s row in segment `s`.
+const float* Row(const Segment& s, int64_t entity, int64_t dim) {
+  return s.base + (entity - s.first) * dim;
 }
 
 /// Scans one block against every DNF branch and pushes each entity's
 /// minimum distance into `acc` unless it exceeds the admission bound
 /// (acc->bound() with `prune`, else +inf). Row i is entity ids[i], or
-/// first_entity + i without an id map. Returns the dimensions read.
-int64_t PushBlockTopK(const std::vector<ArcConstants>& arcs,
-                      const EntityBlock& block, int64_t first_entity,
-                      const int64_t* ids, bool prune, float* partial,
-                      TopKAccumulator* acc, ScanStats* stats) {
+/// first_entity + i without an id map.
+void PushBlockTopK(const std::vector<ArcConstants>& arcs,
+                   const EntityBlock& block, int64_t first_entity,
+                   const int64_t* ids, bool prune, float* partial,
+                   TopKAccumulator* acc, ScanStats* stats) {
   // The bound only tightens through pushes, which happen after the block
   // completes, so pruning against the block-start value is conservative.
   const float bound =
@@ -113,7 +114,7 @@ int64_t PushBlockTopK(const std::vector<ArcConstants>& arcs,
       ScanKernel()(arcs.data(), arcs.size(), block, bound, partial, best);
   if (dims < static_cast<int64_t>(arcs[0].dims.size())) {
     if (stats != nullptr) stats->entities_pruned += block.rows;
-    return dims;
+    return;
   }
   for (int64_t i = 0; i < block.rows; ++i) {
     // An entity above the bound cannot enter; one at or below it carries
@@ -124,13 +125,14 @@ int64_t PushBlockTopK(const std::vector<ArcConstants>& arcs,
     }
     acc->Push(ids != nullptr ? ids[i] : first_entity + i, best[i]);
   }
-  return dims;
 }
 
-/// The second stage's blocks: entities copied row-major into one stack
+/// The second stage's blocks: entity rows copied into one row-major stack
 /// block with an id map, scored by the kernel once full or flushed. The
-/// kernel's value does not depend on the block or layout an entity is
-/// scanned in, so a gathered entity's distance is the one-stage scan's.
+/// rows are copies, so one block may mix segments, and a segment may be
+/// released while its rows wait here. The kernel's value does not depend
+/// on the block an entity is scanned in, so a gathered entity's distance
+/// is the one-stage scan's.
 class GatheredBlock {
  public:
   GatheredBlock(const std::vector<ArcConstants>& arcs, int64_t dim,
@@ -142,24 +144,23 @@ class GatheredBlock {
         acc_(acc),
         stats_(stats) {}
 
-  /// Appends `entity`, a row of segment `s`; true once the block is full.
-  bool Add(const Segment& s, int64_t entity) {
-    const float* row = s.base + (entity - s.first) * s.row_stride;
-    float* dst = rows_.data() + count_ * dim_;
-    for (int64_t j = 0; j < dim_; ++j) dst[j] = row[j * s.dim_stride];
+  /// Appends `entity`'s row; once the block is full, scores and empties it
+  /// and returns true.
+  bool Add(const float* row, int64_t entity) {
+    std::memcpy(rows_.data() + count_ * dim_, row,
+                static_cast<size_t>(dim_) * sizeof(float));
     ids_[count_++] = entity;
-    return count_ == kScanLanes;
+    if (count_ < kScanLanes) return false;
+    Flush();
+    return true;
   }
 
-  /// Scores and empties the block; returns the dimensions read (0 when
-  /// empty).
-  int64_t Flush() {
-    if (count_ == 0) return 0;
-    const int64_t dims =
-        PushBlockTopK(arcs_, {rows_.data(), count_, dim_, 1}, 0, ids_,
-                      /*prune=*/true, partial_, acc_, stats_);
+  /// Scores and empties the block.
+  void Flush() {
+    if (count_ == 0) return;
+    PushBlockTopK(arcs_, {rows_.data(), count_}, 0, ids_, /*prune=*/true,
+                  partial_, acc_, stats_);
     count_ = 0;
-    return dims;
   }
 
  private:
@@ -275,45 +276,41 @@ void TwoStageTopK(const EntityTable& table,
       table.codes, begin, end,
       acc->k() - static_cast<int64_t>(acc->size()), &pass);
 
-  // Segments overlapping the range, and the column blocks read in each: a
-  // gathered block never mixes segments, so its reads count for one.
   const auto first = SegmentFor(table.segments, begin);
-  const auto num_segments = static_cast<size_t>(
+  const auto last =
       std::lower_bound(first, table.segments.end(), end,
-                       [](const Segment& s, int64_t e) { return s.first < e; }) -
-      first);
-  std::vector<int64_t> dims_read(num_segments, 0);
-  GatheredBlock block(arcs, table.dim, partial, acc, stats);
-  auto flush = [&](size_t segment) {
-    dims_read[segment] = std::max(dims_read[segment], block.Flush());
-  };
+                       [](const Segment& s, int64_t e) { return s.first < e; });
+  const int64_t dim = table.dim;
+  GatheredBlock block(arcs, dim, partial, acc, stats);
 
-  // The seeds, in entity order. They are spread over the range, so a
-  // segment holding one is released right away rather than kept resident
+  // The seeds, in entity order, the last partial block scored once all are
+  // in. They are spread over the range, so a segment holding one is
+  // released as soon as its seeds are copied rather than kept resident
   // until stage two reaches it; out of core this keeps about a quarter off
   // the peak resident set (docs/storage.md).
   size_t next_seed = 0;
-  for (size_t si = 0; si < num_segments; ++si) {
-    const Segment& s = first[static_cast<int64_t>(si)];
+  for (auto s = first; s != last; ++s) {
     const size_t seeds_before = next_seed;
-    for (; next_seed < seeds.size() && seeds[next_seed] < s.first + s.rows;
+    for (; next_seed < seeds.size() && seeds[next_seed] < s->first + s->rows;
          ++next_seed) {
-      if (block.Add(s, seeds[next_seed])) flush(si);
+      block.Add(Row(*s, seeds[next_seed], dim), seeds[next_seed]);
     }
-    flush(si);
     if (next_seed > seeds_before && table.release != nullptr) {
-      table.release(s, table.dim);
+      table.release(*s, dim);
     }
   }
+  block.Flush();
 
   // Stage two: gather the entities whose sum does not exceed the current
-  // bound's threshold, re-read after every scored block.
+  // bound's threshold, re-read after every scored block. Blocks fill
+  // across segment boundaries and are scored only when full, so the
+  // blocks, and the bound each is scored against, are those of a
+  // one-segment table.
   int64_t threshold = tables.Threshold(acc->bound());
   int64_t gathered = 0;
-  for (size_t si = 0; si < num_segments; ++si) {
-    const Segment& s = first[static_cast<int64_t>(si)];
-    const int64_t hi = std::min(end, s.first + s.rows);
-    for (int64_t e = std::max(begin, s.first); e < hi;) {
+  for (auto s = first; s != last; ++s) {
+    const int64_t hi = std::min(end, s->first + s->rows);
+    for (int64_t e = std::max(begin, s->first); e < hi;) {
       const int64_t block_end = std::min(
           hi, pass.base + ((e - pass.base) / kScanLanes + 1) * kScanLanes);
       if (pass.block_min_of(e) > threshold) {
@@ -323,20 +320,14 @@ void TwoStageTopK(const EntityTable& table,
       for (; e < block_end; ++e) {
         if (pass.sum(e) > threshold) continue;
         ++gathered;
-        if (block.Add(s, e)) {
-          flush(si);
+        if (block.Add(Row(*s, e, dim), e)) {
           threshold = tables.Threshold(acc->bound());
         }
       }
     }
-    flush(si);
-    threshold = tables.Threshold(acc->bound());
-    if (table.columnar && stats != nullptr) {
-      stats->column_blocks_scanned += dims_read[si];
-      stats->column_blocks_skipped += table.dim - dims_read[si];
-    }
-    if (table.release != nullptr) table.release(s, table.dim);
+    if (table.release != nullptr) table.release(*s, dim);
   }
+  block.Flush();
   if (stats != nullptr) {
     const int64_t dropped =
         end - begin - static_cast<int64_t>(seeds.size()) - gathered;
@@ -352,15 +343,14 @@ EntityTable EntityTable::RowMajor(const float* rows, int64_t num_entities,
   EntityTable table;
   table.num_entities = num_entities;
   table.dim = dim;
-  table.segments.push_back({0, num_entities, rows, dim, 1});
+  table.segments.push_back({0, num_entities, rows});
   return table;
 }
 
 void EntityTable::CopyRow(int64_t entity, float* out) const {
   HALK_CHECK(entity >= 0 && entity < num_entities);
-  const Segment& s = *SegmentFor(segments, entity);
-  const float* row = s.base + (entity - s.first) * s.row_stride;
-  for (int64_t j = 0; j < dim; ++j) out[j] = row[j * s.dim_stride];
+  std::memcpy(out, Row(*SegmentFor(segments, entity), entity, dim),
+              static_cast<size_t>(dim) * sizeof(float));
 }
 
 void EntityTable::Distances(const ArcConstants& arc, int64_t begin,
@@ -372,7 +362,7 @@ void EntityTable::Distances(const ArcConstants& arc, int64_t begin,
        s != segments.end() && s->first < end; ++s) {
     const int64_t hi = std::min(end, s->first + s->rows);
     for (int64_t e = std::max(begin, s->first); e < hi; e += kScanLanes) {
-      kernel(&arc, 1, Block(*s, e, std::min(kScanLanes, hi - e)),
+      kernel(&arc, 1, {Row(*s, e, dim), std::min(kScanLanes, hi - e)},
              std::numeric_limits<float>::infinity(), partial,
              out + (e - begin));
     }
@@ -386,8 +376,7 @@ void EntityTable::EncodeCodes(int64_t begin, int64_t end) {
        s != segments.end() && s->first < end; ++s) {
     const int64_t hi = std::min(end, s->first + s->rows);
     for (int64_t e = std::max(begin, s->first); e < hi; ++e) {
-      EncodeEntity(e, s->base + (e - s->first) * s->row_stride,
-                   s->dim_stride, &codes);
+      EncodeEntity(e, Row(*s, e, dim), &codes);
     }
   }
 }
@@ -406,24 +395,15 @@ void EntityTable::AccumulateTopK(const std::vector<ArcConstants>& arcs,
     if (stats != nullptr) stats->entities_scanned += end - begin;
     return;
   }
-  // Segments are visited in entity order, so the admission bound tightens
-  // in the same sequence whatever the layout: the result is bit-identical
-  // across in-RAM and store tables.
+  // Segments are visited in entity order and every admitted entity carries
+  // its exact distance, so the result is bit-identical however the table
+  // is cut into segments: in-RAM and store tables rank alike.
   for (auto s = SegmentFor(segments, begin);
        s != segments.end() && s->first < end; ++s) {
     const int64_t hi = std::min(end, s->first + s->rows);
-    // A column block of the segment is read when any kernel block reads
-    // that dimension.
-    int64_t dims_read = 0;
     for (int64_t e = std::max(begin, s->first); e < hi; e += kScanLanes) {
-      dims_read = std::max(
-          dims_read,
-          PushBlockTopK(arcs, Block(*s, e, std::min(kScanLanes, hi - e)), e,
-                        nullptr, prune, partial.data(), acc, stats));
-    }
-    if (columnar && stats != nullptr) {
-      stats->column_blocks_scanned += dims_read;
-      stats->column_blocks_skipped += dim - dims_read;
+      PushBlockTopK(arcs, {Row(*s, e, dim), std::min(kScanLanes, hi - e)},
+                    e, nullptr, prune, partial.data(), acc, stats);
     }
     if (release != nullptr) release(*s, dim);
   }

@@ -40,25 +40,23 @@ ArcConstants MakeArcConstants(const float* arc_center,
                               float eta);
 
 /// Where the entity rows live: an entity-ordered list of segments, each a
-/// run of consecutive entities read in place through strides, exactly the
-/// layout facts an EntityBlock hands the scan kernel. The in-RAM table is
-/// one row-major segment (row_stride = dim, dim_stride = 1); the store's is
-/// one columnar segment per row group of every shard file (row_stride = 1,
-/// dim_stride = floats between the group's column blocks).
+/// run of consecutive entities stored row-major and contiguously (row i's
+/// `dim` floats at base + i * dim), read in place. The in-RAM table is one
+/// segment; the store's is one segment per row group of every shard file.
 ///
-/// One loop per job runs over it: top-k, distances and row copy. Each walks
-/// the segments overlapping [begin, end) in blocks of at most kScanLanes
-/// rows, and no block crosses a segment boundary. The table does not own
-/// the rows; they must outlive it and stay immutable while it is scanned —
-/// and, once EncodeCodes has run, for as long as the codes are kept. All
-/// loops are const and safe to run concurrently.
+/// One loop per job runs over it: top-k, distances and row copy. The
+/// one-stage loops walk the segments overlapping [begin, end) in blocks of
+/// at most kScanLanes rows that do not cross a segment boundary; the
+/// two-stage top-k copies its survivors' rows into gathered blocks, which
+/// do. The table does not own the rows; they must outlive it and stay
+/// immutable while it is scanned — and, once EncodeCodes has run, for as
+/// long as the codes are kept. All loops are const and safe to run
+/// concurrently.
 struct EntityTable {
   struct Segment {
     int64_t first = 0;  // entity id of the segment's row 0
     int64_t rows = 0;
     const float* base = nullptr;
-    int64_t row_stride = 0;
-    int64_t dim_stride = 0;
   };
 
   /// A row-major [num_entities, dim] array as a one-segment table.
@@ -84,9 +82,11 @@ struct EntityTable {
   /// bound does not exceed acc->bound() are gathered into blocks for the
   /// kernel. Admitted entities carry their full kernel distance either way,
   /// so acc->Take() equals pushing every entity's distance at any partition
-  /// of the range. Filter-dropped entities count as pruned. Columnar tables
-  /// also count column blocks read and skipped per segment. Calls `release`
-  /// (when set) on each segment once done with it.
+  /// of the range, and the two-stage scan's blocks, filled in entity order
+  /// across segment boundaries, do not depend on how the table is cut into
+  /// segments. Filter-dropped entities count as pruned. Calls `release`
+  /// (when set) on each segment once the scan has passed it, and on each
+  /// segment holding a seed once the seeds are copied out.
   void AccumulateTopK(const std::vector<ArcConstants>& arcs, int64_t begin,
                       int64_t end, bool prune, TopKAccumulator* acc,
                       ScanStats* stats) const;
@@ -97,7 +97,6 @@ struct EntityTable {
 
   int64_t num_entities = 0;
   int64_t dim = 0;
-  bool columnar = false;
   std::vector<Segment> segments;  // ascending, contiguous from entity 0
   /// Optional hook run after a top-k scan finishes a segment: the store
   /// uses it to drop the segment's mapped pages (bounded residency).

@@ -50,10 +50,10 @@ struct ScanStats {
   /// reading their θ (core/scan_filter.h); the rest of the range survived
   /// to the kernel. 0 on one-stage scans.
   int64_t entities_filtered = 0;
-  /// Columnar tables only (the store's, src/store/): per-dimension column
-  /// blocks actually read vs. skipped because every entity in the row
-  /// group was already pruned. Skipped blocks are pages never faulted in —
-  /// the counters behind the out-of-core memory ceiling. 0 on in-RAM scans.
+  /// Always 0: since shard-file format v2 every table is row-major, and no
+  /// scan counts column blocks. Kept only because bench_e2e/replay.cc still
+  /// reads them; they go with replay.cc in ROADMAP item 1's `[benchmark]`
+  /// change.
   int64_t column_blocks_scanned = 0;
   int64_t column_blocks_skipped = 0;
 };

@@ -164,8 +164,7 @@ void ResetCodes(int64_t num_entities, int64_t dim, EntityCodes* codes) {
   codes->always_scored.clear();
 }
 
-void EncodeEntity(int64_t entity, const float* row, int64_t stride,
-                  EntityCodes* codes) {
+void EncodeEntity(int64_t entity, const float* row, EntityCodes* codes) {
   HALK_CHECK(entity >= 0 && entity < codes->num_entities);
   const int64_t lane = entity % kScanLanes;
   const int shift = lane < kCodeBytesPerDim ? 0 : 4;
@@ -174,7 +173,7 @@ void EncodeEntity(int64_t entity, const float* row, int64_t stride,
                   lane % kCodeBytesPerDim;
   bool coded = true;
   for (int64_t j = 0; j < codes->dim; ++j, cell += kCodeBytesPerDim) {
-    const float theta = row[j * stride];
+    const float theta = row[j];
     // False for NaN as well.
     if (!(std::fabs(theta) <= kMaxCodedAngle)) {
       coded = false;

@@ -56,11 +56,10 @@ struct EntityCodes {
 /// Sizes `codes` for a [num_entities, dim] table, all codes zero.
 void ResetCodes(int64_t num_entities, int64_t dim, EntityCodes* codes);
 
-/// Codes entity `entity` from its row (`dim` floats, `stride` apart) with
-/// one multiply and floor per value, no libm. Entities must be coded in
-/// ascending id order, so always_scored stays sorted.
-void EncodeEntity(int64_t entity, const float* row, int64_t stride,
-                  EntityCodes* codes);
+/// Codes entity `entity` from its row (`dim` floats) with one multiply and
+/// floor per value, no libm. Entities must be coded in ascending id order,
+/// so always_scored stays sorted.
+void EncodeEntity(int64_t entity, const float* row, EntityCodes* codes);
 
 /// One request's filter tables: for each arc, dimension and bucket the
 /// kernel's term over that bucket, lower-bounded, less a slack, rounded

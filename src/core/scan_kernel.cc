@@ -91,22 +91,16 @@ HALK_SCAN_INLINE int64_t ScanBody(const ArcConstants* arcs, size_t num_arcs,
     float* p = partial + b * kScanLanes;
     for (int64_t i = 0; i < kScanLanes; ++i) p[i] = i < rows ? 0.0f : kInf;
   }
-  // A full block of a columnar store is read in place; anything else is
-  // copied into one zero-padded stack column per dimension.
-  const bool in_place = block.row_stride == 1 && rows == kScanLanes;
+  // Each dimension of the rows is copied into one zero-padded stack column.
   alignas(64) float column[kScanLanes];
   alignas(64) float sin_half[kScanLanes];
   alignas(64) float cos_half[kScanLanes];
   for (int64_t j = 0; j < dim; ++j) {
-    const float* theta = block.base + j * block.dim_stride;
-    if (!in_place) {
-      int64_t i = 0;
-      for (; i < rows; ++i) column[i] = theta[i * block.row_stride];
-      for (; i < kScanLanes; ++i) column[i] = 0.0f;
-      theta = column;
-    }
-    for (int64_t i = 0; i < kScanLanes; ++i) {
-      HalfAngle(theta[i], &sin_half[i], &cos_half[i]);
+    int64_t i = 0;
+    for (; i < rows; ++i) column[i] = block.base[i * dim + j];
+    for (; i < kScanLanes; ++i) column[i] = 0.0f;
+    for (i = 0; i < kScanLanes; ++i) {
+      HalfAngle(column[i], &sin_half[i], &cos_half[i]);
     }
     uint32_t all_dead = ~0u;
     for (size_t b = 0; b < num_arcs; ++b) {

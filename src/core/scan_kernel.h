@@ -43,15 +43,11 @@ struct ArcConstants {
   std::vector<ArcDimConstants> dims;
 };
 
-/// Up to kScanLanes consecutive entities, read in place: entity i's
-/// dimension j is base[i * row_stride + j * dim_stride]. A row-major
-/// table passes (row_stride, dim_stride) = (dim, 1); a columnar store
-/// group passes (1, floats between column blocks).
+/// Up to kScanLanes consecutive row-major entity rows, read in place:
+/// entity i's dimension j is base[i * dim + j].
 struct EntityBlock {
   const float* base = nullptr;
   int64_t rows = 0;
-  int64_t row_stride = 0;
-  int64_t dim_stride = 0;
 };
 
 /// Scans one block against `num_arcs` >= 1 arcs of equal dimension and

@@ -43,13 +43,6 @@ Result<std::vector<core::ScoredEntity>> ScanShard(
                       ? 0.0
                       : static_cast<double>(stats.entities_pruned) /
                             static_cast<double>(stats.entities_scanned));
-    if (stats.column_blocks_scanned + stats.column_blocks_skipped > 0) {
-      // Store-backed scans only: pages read vs never faulted in.
-      scan.Annotate("column_blocks_scanned",
-                    static_cast<double>(stats.column_blocks_scanned));
-      scan.Annotate("column_blocks_skipped",
-                    static_cast<double>(stats.column_blocks_skipped));
-    }
   }
   return acc.Take();
 }

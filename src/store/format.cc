@@ -67,33 +67,22 @@ int64_t GroupRowCount(const ShardFileHeader& header, int64_t group) {
   return end - begin;
 }
 
-uint64_t GroupBlockBytes(const ShardFileHeader& header, int64_t group) {
-  return AlignUp(
-      static_cast<uint64_t>(GroupRowCount(header, group)) * sizeof(float),
-      header.page_bytes);
-}
-
-uint64_t BlockOffset(const ShardFileHeader& header, int64_t group,
-                     int64_t dim_index) {
+RowGroupExtent GroupExtent(const ShardFileHeader& header, int64_t group) {
   // Every group but the last is full, so full groups share one stride.
-  const uint64_t full_block =
-      AlignUp(static_cast<uint64_t>(header.rows_per_group) * sizeof(float),
-              header.page_bytes);
-  const uint64_t group_base =
-      header.data_offset +
-      static_cast<uint64_t>(group) * header.dim * full_block;
-  return group_base +
-         static_cast<uint64_t>(dim_index) * GroupBlockBytes(header, group);
+  const uint64_t row_bytes = uint64_t{header.dim} * sizeof(float);
+  const uint64_t full_bytes =
+      AlignUp(header.rows_per_group * row_bytes, header.page_bytes);
+  return {header.data_offset + static_cast<uint64_t>(group) * full_bytes,
+          AlignUp(static_cast<uint64_t>(GroupRowCount(header, group)) *
+                      row_bytes,
+                  header.page_bytes)};
 }
 
 uint64_t TotalDataBytes(const ShardFileHeader& header) {
   if (header.num_groups == 0) return 0;
-  const uint64_t full_block =
-      AlignUp(static_cast<uint64_t>(header.rows_per_group) * sizeof(float),
-              header.page_bytes);
-  const uint64_t last = header.num_groups - 1;
-  return last * header.dim * full_block +
-         header.dim * GroupBlockBytes(header, static_cast<int64_t>(last));
+  const RowGroupExtent last =
+      GroupExtent(header, static_cast<int64_t>(header.num_groups - 1));
+  return last.offset + last.bytes - header.data_offset;
 }
 
 void SerializeHeader(const ShardFileHeader& header, uint8_t* out) {
@@ -142,6 +131,12 @@ Status ParseHeader(const uint8_t* data, size_t n, ShardFileHeader* out) {
   if (computed != h.header_checksum) {
     return Status::ParseError("shard header checksum mismatch");
   }
+  if (h.version == 1) {
+    return Status::ParseError(
+        "shard format version 1 (dimension-major row groups) is no longer "
+        "read; rewrite the snapshot with this build (e.g. `halk_store "
+        "from-checkpoint`)");
+  }
   if (h.version != kShardFormatVersion) {
     return Status::ParseError(
         StrFormat("unsupported shard format version %u", h.version));
@@ -172,14 +167,15 @@ Status ParseHeader(const uint8_t* data, size_t n, ShardFileHeader* out) {
     return Status::ParseError("group count inconsistent with entity range");
   }
   // Bounds num_groups * dim so every geometry product below stays far from
-  // uint64 overflow on adversarial input (blocks are at most ~4 MiB each).
+  // uint64 overflow on adversarial input (a group is at most 2^42 bytes,
+  // all groups together under 2^55).
   if (h.num_groups > (uint64_t{1} << 32) / h.dim) {
     return Status::ParseError("shard geometry too large");
   }
   if (h.checksum_table_offset != kPageBytes) {
     return Status::ParseError("bad checksum-table offset");
   }
-  const uint64_t table_bytes = h.num_groups * h.dim * sizeof(uint64_t);
+  const uint64_t table_bytes = h.num_groups * sizeof(uint64_t);
   if (h.data_offset != AlignUp(kPageBytes + table_bytes, h.page_bytes)) {
     return Status::ParseError("bad data offset");
   }

@@ -8,31 +8,33 @@
 
 namespace halk::store {
 
-// On-disk layout of one immutable shard file (`*.halkstore`), version 1.
+// On-disk layout of one immutable shard file (`*.halkstore`), version 2.
 // All multi-byte fields are fixed-width little-endian integers (the store
 // is written and mapped on the same host class; the magic makes an
 // endianness mismatch a clean ParseError, not silent garbage).
 //
 //   [header page]        kPageBytes, fields at fixed offsets, zero padded,
 //                        FNV-1a-64 checksummed.
-//   [checksum table]     num_groups * dim uint64 block checksums, starting
+//   [checksum table]     num_groups uint64 row-group checksums, starting
 //                        at kPageBytes, itself covered by
 //                        header.table_checksum.
-//   [column blocks]      starting at the next page boundary. Rows are
-//                        batched into groups of `rows_per_group`; inside a
-//                        group the data is dimension-major: block (g, j)
-//                        holds dimension j of every row of group g,
-//                        zero-padded to a page multiple. Only the last
-//                        group may hold fewer rows.
+//   [row groups]         starting at the next page boundary. Rows are
+//                        batched into groups of `rows_per_group`; a group
+//                        is its rows stored row-major and contiguously
+//                        (row r's `dim` floats at r * dim), zero-padded to
+//                        a page multiple and checksummed as a whole, the
+//                        padding included. Only the last group may hold
+//                        fewer rows.
 //
-// The group/columnar layout is what makes the store out-of-core: the
-// bound-aware top-k scan walks a group dimension by dimension and stops
-// touching its remaining blocks once every row is pruned, so most
-// later-dimension pages are never faulted in (docs/storage.md).
+// Row-major groups suit the two-stage scan (core/scan_filter.h): stage one
+// reads only the filter codes, and each survivor of the filter is then one
+// contiguous row, one cache line at d = 32 and out of core one page fault
+// at most (docs/storage.md). Version 1 stored each group dimension-major;
+// its files are rejected and must be rewritten.
 
 inline constexpr char kShardMagic[8] = {'H', 'A', 'L', 'K',
                                         'S', 'H', 'R', 'D'};
-inline constexpr uint32_t kShardFormatVersion = 1;
+inline constexpr uint32_t kShardFormatVersion = 2;
 inline constexpr uint32_t kDtypeF32 = 1;
 inline constexpr uint32_t kDefaultRowsPerGroup = 4096;
 inline constexpr uint64_t kPageBytes = 4096;
@@ -84,12 +86,17 @@ void SerializeHeader(const ShardFileHeader& header, uint8_t* out);
 /// Geometry helpers shared by the writer and the mapped reader. `group` is
 /// an index in [0, num_groups); only the last group may be partial.
 int64_t GroupRowCount(const ShardFileHeader& header, int64_t group);
-/// Bytes of one padded column block of `group`.
-uint64_t GroupBlockBytes(const ShardFileHeader& header, int64_t group);
-/// File offset of column block (group, dim_index).
-uint64_t BlockOffset(const ShardFileHeader& header, int64_t group,
-                     int64_t dim_index);
-/// Total bytes of all column blocks (== header.data_bytes when valid).
+
+/// Where row group `group` lies in the file: its first byte (a page
+/// boundary) and its size, the rows' GroupRowCount * dim floats padded to
+/// a page multiple.
+struct RowGroupExtent {
+  uint64_t offset = 0;
+  uint64_t bytes = 0;
+};
+RowGroupExtent GroupExtent(const ShardFileHeader& header, int64_t group);
+
+/// Total bytes of all row groups (== header.data_bytes when valid).
 uint64_t TotalDataBytes(const ShardFileHeader& header);
 
 }  // namespace halk::store

@@ -52,13 +52,10 @@ ShardFileWriter::ShardFileWriter(std::string path, uint32_t dim,
       (static_cast<uint64_t>(header_.rows()) + rows_per_group - 1) /
       rows_per_group;
   header_.checksum_table_offset = kPageBytes;
-  const uint64_t table_bytes =
-      header_.num_groups * header_.dim * sizeof(uint64_t);
-  header_.data_offset = AlignUp(kPageBytes + table_bytes, kPageBytes);
+  header_.data_offset = AlignUp(
+      kPageBytes + header_.num_groups * sizeof(uint64_t), kPageBytes);
   header_.data_bytes = TotalDataBytes(header_);
-  group_rows_.resize(static_cast<size_t>(rows_per_group) * dim);
-  block_checksums_.reserve(
-      static_cast<size_t>(header_.num_groups * header_.dim));
+  group_checksums_.reserve(static_cast<size_t>(header_.num_groups));
 
   const int fd = ::open(tmp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                         0644);
@@ -85,46 +82,38 @@ Status ShardFileWriter::Append(const float* rows, int64_t n) {
         path_.c_str(), static_cast<long long>(appended_rows_ + n),
         static_cast<long long>(header_.rows())));
   }
-  const int64_t d = header_.dim;
-  int64_t consumed = 0;
-  while (consumed < n) {
-    const int64_t room =
-        static_cast<int64_t>(header_.rows_per_group) - buffered_rows_;
-    const int64_t take = std::min(room, n - consumed);
-    std::memcpy(group_rows_.data() + buffered_rows_ * d,
-                rows + consumed * d,
-                static_cast<size_t>(take * d) * sizeof(float));
-    buffered_rows_ += take;
-    consumed += take;
+  const uint64_t row_bytes = uint64_t{header_.dim} * sizeof(float);
+  while (n > 0) {
+    const int64_t group = appended_rows_ / header_.rows_per_group;
+    const int64_t row = appended_rows_ % header_.rows_per_group;
+    const int64_t group_rows = GroupRowCount(header_, group);
+    const int64_t take = std::min(n, group_rows - row);
+    const uint64_t bytes = static_cast<uint64_t>(take) * row_bytes;
+    const uint64_t offset = GroupExtent(header_, group).offset +
+                            static_cast<uint64_t>(row) * row_bytes;
+    HALK_RETURN_NOT_OK(WriteAllAt(static_cast<int>(fd_), rows, bytes, offset,
+                                  tmp_path_));
+    group_hash_ = Fnv1a64(rows, bytes, group_hash_);
+    rows += take * header_.dim;
+    n -= take;
     appended_rows_ += take;
-    if (buffered_rows_ == static_cast<int64_t>(header_.rows_per_group)) {
-      HALK_RETURN_NOT_OK(FlushGroup());
-    }
+    if (row + take == group_rows) HALK_RETURN_NOT_OK(FinishGroup(group));
   }
   return Status::OK();
 }
 
-Status ShardFileWriter::FlushGroup() {
-  const int64_t d = header_.dim;
-  const int64_t rows = buffered_rows_;
-  const uint64_t block_bytes = GroupBlockBytes(header_, groups_flushed_);
-  HALK_CHECK_EQ(rows, GroupRowCount(header_, groups_flushed_));
-  column_block_.assign(block_bytes / sizeof(float), 0.0f);
-  for (int64_t j = 0; j < d; ++j) {
-    // Transpose: dimension j of every buffered row, padding already zeroed.
-    for (int64_t r = 0; r < rows; ++r) {
-      column_block_[static_cast<size_t>(r)] =
-          group_rows_[static_cast<size_t>(r * d + j)];
-    }
-    block_checksums_.push_back(
-        Fnv1a64(column_block_.data(), block_bytes));
-    HALK_RETURN_NOT_OK(WriteAllAt(static_cast<int>(fd_),
-                                  column_block_.data(), block_bytes,
-                                  BlockOffset(header_, groups_flushed_, j),
-                                  tmp_path_));
-  }
-  ++groups_flushed_;
-  buffered_rows_ = 0;
+Status ShardFileWriter::FinishGroup(int64_t group) {
+  // The padding is under a page, and checksummed like the rows.
+  static constexpr uint8_t kZeros[kPageBytes] = {};
+  const RowGroupExtent extent = GroupExtent(header_, group);
+  const uint64_t rows_bytes =
+      static_cast<uint64_t>(GroupRowCount(header_, group)) * header_.dim *
+      sizeof(float);
+  const uint64_t padding = extent.bytes - rows_bytes;
+  HALK_RETURN_NOT_OK(WriteAllAt(static_cast<int>(fd_), kZeros, padding,
+                                extent.offset + rows_bytes, tmp_path_));
+  group_checksums_.push_back(Fnv1a64(kZeros, padding, group_hash_));
+  group_hash_ = kFnvSeed;
   return Status::OK();
 }
 
@@ -137,13 +126,12 @@ Status ShardFileWriter::Finish() {
         static_cast<long long>(appended_rows_),
         static_cast<long long>(header_.rows())));
   }
-  if (buffered_rows_ > 0) HALK_RETURN_NOT_OK(FlushGroup());
-  HALK_CHECK_EQ(groups_flushed_, static_cast<int64_t>(header_.num_groups));
+  HALK_CHECK_EQ(group_checksums_.size(), header_.num_groups);
 
-  const uint64_t table_bytes = block_checksums_.size() * sizeof(uint64_t);
-  header_.table_checksum = Fnv1a64(block_checksums_.data(), table_bytes);
+  const uint64_t table_bytes = group_checksums_.size() * sizeof(uint64_t);
+  header_.table_checksum = Fnv1a64(group_checksums_.data(), table_bytes);
   HALK_RETURN_NOT_OK(WriteAllAt(static_cast<int>(fd_),
-                                block_checksums_.data(), table_bytes,
+                                group_checksums_.data(), table_bytes,
                                 header_.checksum_table_offset, tmp_path_));
 
   std::vector<uint8_t> header_page(kPageBytes);
@@ -215,7 +203,7 @@ Result<std::unique_ptr<MappedShardFile>> MappedShardFile::Open(
         path.c_str(), static_cast<unsigned long long>(file_bytes),
         static_cast<unsigned long long>(h.data_offset + h.data_bytes)));
   }
-  const uint64_t table_bytes = h.num_groups * h.dim * sizeof(uint64_t);
+  const uint64_t table_bytes = h.num_groups * sizeof(uint64_t);
   if (Fnv1a64(file->map_ + h.checksum_table_offset, table_bytes) !=
       h.table_checksum) {
     return Status::ParseError(path + ": checksum table corrupt");
@@ -233,25 +221,20 @@ MappedShardFile::~MappedShardFile() {
   }
 }
 
-const float* MappedShardFile::ColumnBlock(int64_t group,
-                                          int64_t dim_index) const {
+const float* MappedShardFile::Group(int64_t group) const {
   return reinterpret_cast<const float*>(
-      map_ + BlockOffset(header_, group, dim_index));
+      map_ + GroupExtent(header_, group).offset);
 }
 
 Status MappedShardFile::VerifyChecksums() const {
   const uint64_t* table = reinterpret_cast<const uint64_t*>(
       map_ + header_.checksum_table_offset);
   for (int64_t g = 0; g < static_cast<int64_t>(header_.num_groups); ++g) {
-    const uint64_t block_bytes = GroupBlockBytes(header_, g);
-    for (int64_t j = 0; j < static_cast<int64_t>(header_.dim); ++j) {
-      const uint64_t expected = table[g * header_.dim + j];
-      if (Fnv1a64(ColumnBlock(g, j), block_bytes) != expected) {
-        return Status::ParseError(StrFormat(
-            "%s: checksum mismatch in column block (group %lld, dim %lld)",
-            path_.c_str(), static_cast<long long>(g),
-            static_cast<long long>(j)));
-      }
+    const RowGroupExtent extent = GroupExtent(header_, g);
+    if (Fnv1a64(map_ + extent.offset, extent.bytes) != table[g]) {
+      return Status::ParseError(
+          StrFormat("%s: checksum mismatch in row group %lld", path_.c_str(),
+                    static_cast<long long>(g)));
     }
   }
   return Status::OK();

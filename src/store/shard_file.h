@@ -15,10 +15,10 @@ namespace halk::store {
 /// Streams row-major embedding rows into one immutable shard file
 /// (store/format.h layout). The file is written to `<path>.tmp` and
 /// renamed into place by Finish(), so a crashed or aborted write never
-/// leaves a half-written `.halkstore` behind. Rows arrive in entity order;
-/// each full group is transposed to its dimension-major column blocks and
-/// flushed, so the writer holds one group (rows_per_group * dim floats) in
-/// memory regardless of shard size.
+/// leaves a half-written `.halkstore` behind. Rows arrive in entity order
+/// and are written where they belong as they arrive, each group's checksum
+/// rolling over them, so the writer holds no rows in memory whatever the
+/// shard size.
 class ShardFileWriter {
  public:
   ShardFileWriter(std::string path, uint32_t dim, int64_t entity_begin,
@@ -33,30 +33,28 @@ class ShardFileWriter {
   /// more rows arrive than the entity range holds.
   [[nodiscard]] Status Append(const float* rows, int64_t n);
 
-  /// Flushes the tail group, writes the checksum table and header, fsyncs,
+  /// Writes the checksum table and header, fsyncs,
   /// and renames the temp file into place. Requires exactly
   /// entity_end - entity_begin appended rows.
   [[nodiscard]] Status Finish();
 
   const std::string& path() const { return path_; }
   /// Valid after Finish(): the header checksum, which transitively covers
-  /// the checksum table and therefore every column block — the manifest
+  /// the checksum table and therefore every row group — the manifest
   /// stores it as the file's identity.
   uint64_t header_checksum() const { return header_.header_checksum; }
 
  private:
-  [[nodiscard]] Status FlushGroup();
+  /// Pads row group `group`, whose last row is in, and records its checksum.
+  [[nodiscard]] Status FinishGroup(int64_t group);
 
   std::string path_;
   std::string tmp_path_;
   ShardFileHeader header_;
   int64_t fd_ = -1;
-  std::vector<float> group_rows_;        // row-major staging buffer
-  std::vector<float> column_block_;      // one padded column block scratch
-  int64_t buffered_rows_ = 0;
   int64_t appended_rows_ = 0;
-  int64_t groups_flushed_ = 0;
-  std::vector<uint64_t> block_checksums_;
+  uint64_t group_hash_ = kFnvSeed;  // rolling FNV of the open group's bytes
+  std::vector<uint64_t> group_checksums_;
   bool finished_ = false;
   Status deferred_error_;
 };
@@ -64,14 +62,14 @@ class ShardFileWriter {
 /// One shard file opened read-only through mmap. The mapping is immutable
 /// and shared: any number of threads may read it concurrently. The file is
 /// validated on open (magic, version, geometry, header checksum;
-/// optionally every block checksum) and rejected with a clean Status — a
+/// optionally every row-group checksum) and rejected with a clean Status — a
 /// corrupt store never produces silently wrong rankings. Scanning goes
 /// through the store's core::EntityTable, whose segments are this file's
 /// row groups.
 class MappedShardFile {
  public:
   struct OpenOptions {
-    /// Reads and verifies every column block checksum up front. Touches the
+    /// Reads and verifies every row-group checksum up front. Touches the
     /// whole file (faults in every page), so large out-of-core stores
     /// verify through `halk_store verify` instead of at serve time.
     bool verify_checksums = true;
@@ -89,14 +87,14 @@ class MappedShardFile {
   int64_t entity_begin() const { return header_.entity_begin; }
   int64_t entity_end() const { return header_.entity_end; }
 
-  /// Pointer to column block (group, dim_index): GroupRowCount(group)
-  /// floats, dimension `dim_index` of every row in the group.
-  const float* ColumnBlock(int64_t group, int64_t dim_index) const;
+  /// Row group `group`'s rows, row-major: GroupRows(group) * dim floats,
+  /// starting on a page boundary.
+  const float* Group(int64_t group) const;
   int64_t GroupRows(int64_t group) const {
     return GroupRowCount(header_, group);
   }
 
-  /// Re-reads every column block against the checksum table.
+  /// Re-reads every row group against the checksum table.
   [[nodiscard]] Status VerifyChecksums() const;
 
   size_t mapped_bytes() const { return map_len_; }

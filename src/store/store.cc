@@ -10,13 +10,12 @@ namespace halk::store {
 namespace {
 
 /// EntityTable::release for bounded residency: drops one row group's
-/// mapped pages. A segment is a whole group, whose column blocks are
-/// contiguous page multiples starting on a page boundary.
+/// mapped pages. A segment is a whole group, which starts on a page
+/// boundary; madvise rounds its length up over the group's padding.
 void ReleaseRowGroup(const core::EntityTable::Segment& segment,
                      int64_t dim) {
   (void)::madvise(const_cast<float*>(segment.base),
-                  static_cast<size_t>(dim * segment.dim_stride) *
-                      sizeof(float),
+                  static_cast<size_t>(segment.rows * dim) * sizeof(float),
                   MADV_DONTNEED);
 }
 
@@ -36,7 +35,6 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
 
   store->table_.num_entities = snap.config.num_entities;
   store->table_.dim = snap.config.dim;
-  store->table_.columnar = true;
   if (options.release_scanned_pages) store->table_.release = ReleaseRowGroup;
 
   MappedShardFile::OpenOptions file_options;
@@ -80,12 +78,11 @@ Result<std::unique_ptr<EmbeddingStore>> EmbeddingStore::Open(
           static_cast<unsigned long long>(h.header_checksum),
           static_cast<unsigned long long>(entry.header_checksum)));
     }
-    // One columnar segment per row group, read in place.
+    // One segment per row group, read in place.
     for (int64_t g = 0; g < static_cast<int64_t>(h.num_groups); ++g) {
       store->table_.segments.push_back(
           {h.entity_begin + g * h.rows_per_group, file->GroupRows(g),
-           file->ColumnBlock(g, 0), 1,
-           static_cast<int64_t>(GroupBlockBytes(h, g) / sizeof(float))});
+           file->Group(g)});
     }
     // The two-stage scan's codes are derived here, not stored: the file
     // format is unchanged, and every top-k scan of the store filters.

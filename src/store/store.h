@@ -19,18 +19,19 @@ namespace halk::store {
 
 /// An open store snapshot: every shard file mapped read-only, presented to
 /// the core as one immutable core::EntityTable ([0, num_entities) global
-/// ids) with one columnar segment per row group of every file, so a
+/// ids) with one row-major segment per row group of every file, so a
 /// HalkModel serves directly out of the mappings through the same table
-/// loops as an in-RAM model — the out-of-core path.
+/// loops and the same layout as an in-RAM model — the out-of-core path.
 /// Open also derives the table's filter codes (core/scan_filter.h) from
-/// the mapped rows, so every top-k scan of a store is two-stage; the file
-/// format does not change.
+/// the mapped rows (the files do not store them), so every top-k scan of a
+/// store is two-stage: the filter reads the in-RAM codes of every entity,
+/// and only its survivors' rows are read out of the mappings.
 /// Thread-safe after Open: all members are immutable and the mappings are
 /// shared, so any number of shard workers may scan concurrently.
 class EmbeddingStore {
  public:
   struct OpenOptions {
-    /// Verify every column block checksum while opening. Faults in the
+    /// Verify every row-group checksum while opening. Faults in the
     /// whole table — leave off for out-of-core serving and run
     /// `halk_store verify` offline instead.
     bool verify_checksums = true;
@@ -81,12 +82,12 @@ class EmbeddingStore {
   /// Sum of mapped file bytes — the full on-disk table footprint.
   size_t MappedBytes() const;
   /// Sum of RAM-resident mapping bytes (mincore); the out-of-core claim is
-  /// exactly that this stays well below MappedBytes() under bound-aware
-  /// scans.
+  /// exactly that this stays well below MappedBytes() under two-stage
+  /// scans with release_scanned_pages.
   size_t ResidentBytes() const;
   /// Drops resident pages across every mapping.
   void DropResidency() const;
-  /// Re-verifies every column block of every file.
+  /// Re-verifies every row group of every file.
   [[nodiscard]] Status VerifyChecksums() const;
   /// Publishes ResidentBytes() to the `store.resident_bytes` gauge (no-op
   /// without a registry).

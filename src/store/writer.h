@@ -48,8 +48,9 @@ struct SnapshotWriterOptions {
 /// Streams an entity table into a snapshot directory: contiguous balanced
 /// `entities-<i>.halkstore` files, optional params blob, and the manifest
 /// written last (atomically) so a crashed writer never leaves a loadable
-/// half-snapshot. Rows arrive in entity order; memory stays one row group
-/// regardless of table size — the writer end of "out of core".
+/// half-snapshot. Rows arrive in entity order and go straight to their
+/// file, so the writer holds no rows whatever the table size — the writer
+/// end of "out of core".
 class SnapshotWriter {
  public:
   [[nodiscard]] static Result<std::unique_ptr<SnapshotWriter>> Create(

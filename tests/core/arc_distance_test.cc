@@ -158,7 +158,7 @@ TEST(DistanceTest, BoundedKernelIsBitIdenticalWhenNotPruned) {
                                          length.data(), d, rho, eta);
     const ArcConstants arc =
         MakeArcConstants(center.data(), length.data(), d, rho, eta);
-    const EntityBlock block{point.data(), 1, d, 1};
+    const EntityBlock block{point.data(), 1};
     float partial[kScanLanes];
     float out = -1.0f;
     // With an infinite bound the scan never exits early: bit-identical.

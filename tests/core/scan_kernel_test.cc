@@ -3,7 +3,8 @@
 // ArcDistance, exactness of bound-aware pruning, and Evaluate metrics
 // against the libm form of the distance it replaced. The filter of the
 // two-stage scan (core/scan_filter.h): its lower bound never exceeds the
-// kernel's distance, its builds agree, and coded tables rank identically.
+// kernel's distance, its builds agree, coded tables rank identically, and
+// a table cut into segments gathers exactly like one segment.
 
 #include "core/scan_kernel.h"
 
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,7 +125,7 @@ std::vector<int64_t> RunBlocks(ScanKernelFn kernel,
   std::vector<int64_t> dims;
   for (int64_t e = 0; e < n; e += kScanLanes) {
     const EntityBlock block{table.data() + e * dim,
-                            std::min(kScanLanes, n - e), dim, 1};
+                            std::min(kScanLanes, n - e)};
     dims.push_back(kernel(arcs.data(), arcs.size(), block, bound,
                           partial.data(), out->data() + e));
   }
@@ -264,7 +266,8 @@ TEST(ScanKernelTest, MatchesTensorArcDistance) {
 
 TEST(ScanKernelTest, DistanceIsIndependentOfBlockAndLayout) {
   // The same entity scored in a full block, a partial block, a one-entity
-  // block, or a columnar (store-style) table gets the same bits.
+  // block, or a table cut into separately stored segments (store-style row
+  // groups) gets the same bits.
   Rng rng(31);
   const int64_t n = 150;
   const int64_t dim = 9;
@@ -278,29 +281,24 @@ TEST(ScanKernelTest, DistanceIsIndependentOfBlockAndLayout) {
     row_major.Distances(arcs[0], e, e + 1, &single);
     EXPECT_EQ(single, blocked[static_cast<size_t>(e)]) << e;
   }
-  // Two row groups of 100 and 50 rows, each dimension-major, as the store
+  // Two row groups of 100 and 50 rows, each in its own buffer as the store
   // lays them out: blocks restart at the group boundary.
-  std::vector<float> columns(static_cast<size_t>(n * dim));
-  EntityTable columnar;
-  columnar.num_entities = n;
-  columnar.dim = dim;
-  columnar.columnar = true;
+  std::vector<std::vector<float>> groups;
+  EntityTable segmented;
+  segmented.num_entities = n;
+  segmented.dim = dim;
   for (const auto& [first, rows] : {std::pair<int64_t, int64_t>{0, 100},
                                     std::pair<int64_t, int64_t>{100, 50}}) {
-    float* group = columns.data() + first * dim;
-    for (int64_t r = 0; r < rows; ++r) {
-      for (int64_t j = 0; j < dim; ++j) {
-        group[j * rows + r] = table[static_cast<size_t>((first + r) * dim + j)];
-      }
-    }
-    columnar.segments.push_back({first, rows, group, 1, rows});
+    groups.emplace_back(table.begin() + first * dim,
+                        table.begin() + (first + rows) * dim);
+    segmented.segments.push_back({first, rows, groups.back().data()});
   }
-  std::vector<float> from_columns(static_cast<size_t>(n));
-  columnar.Distances(arcs[0], 0, n, from_columns.data());
-  EXPECT_TRUE(BitwiseEqual(from_columns, blocked));
+  std::vector<float> from_segments(static_cast<size_t>(n));
+  segmented.Distances(arcs[0], 0, n, from_segments.data());
+  EXPECT_TRUE(BitwiseEqual(from_segments, blocked));
   std::vector<float> row(static_cast<size_t>(dim));
   for (int64_t e = 0; e < n; ++e) {
-    columnar.CopyRow(e, row.data());
+    segmented.CopyRow(e, row.data());
     for (int64_t j = 0; j < dim; ++j) {
       ASSERT_EQ(row[static_cast<size_t>(j)],
                 table[static_cast<size_t>(e * dim + j)]);
@@ -339,7 +337,7 @@ TEST(ScanKernelTest, PrunedTopKEqualsFullScanTopK) {
             << branches << " branches, k " << k << ", coded "
             << !t->codes.empty();
         EXPECT_EQ(stats.entities_scanned, n);
-        // Column-block counters are for columnar tables only.
+        // The column-block counters are retired and always read 0.
         EXPECT_EQ(stats.column_blocks_scanned, 0);
         if (k == 1) {
           EXPECT_GT(stats.entities_pruned, 0);
@@ -536,6 +534,87 @@ TEST(ScanFilterTest, AdversarialTableRanksIdenticallyWithAndWithoutCodes) {
         EXPECT_EQ(stats.entities_scanned, end - begin);
         if (k == 1 && begin == 0) {
           EXPECT_GT(stats.entities_pruned, n / 2);
+        }
+      }
+    }
+  }
+}
+
+/// Segments `EntityTable::release` was called on, across the test.
+int64_t released_segments = 0;
+void CountRelease(const EntityTable::Segment&, int64_t) {
+  ++released_segments;
+}
+
+// The two-stage scan gathers survivors across segment boundaries: a coded
+// row-major table cut into segments of 1, 63, 64, 65 and 4,096 rows, each
+// segment in its own buffer, gives the one-segment table's top-k bit for
+// bit and the same scan counters, with and without a release hook.
+TEST(ScanFilterTest, SegmentedTableGathersLikeOneSegment) {
+  Rng rng(59);
+  const int64_t n = 5000;
+  const int64_t dim = 12;
+  const std::vector<float> table = FilterTable(&rng, n, dim);
+  EntityTable whole = EntityTable::RowMajor(table.data(), n, dim);
+  whole.EncodeCodes(0, n);
+  ASSERT_FALSE(whole.codes.always_scored.empty());
+  const auto bits = [](const std::vector<ScoredEntity>& top) {
+    std::vector<std::pair<int64_t, uint32_t>> out;
+    for (const ScoredEntity& s : top) {
+      out.emplace_back(s.entity, std::bit_cast<uint32_t>(s.distance));
+    }
+    return out;
+  };
+  for (const int64_t rows : {int64_t{1}, int64_t{63}, int64_t{64},
+                             int64_t{65}, int64_t{4096}}) {
+    std::vector<std::vector<float>> buffers;
+    EntityTable cut;
+    cut.num_entities = n;
+    cut.dim = dim;
+    for (int64_t first = 0; first < n; first += rows) {
+      const int64_t last = std::min(n, first + rows);
+      buffers.emplace_back(table.begin() + first * dim,
+                           table.begin() + last * dim);
+      cut.segments.push_back({first, last - first, buffers.back().data()});
+    }
+    cut.EncodeCodes(0, n);
+    ASSERT_EQ(cut.codes, whole.codes) << rows;
+    for (int branches : {1, 3}) {
+      std::vector<ArcConstants> arcs = FilterArcs(&rng, dim, 1.0f, 0.9f);
+      arcs.resize(static_cast<size_t>(branches));
+      for (const int64_t k : {int64_t{1}, int64_t{10}, int64_t{100}}) {
+        for (const auto& [begin, end] :
+             {std::pair<int64_t, int64_t>{0, n},
+              std::pair<int64_t, int64_t>{37, n - 11},
+              std::pair<int64_t, int64_t>{1000, 1130}}) {
+          TopKAccumulator want(k);
+          ScanStats want_stats;
+          whole.AccumulateTopK(arcs, begin, end, true, &want, &want_stats);
+          const std::vector<ScoredEntity> want_top = want.Take();
+          for (const bool release : {false, true}) {
+            cut.release = release ? CountRelease : nullptr;
+            released_segments = 0;
+            TopKAccumulator got(k);
+            ScanStats stats;
+            cut.AccumulateTopK(arcs, begin, end, true, &got, &stats);
+            const std::string label =
+                "segments of " + std::to_string(rows) + ", " +
+                std::to_string(branches) + " branches, k " +
+                std::to_string(k) + ", [" + std::to_string(begin) + ", " +
+                std::to_string(end) + "), release " + std::to_string(release);
+            EXPECT_EQ(bits(got.Take()), bits(want_top)) << label;
+            EXPECT_EQ(stats.entities_scanned, want_stats.entities_scanned)
+                << label;
+            EXPECT_EQ(stats.entities_pruned, want_stats.entities_pruned)
+                << label;
+            EXPECT_EQ(stats.entities_filtered, want_stats.entities_filtered)
+                << label;
+            // Every segment overlapping the range is released at least
+            // once, after the gather passes it.
+            EXPECT_GE(released_segments,
+                      release ? (end - 1) / rows - begin / rows + 1 : 0)
+                << label;
+          }
         }
       }
     }

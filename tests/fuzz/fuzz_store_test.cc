@@ -74,12 +74,16 @@ TEST(FuzzStoreTest, ManifestParserNeverCrashesAndAcceptsOnlyRoundTrips) {
 }
 
 TEST(FuzzStoreTest, HeaderParserNeverCrashesAndAcceptsOnlyValidGeometry) {
-  // Corpus: serialized valid headers of varied geometry (partial tail
-  // groups, single group, begin offsets) as raw byte strings.
+  // Corpus: serialized valid v2 headers of varied geometry (partial tail
+  // groups, single group, begin offsets, groups of one row) as raw byte
+  // strings, plus one of each rewritten as version 1, which must be
+  // rejected.
   std::vector<std::string> corpus;
+  std::vector<std::string> version_one;
   for (const auto& [dim, rows_per_group, begin, end] :
        std::vector<std::tuple<uint32_t, uint32_t, int64_t, int64_t>>{
-           {8, 64, 0, 1000}, {4, 16, 100, 116}, {32, 4096, 0, 1}}) {
+           {8, 64, 0, 1000}, {4, 16, 100, 116}, {32, 4096, 0, 1},
+           {32, 4096, 25000, 50000}, {3, 1, 7, 70}}) {
     ShardFileHeader h;
     h.dim = dim;
     h.rows_per_group = rows_per_group;
@@ -88,20 +92,33 @@ TEST(FuzzStoreTest, HeaderParserNeverCrashesAndAcceptsOnlyValidGeometry) {
     h.num_groups = static_cast<uint64_t>(
         (h.rows() + rows_per_group - 1) / rows_per_group);
     h.checksum_table_offset = kPageBytes;
-    h.data_offset = AlignUp(
-        kPageBytes + h.num_groups * dim * sizeof(uint64_t), kPageBytes);
+    h.data_offset = AlignUp(kPageBytes + h.num_groups * sizeof(uint64_t),
+                            kPageBytes);
     h.data_bytes = TotalDataBytes(h);
     std::string page(kPageBytes, '\0');
     SerializeHeader(h, reinterpret_cast<uint8_t*>(page.data()));
     corpus.push_back(page);
+    h.version = 1;
+    SerializeHeader(h, reinterpret_cast<uint8_t*>(page.data()));
+    version_one.push_back(page);
   }
-  // Every corpus entry must parse before mutation.
+  // Every v2 corpus entry must parse before mutation; every v1 one is
+  // refused by name.
   for (const std::string& page : corpus) {
     ShardFileHeader out;
     ASSERT_TRUE(ParseHeader(reinterpret_cast<const uint8_t*>(page.data()),
                             page.size(), &out)
                     .ok());
   }
+  for (const std::string& page : version_one) {
+    ShardFileHeader out;
+    const Status status = ParseHeader(
+        reinterpret_cast<const uint8_t*>(page.data()), page.size(), &out);
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    EXPECT_NE(status.message().find("version 1"), std::string::npos)
+        << status.ToString();
+  }
+  corpus.insert(corpus.end(), version_one.begin(), version_one.end());
   const std::vector<std::string> tokens = {
       std::string("HALKSHRD"), std::string(8, '\xff'), std::string(8, '\0')};
   fuzz::RunCorpus(
@@ -114,9 +131,28 @@ TEST(FuzzStoreTest, HeaderParserNeverCrashesAndAcceptsOnlyValidGeometry) {
         if (!status.ok()) return;
         // Accepted headers carry self-consistent, bounded geometry: every
         // derived quantity the reader trusts re-derives without overflow.
+        EXPECT_EQ(out.version, kShardFormatVersion) << tag;
         EXPECT_GT(out.dim, 0u) << tag;
         EXPECT_LT(out.entity_begin, out.entity_end) << tag;
         EXPECT_EQ(out.data_bytes, TotalDataBytes(out)) << tag;
+        EXPECT_EQ(out.data_offset,
+                  AlignUp(kPageBytes + out.num_groups * sizeof(uint64_t),
+                          kPageBytes))
+            << tag;
+        // Row groups are page-aligned, hold their rows, and tile the data
+        // region: the first starts it and the last ends it.
+        const int64_t last = static_cast<int64_t>(out.num_groups) - 1;
+        for (const int64_t g : {int64_t{0}, last}) {
+          const RowGroupExtent extent = GroupExtent(out, g);
+          EXPECT_EQ(extent.offset % kPageBytes, 0u) << tag;
+          EXPECT_GE(extent.bytes, static_cast<uint64_t>(GroupRowCount(out, g)) *
+                                      out.dim * sizeof(float))
+              << tag;
+        }
+        EXPECT_EQ(GroupExtent(out, 0).offset, out.data_offset) << tag;
+        EXPECT_EQ(GroupExtent(out, last).offset + GroupExtent(out, last).bytes,
+                  out.data_offset + out.data_bytes)
+            << tag;
         int64_t rows = 0;
         for (uint64_t g = 0; g < out.num_groups; ++g) {
           rows += GroupRowCount(out, static_cast<int64_t>(g));

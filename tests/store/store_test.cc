@@ -96,7 +96,7 @@ TEST(ShardFileTest, RoundTripWithPartialTailGroup) {
   for (int64_t e = begin; e < end; ++e) {
     const int64_t local = e - begin;
     for (int64_t j = 0; j < dim; ++j) {
-      ASSERT_EQ(file.ColumnBlock(local / 64, j)[local % 64], Cell(e, j))
+      ASSERT_EQ(file.Group(local / 64)[(local % 64) * dim + j], Cell(e, j))
           << "entity " << e << " dim " << j;
     }
   }
@@ -168,6 +168,17 @@ TEST(ShardFileTest, BlockCorruptionCaughtByChecksums) {
   auto opened = MappedShardFile::Open(path, lazy);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ((*opened)->VerifyChecksums().code(), StatusCode::kParseError);
+
+  // A group's checksum covers its zero padding too: a flip in the file's
+  // last byte, past the last row, is caught the same way.
+  const std::string padded = TempPath("badpadding.halkstore");
+  WriteTestShardFile(padded, 4, 0, 100, 16);
+  const std::string bytes = SlurpFile(padded);
+  ASSERT_EQ(bytes.back(), '\0');
+  FlipByteAt(padded, static_cast<long>(bytes.size()) - 1);
+  EXPECT_EQ(MappedShardFile::Open(padded, eager).status().code(),
+            StatusCode::kParseError);
+  std::remove(padded.c_str());
   std::remove(path.c_str());
 }
 
@@ -197,6 +208,21 @@ TEST(ShardFileTest, ParseHeaderRejectsFieldTampering) {
     expect_rejected(h, "future version");
   }
   {
+    // Version 1's dimension-major groups are no longer read: a clean error
+    // that names the version and says to rewrite the snapshot.
+    ShardFileHeader h = valid;
+    h.version = 1;
+    SerializeHeader(h, page.data());
+    ShardFileHeader out;
+    const Status status = ParseHeader(page.data(), page.size(), &out);
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    EXPECT_NE(status.message().find("version 1"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("rewrite the snapshot"),
+              std::string::npos)
+        << status.ToString();
+  }
+  {
     ShardFileHeader h = valid;
     h.dtype = 99;
     expect_rejected(h, "unknown dtype");
@@ -220,6 +246,19 @@ TEST(ShardFileTest, ParseHeaderRejectsFieldTampering) {
     ShardFileHeader h = valid;
     h.data_bytes += kPageBytes;
     expect_rejected(h, "data size vs geometry");
+  }
+  {
+    // One checksum per row group: the 7 groups' table fits one page, so
+    // the data starts on the file's third page and nowhere else.
+    ASSERT_EQ(valid.data_offset, 2 * kPageBytes);
+    ShardFileHeader h = valid;
+    h.data_offset += kPageBytes;
+    expect_rejected(h, "data offset vs checksum table");
+  }
+  {
+    ShardFileHeader h = valid;
+    h.rows_per_group = 32;
+    expect_rejected(h, "rows per group vs group count");
   }
   // Truncated input never reads out of bounds.
   ShardFileHeader out;
@@ -339,15 +378,20 @@ TEST(SnapshotWriterTest, BalancedFilesAndCrossBoundaryAppends) {
   EXPECT_EQ((*store)->file(3).entity_begin(), 78);
   EXPECT_EQ((*store)->file(3).entity_end(), 103);
 
-  // The table has one columnar segment per row group of every file
-  // (16 + 10 rows per 26-row file, 16 + 9 for the last), tiling [0, 103).
+  // The table has one row-major segment per row group of every file
+  // (16 + 10 rows per 26-row file, 16 + 9 for the last), tiling [0, 103),
+  // each read in place out of the mapping.
   const core::EntityTable& table = (*store)->table();
-  EXPECT_TRUE(table.columnar);
   ASSERT_EQ(table.segments.size(), 8u);
   int64_t next = 0;
   for (const core::EntityTable::Segment& segment : table.segments) {
     EXPECT_EQ(segment.first, next);
-    EXPECT_EQ(segment.row_stride, 1);
+    for (int64_t r = 0; r < segment.rows; ++r) {
+      for (int64_t j = 0; j < 5; ++j) {
+        ASSERT_EQ(segment.base[r * 5 + j], Cell(next + r, j))
+            << "entity " << next + r;
+      }
+    }
     next += segment.rows;
   }
   EXPECT_EQ(next, 103);
@@ -392,7 +436,7 @@ TEST(SnapshotWriterTest, ReplacedShardFileIsRejectedByManifestBinding) {
       << store.status().ToString();
 }
 
-TEST(StoreScanTest, BoundAwareScanSkipsColumnBlocksExactly) {
+TEST(StoreScanTest, BoundAwareScanFiltersEntitiesExactly) {
   const std::string dir = TempPath("snap_scan_skip");
   const int64_t dim = 8;
   SnapshotWriterOptions options;
@@ -434,16 +478,15 @@ TEST(StoreScanTest, BoundAwareScanSkipsColumnBlocksExactly) {
   }
   EXPECT_EQ(scanned.Take(), expected.Take());
   EXPECT_EQ(stats.entities_scanned, 256);
-  EXPECT_GT(stats.column_blocks_scanned, 0);
+  EXPECT_LE(stats.entities_filtered, stats.entities_pruned);
 
-  // With an already-tight bound every entity prunes after the first
-  // dimension, so the remaining column blocks of every group are skipped —
-  // pages the scan never reads.
+  // With an already-tight bound every entity is pruned, and the filter
+  // drops most of them from their codes alone: rows the scan never reads.
   core::TopKAccumulator tight(1);
   tight.Push(/*entity=*/9999, 0.0f);
   core::ScanStats tight_stats;
   table.AccumulateTopK(arcs, 0, 256, /*prune=*/true, &tight, &tight_stats);
-  EXPECT_GT(tight_stats.column_blocks_skipped, 0);
+  EXPECT_GT(tight_stats.entities_filtered, 128);
   EXPECT_EQ(tight_stats.entities_pruned, 256);
 }
 
@@ -626,8 +669,7 @@ TEST_F(StoreServingTest, StoreBackedTopKIsBitIdenticalToInRam) {
       const core::ScanStats& on = stats_by_store[1][i];
       EXPECT_EQ(off.entities_scanned, on.entities_scanned) << i;
       EXPECT_EQ(off.entities_pruned, on.entities_pruned) << i;
-      EXPECT_EQ(off.column_blocks_scanned, on.column_blocks_scanned) << i;
-      EXPECT_EQ(off.column_blocks_skipped, on.column_blocks_skipped) << i;
+      EXPECT_EQ(off.entities_filtered, on.entities_filtered) << i;
     }
   }
 }

@@ -5,7 +5,7 @@
 //       Print the manifest and per-shard-file geometry. Maps the files but
 //       reads only headers — safe on stores far larger than RAM.
 //   halk_store verify <snapshot-dir>
-//       Re-verify every column-block checksum and the params blob. Faults
+//       Re-verify every row-group checksum and the params blob. Faults
 //       in the whole table; run offline, not at serve time.
 //   halk_store from-checkpoint <ckpt.bin> <snapshot-dir> [--shards N]
 //       Convert a legacy --checkpoint blob into a store snapshot.
