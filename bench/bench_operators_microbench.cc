@@ -9,6 +9,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/scan_filter.h"
@@ -130,6 +131,9 @@ struct ScanFixture {
                                               kEntities, kDim);
     coded = plain;
     coded.EncodeCodes(0, kEntities);
+    // The model's own table gets codes too, as a QueryServer prepares it,
+    // so its sharded scans are two-stage.
+    model->PrepareForServing();
   }
 
   std::unique_ptr<halk::core::HalkModel> model;
@@ -260,6 +264,33 @@ void BM_FilteredScan(benchmark::State& state) {
       static_cast<double>(survivors) / (iterations * static_cast<double>(n));
 }
 
+/// One top-k request (k = 10, one arc) through a ShardCoordinator with
+/// state.range(0) shards over the coded table, as a QueryServer serves it:
+/// µs per request, and `survivors_per_request`, the entities that reached
+/// the kernel summed over the shards (`shard.entities_scored`). The shards
+/// share one top-k bound, so survivors stay near one shard's however the
+/// table is cut.
+void BM_ShardedTopK(benchmark::State& state) {
+  halk::serving::MetricsRegistry metrics;
+  halk::shard::ShardOptions options;
+  options.num_shards = static_cast<int>(state.range(0));
+  halk::shard::ShardCoordinator coordinator(Scan().model.get(), options,
+                                            &metrics);
+  halk::shard::BranchSet branches;
+  branches.embeddings.push_back(Scan().embedding);
+  branches.rows.emplace_back(0, 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(coordinator.TopKEmbedded(branches, 10));
+  }
+  int64_t survivors = 0;
+  for (int s = 0; s < options.num_shards; ++s) {
+    survivors += metrics.CounterValue("shard.entities_scored",
+                                      {{"shard", std::to_string(s)}});
+  }
+  state.counters["survivors_per_request"] =
+      static_cast<double>(survivors) / static_cast<double>(state.iterations());
+}
+
 BENCHMARK(BM_Projection)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_Intersection)->Arg(1)->Arg(32)->Arg(128);
 BENCHMARK(BM_Difference)->Arg(1)->Arg(32)->Arg(128);
@@ -284,6 +315,14 @@ BENCHMARK(BM_FilteredScan)
     ->Arg(4)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ShardedTopK)
+    ->ArgName("S")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 
 namespace halk::core {
 
-TopKAccumulator::TopKAccumulator(int64_t k) : k_(k) {
+TopKAccumulator::TopKAccumulator(int64_t k, SharedTopK* shared, int shard)
+    : k_(k), shared_(shared), shard_(shard) {
   if (k_ > 0) heap_.reserve(static_cast<size_t>(k_));
 }
 
@@ -14,22 +16,51 @@ void TopKAccumulator::Push(int64_t entity, float distance) {
   // NaN has no place in the (distance, entity) order: admitting it would
   // break the heap's strict weak ordering and evict true best entries.
   if (k_ <= 0 || std::isnan(distance)) return;
+  // Strictly above k entries another shard scored: not in the merged top-k.
+  if (shared_ != nullptr && distance > shared_->bound()) return;
   const ScoredEntity candidate{entity, distance};
   if (static_cast<int64_t>(heap_.size()) < k_) {
     heap_.push_back(candidate);
     std::push_heap(heap_.begin(), heap_.end(), ScoredBefore);
-    return;
+  } else {
+    // Full: the heap front is the current worst kept entry.
+    if (!ScoredBefore(candidate, heap_.front())) return;
+    std::pop_heap(heap_.begin(), heap_.end(), ScoredBefore);
+    heap_.back() = candidate;
+    std::push_heap(heap_.begin(), heap_.end(), ScoredBefore);
   }
-  // Full: the heap front is the current worst kept entry.
-  if (!ScoredBefore(candidate, heap_.front())) return;
-  std::pop_heap(heap_.begin(), heap_.end(), ScoredBefore);
-  heap_.back() = candidate;
-  std::push_heap(heap_.begin(), heap_.end(), ScoredBefore);
+  if (shared_ != nullptr) shared_->Offer(shard_, entity, distance);
 }
 
 std::vector<ScoredEntity> TopKAccumulator::Take() {
   std::sort(heap_.begin(), heap_.end(), ScoredBefore);
   return std::move(heap_);
+}
+
+SharedTopK::SharedTopK(int64_t k, int num_shards)
+    : heap_(k),
+      offered_(static_cast<size_t>(num_shards), false),
+      bound_(k > 0 ? std::numeric_limits<float>::infinity()
+                   : -std::numeric_limits<float>::infinity()) {}
+
+void SharedTopK::Offer(int shard, int64_t entity, float distance) {
+  MutexLock lock(mu_);
+  if (closed_ && !offered_[static_cast<size_t>(shard)]) return;
+  offered_[static_cast<size_t>(shard)] = true;
+  heap_.Push(entity, distance);
+  // order: the value is a bound whenever it is read; no other data is
+  // published with it, and the offered/closed handshake is under mu_.
+  bound_.store(heap_.bound(), std::memory_order_relaxed);
+}
+
+void SharedTopK::Close() {
+  MutexLock lock(mu_);
+  closed_ = true;
+}
+
+bool SharedTopK::offered(int shard) const {
+  MutexLock lock(mu_);
+  return offered_[static_cast<size_t>(shard)];
 }
 
 std::vector<ScoredEntity> TopKFromDistances(const std::vector<float>& dist,

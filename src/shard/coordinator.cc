@@ -52,6 +52,8 @@ ShardCoordinator::ShardCoordinator(core::QueryModel* model,
     if (metrics != nullptr) {
       const serving::Labels label = {{"shard", std::to_string(s)}};
       shard.tasks = metrics->GetCounter("shard.tasks", label);
+      shard.entities_scored =
+          metrics->GetCounter("shard.entities_scored", label);
       shard.scan_us =
           metrics->GetHistogram("shard.scan_us", latency_bounds, label);
     }
@@ -90,14 +92,19 @@ ShardedTopK ShardCoordinator::TopKEmbedded(const BranchSet& branches,
   const obs::TraceContext scatter_ctx = scatter.child_context();
 
   // Worker shards are dispatched first so they scan while shard 0 runs
-  // here. Tasks share ownership of the branch set, so a shard left behind
-  // at the deadline finishes harmlessly after this call returns.
+  // here. Tasks share ownership of the branch set and of the request's
+  // top-k, so a shard left behind at the deadline finishes harmlessly after
+  // this call returns. One shard builds no shared top-k: its own heap is
+  // already the request's.
   std::vector<std::future<Partial>> pending(workers_.size());
+  std::shared_ptr<core::SharedTopK> top;
   if (!workers_.empty()) {
+    top = std::make_shared<core::SharedTopK>(k, options_.num_shards);
     auto shared = std::make_shared<const BranchSet>(branches);
     for (size_t w = 0; w < workers_.size(); ++w) {
       auto task = std::make_unique<ShardTask>();
       task->branches = shared;
+      task->shared = top;
       task->k = k;
       task->deadline = deadline;
       task->trace = scatter_ctx;
@@ -122,15 +129,25 @@ ShardedTopK ShardCoordinator::TopKEmbedded(const BranchSet& branches,
       if (deadline_misses_ != nullptr) deadline_misses_->Increment();
     }
   };
-  gather(0, ScanShard(*model_, shards_[0], branches, k, deadline,
+  gather(0, ScanShard(*model_, shards_[0], branches, k, top.get(), deadline,
                       scatter_ctx));
   for (size_t w = 0; w < workers_.size(); ++w) {
     std::future<Partial>& future = pending[w];
     if (!future.valid()) {
-      gather(w + 1, ScanShard(*model_, shards_[w + 1], branches, k,
+      gather(w + 1, ScanShard(*model_, shards_[w + 1], branches, k, top.get(),
                               deadline, scatter_ctx));
-    } else if (deadline == kNoDeadline ||
-               future.wait_until(deadline) == std::future_status::ready) {
+      continue;
+    }
+    bool wait = deadline == kNoDeadline ||
+                future.wait_until(deadline) == std::future_status::ready;
+    if (!wait) {
+      // Past the deadline: shut the shared top-k to the shards that have
+      // not offered, and still wait for this one if it has, because the
+      // bound the covered shards filtered against may hold its entries.
+      top->Close();
+      wait = top->offered(static_cast<int>(w + 1));
+    }
+    if (wait) {
       gather(w + 1, future.get());
     } else {
       gather(w + 1, Status::DeadlineExceeded("shard missed the deadline"));

@@ -47,16 +47,28 @@ struct ShardedTopK {
 /// orders by (distance, entity id) — reproduces Evaluator::TopK
 /// bit-for-bit at any shard count.
 ///
+/// At more than one shard a request builds one core::SharedTopK: every
+/// shard offers its admissions to it and filters against the request's
+/// k-th best distance rather than its own range's. Every published bound
+/// is the k-th of k scored entries, so only entities that cannot be in
+/// the merged top-k are dropped, ties included in the ranking. Which
+/// entities each shard prunes then depends on the schedule, so its
+/// ScanStats and `shard_scan` annotations do too; the entries do not.
+///
 /// Deadline semantics: each shard checks the deadline before its scan
 /// starts, and the caller waits for the worker shards until the deadline.
-/// A shard that misses it is left uncovered and the request degrades to a
-/// partial result carrying its coverage.
+/// Then it closes the shared top-k to the shards that have not offered
+/// and waits on for those that have, since the bound the others filtered
+/// against may hold their entries. A shard left out is uncovered and the
+/// request degrades to a partial result carrying its coverage, still the
+/// exact top-k of the covered fraction.
 class ShardCoordinator {
  public:
   /// `model` and `metrics` (optional) must outlive the coordinator. When
   /// `metrics` is given, the coordinator exports `shard.*` instruments:
   /// request/partial/deadline-miss counters, gather latency, and labeled
-  /// per-shard `shard.tasks{shard=...}` counters and
+  /// per-shard `shard.tasks{shard=...}` and
+  /// `shard.entities_scored{shard=...}` counters and
   /// `shard.scan_us{shard=...}` scan-latency histograms.
   ShardCoordinator(core::QueryModel* model, const ShardOptions& options,
                    serving::MetricsRegistry* metrics = nullptr);

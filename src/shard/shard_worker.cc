@@ -6,7 +6,7 @@ namespace halk::shard {
 
 Result<std::vector<core::ScoredEntity>> ScanShard(
     const core::QueryModel& model, const Shard& shard,
-    const BranchSet& branches, int64_t k,
+    const BranchSet& branches, int64_t k, core::SharedTopK* shared,
     std::chrono::steady_clock::time_point deadline,
     const obs::TraceContext& trace) {
   if (shard.tasks != nullptr) shard.tasks->Increment();
@@ -19,7 +19,7 @@ Result<std::vector<core::ScoredEntity>> ScanShard(
     refs.push_back({&branches.embeddings[embedding_index], row});
   }
   obs::SpanGuard scan(trace, "shard_scan");
-  core::TopKAccumulator acc(k);
+  core::TopKAccumulator acc(k, shared, shard.index);
   core::ScanStats stats;
   const int64_t scan_start = shard.scan_us != nullptr ? obs::NowNs() : 0;
   model.AccumulateTopKRange(refs, shard.range.begin, shard.range.end, &acc,
@@ -29,6 +29,10 @@ Result<std::vector<core::ScoredEntity>> ScanShard(
     // scraped scan bucket names a concrete trace.
     shard.scan_us->Observe(
         static_cast<double>(obs::NowNs() - scan_start) / 1e3, trace.trace_id);
+  }
+  if (shard.entities_scored != nullptr) {
+    shard.entities_scored->Increment(stats.entities_scanned -
+                                     stats.entities_filtered);
   }
   if (scan.active()) {
     scan.Annotate("shard", shard.index);
@@ -72,7 +76,8 @@ void ShardWorker::Loop() {
   while (queue_.PopBatch(&batch, 1)) {
     ShardTask* task = batch[0].get();
     task->result.set_value(ScanShard(*model_, *shard_, *task->branches,
-                                     task->k, task->deadline, task->trace));
+                                     task->k, task->shared.get(),
+                                     task->deadline, task->trace));
     batch.clear();
   }
 }

@@ -40,26 +40,32 @@ struct Shard {
   EntityRange range;
   int index = 0;
   serving::Counter* tasks = nullptr;
+  /// Entities that reached the scan kernel: scanned minus filtered.
+  serving::Counter* entities_scored = nullptr;
   serving::Histogram* scan_us = nullptr;
 };
 
 /// The scan every shard runs, inline or on its worker: scores the shard's
 /// range against every branch (min across branches per entity — the DNF
 /// union semantics) through the model's bound-aware top-k kernel and
-/// returns the local top-k. kDeadlineExceeded, without scanning, when
+/// returns the local top-k. With a `shared` top-k (the request's, at more
+/// than one shard) the scan filters against the request's k-th best and
+/// offers its admissions to it, so the local top-k omits entities that
+/// cannot be in the merged one. kDeadlineExceeded, without scanning, when
 /// `deadline` has already passed. With an active `trace`, records a
 /// `shard_scan` span annotated with the shard index and scan counters.
 [[nodiscard]] Result<std::vector<core::ScoredEntity>> ScanShard(
     const core::QueryModel& model, const Shard& shard,
-    const BranchSet& branches, int64_t k,
+    const BranchSet& branches, int64_t k, core::SharedTopK* shared,
     std::chrono::steady_clock::time_point deadline,
     const obs::TraceContext& trace);
 
-/// A scatter task for a worker shard. Tasks own their BranchSet through a
-/// shared_ptr so a task the coordinator stopped waiting for at the
-/// deadline can still run to completion safely.
+/// A scatter task for a worker shard. Tasks own their BranchSet and the
+/// request's shared top-k through shared_ptrs so a task the coordinator
+/// stopped waiting for at the deadline can still run to completion safely.
 struct ShardTask {
   std::shared_ptr<const BranchSet> branches;
+  std::shared_ptr<core::SharedTopK> shared;
   int64_t k = 0;
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -227,6 +228,22 @@ const float* MappedShardFile::Group(int64_t group) const {
 }
 
 Status MappedShardFile::VerifyChecksums() const {
+  // No checksum covers the zero padding after the header fields and after
+  // the checksum table, so it is checked to be zero instead.
+  const uint64_t table_end =
+      header_.checksum_table_offset + header_.num_groups * sizeof(uint64_t);
+  for (const auto& [begin, end] :
+       {std::pair<uint64_t, uint64_t>{kHeaderBytes,
+                                      header_.checksum_table_offset},
+        std::pair<uint64_t, uint64_t>{table_end, header_.data_offset}}) {
+    for (uint64_t offset = begin; offset < end; ++offset) {
+      if (map_[offset] != 0) {
+        return Status::ParseError(
+            StrFormat("%s: non-zero padding byte at offset %llu",
+                      path_.c_str(), static_cast<unsigned long long>(offset)));
+      }
+    }
+  }
   const uint64_t* table = reinterpret_cast<const uint64_t*>(
       map_ + header_.checksum_table_offset);
   for (int64_t g = 0; g < static_cast<int64_t>(header_.num_groups); ++g) {

@@ -94,7 +94,10 @@ class MappedShardFile {
     return GroupRowCount(header_, group);
   }
 
-  /// Re-reads every row group against the checksum table.
+  /// Re-reads every row group against the checksum table, and checks that
+  /// the padding no checksum covers is zero: the header page past the
+  /// header fields, and the gap between the checksum table and the first
+  /// row group. kParseError naming the group or the padding offset.
   [[nodiscard]] Status VerifyChecksums() const;
 
   size_t mapped_bytes() const { return map_len_; }

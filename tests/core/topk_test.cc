@@ -135,5 +135,46 @@ TEST(MergeTopKTest, MergeOfPartitionsEqualsGlobalTopK) {
   }
 }
 
+TEST(SharedTopKTest, BoundIsTheKthBestOfferedAcrossShards) {
+  const float inf = std::numeric_limits<float>::infinity();
+  SharedTopK shared(2, /*num_shards=*/2);
+  TopKAccumulator a(2, &shared, 0);
+  TopKAccumulator b(2, &shared, 1);
+  EXPECT_EQ(shared.bound(), inf);
+  a.Push(0, 5.0f);
+  b.Push(10, 3.0f);
+  // Two entries offered: the shared bound is their worse, and each
+  // accumulator's bound is the tighter of its own and the shared one.
+  EXPECT_EQ(shared.bound(), 5.0f);
+  EXPECT_EQ(a.bound(), 5.0f);
+  EXPECT_EQ(b.bound(), 5.0f);
+  b.Push(11, 1.0f);
+  EXPECT_EQ(shared.bound(), 3.0f);
+  EXPECT_EQ(b.bound(), 3.0f);
+  // Strictly above the shared bound: dropped. At it: kept for the tie-break.
+  a.Push(1, 4.0f);
+  a.Push(2, 3.0f);
+  const std::vector<ScoredEntity> from_a = a.Take();
+  const std::vector<ScoredEntity> from_b = b.Take();
+  EXPECT_EQ(Entities(from_a), (std::vector<int64_t>{2, 0}));
+  EXPECT_EQ(Entities(MergeTopK({from_a, from_b}, 2)),
+            (std::vector<int64_t>{11, 2}));
+}
+
+TEST(SharedTopKTest, CloseIgnoresShardsThatHaveNotOffered) {
+  SharedTopK shared(1, /*num_shards=*/3);
+  shared.Offer(1, 7, 2.0f);
+  shared.Close();
+  EXPECT_TRUE(shared.offered(1));
+  EXPECT_FALSE(shared.offered(2));
+  shared.Offer(2, 8, 1.0f);  // closed to shard 2: ignored
+  EXPECT_FALSE(shared.offered(2));
+  EXPECT_EQ(shared.bound(), 2.0f);
+  shared.Offer(1, 9, 0.5f);  // shard 1 offered before Close: still counts
+  EXPECT_EQ(shared.bound(), 0.5f);
+  shared.Close();  // idempotent
+  EXPECT_FALSE(shared.offered(0));
+}
+
 }  // namespace
 }  // namespace halk::core

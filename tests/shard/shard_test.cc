@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,9 @@
 #include "query/structures.h"
 #include "serving/metrics.h"
 #include "shard/slow_range_model.h"
+#include "store/convert.h"
+#include "store/store.h"
+#include "store/writer.h"
 
 namespace halk::shard {
 namespace {
@@ -63,6 +69,28 @@ class ShardTest : public ::testing::Test {
     std::vector<int64_t> out;
     for (const core::ScoredEntity& s : entries) out.push_back(s.entity);
     return out;
+  }
+
+  /// (entity, distance bits) per entry, so equality is bit-for-bit.
+  static std::vector<std::pair<int64_t, uint32_t>> Bits(
+      const std::vector<core::ScoredEntity>& entries) {
+    std::vector<std::pair<int64_t, uint32_t>> out;
+    for (const core::ScoredEntity& s : entries) {
+      out.emplace_back(s.entity, std::bit_cast<uint32_t>(s.distance));
+    }
+    return out;
+  }
+
+  /// Overwrites every entity row with the row `period` entities earlier,
+  /// so the table repeats with that period.
+  static void RepeatRows(core::HalkModel* model, int64_t period) {
+    tensor::Tensor angles = model->entity_angles();
+    const int64_t dim = model->config().dim;
+    float* rows = angles.data();
+    for (int64_t e = period; e < kEntities; ++e) {
+      std::memcpy(rows + e * dim, rows + (e - period) * dim,
+                  sizeof(float) * static_cast<size_t>(dim));
+    }
   }
 
   static kg::Dataset* dataset_;
@@ -135,6 +163,127 @@ TEST_F(ShardTest, EqualsEvaluatorForEveryStructureAndShardCount) {
       }
     }
   }
+}
+
+// Acceptance property of the request-wide top-k bound: every shard filters
+// against the request's k-th best, and the sharded ranking stays
+// bit-identical (entities and distance bits) to the brute-force one, in RAM
+// and out of a store, for every structure, at shard counts that do and do
+// not divide the table, and at k = 1, 10 and beyond any shard's size. The
+// tie-heavy table repeats its rows every 50 entities, so each of 4 shards
+// holds a copy of every row and the k-th distance is shared by entities in
+// different shards: the entity-id tie-break decides across the boundary.
+TEST_F(ShardTest, SharedBoundRanksBitIdenticallyInRamAndFromTheStore) {
+  constexpr int64_t kPeriod = kEntities / 4;
+  for (const bool ties : {false, true}) {
+    // Same config, same weights: `reference` is scored brute-force, `coded`
+    // is served in RAM with codes, and the store holds its rows.
+    core::HalkModel reference(model_->config(), nullptr);
+    core::HalkModel coded(model_->config(), nullptr);
+    if (ties) {
+      RepeatRows(&reference, kPeriod);
+      RepeatRows(&coded, kPeriod);
+    }
+    coded.PrepareForServing();
+    const std::string dir = ::testing::TempDir() +
+                            (ties ? "/shard_test_ties_snap" : "/shard_test_snap");
+    ASSERT_TRUE(store::WriteModelSnapshot(coded, dir, /*num_shards=*/3).ok());
+    auto store = store::EmbeddingStore::Open(dir, {});
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto stored = store::OpenServingModel(**store, nullptr);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+
+    core::Evaluator evaluator(&reference);
+    std::vector<std::pair<query::GroundedQuery, std::vector<float>>> queries;
+    for (StructureId s : query::AllStructures()) {
+      for (query::GroundedQuery& q : SampleQueries(s, 1, 401)) {
+        std::vector<float> dist = evaluator.ScoreAllEntities(q.graph);
+        queries.emplace_back(std::move(q), std::move(dist));
+      }
+    }
+    if (ties) {
+      // The tie straddles k = 10: four copies of the third-best row rank
+      // 9th to 12th.
+      const std::vector<core::ScoredEntity> ranking =
+          core::TopKFromDistances(queries[0].second, 12);
+      ASSERT_EQ(ranking[9].distance, ranking[10].distance);
+      ASSERT_EQ(ranking[9].entity % kPeriod, ranking[10].entity % kPeriod);
+    }
+    for (core::HalkModel* served : {&coded, stored->get()}) {
+      for (int shards : {2, 3, 4, 7, 8}) {
+        ShardOptions options;
+        options.num_shards = shards;
+        ShardCoordinator coordinator(served, options);
+        for (const auto& [q, dist] : queries) {
+          for (int64_t k : {int64_t{1}, int64_t{10}, kEntities / 2 + 10}) {
+            ShardedTopK top = coordinator.TopK(q.graph, k);
+            ASSERT_TRUE(top.ok()) << top.status.ToString();
+            EXPECT_EQ(top.coverage, 1.0);
+            EXPECT_EQ(Bits(top.entries),
+                      Bits(core::TopKFromDistances(dist, k)))
+                << query::StructureName(q.structure) << ", k " << k << ", "
+                << shards << " shards, "
+                << (served->store_backed() ? "store" : "in RAM")
+                << (ties ? ", repeated rows" : "");
+          }
+        }
+      }
+    }
+  }
+}
+
+// The deadline rule: a worker shard that has offered to the request's
+// top-k before the deadline may have set the bound the other shards
+// filtered against, so the coordinator waits for it past the deadline and
+// the answer is exact at full coverage. The stalled shard holds the
+// query's best entity and ranks it before it stalls, so it has offered.
+TEST_F(ShardTest, OfferedShardIsWaitedForPastTheDeadline) {
+  using Clock = std::chrono::steady_clock;
+  constexpr std::chrono::milliseconds kDeadline{300};
+  SlowRangeModel model(model_->config(), 10 * kDeadline);
+  model.PrepareForServing();
+  core::Evaluator evaluator(&model);
+  ShardOptions options;
+  options.num_shards = 4;
+  serving::MetricsRegistry metrics;
+  ShardCoordinator coordinator(&model, options, &metrics);
+
+  const query::GroundedQuery* chosen = nullptr;
+  int64_t best = -1;
+  const std::vector<query::GroundedQuery> pool =
+      SampleQueries(StructureId::k2i, 8, 77);
+  for (const query::GroundedQuery& q : pool) {
+    best = evaluator.TopK(q.graph, 1)[0];
+    if (best >= coordinator.shard_range(1).begin) {
+      chosen = &q;
+      break;
+    }
+  }
+  ASSERT_NE(chosen, nullptr) << "no sampled query ranks best outside shard 0";
+  int stalled = 1;
+  while (coordinator.shard_range(stalled).end <= best) ++stalled;
+  model.SlowRangeAfter(coordinator.shard_range(stalled).begin, best + 1);
+
+  // Heal only once the deadline has passed with the shard stalled.
+  const Clock::time_point start = Clock::now();
+  std::thread healer([&] {
+    model.AwaitStall();
+    std::this_thread::sleep_until(start + kDeadline +
+                                  std::chrono::milliseconds(50));
+    model.Heal();
+  });
+  ShardedTopK top = coordinator.TopK(chosen->graph, 10, kDeadline);
+  const Clock::duration elapsed = Clock::now() - start;
+  healer.join();
+
+  ASSERT_TRUE(top.ok()) << top.status.ToString();
+  EXPECT_EQ(top.coverage, 1.0);
+  EXPECT_GE(elapsed, kDeadline);
+  EXPECT_EQ(Bits(top.entries),
+            Bits(core::TopKFromDistances(
+                evaluator.ScoreAllEntities(chosen->graph), 10)));
+  EXPECT_EQ(metrics.CounterValue("shard.deadline_misses"), 0);
+  EXPECT_EQ(metrics.CounterValue("shard.partial_results"), 0);
 }
 
 TEST_F(ShardTest, KBeyondEntityCountReturnsFullRanking) {

@@ -182,6 +182,48 @@ TEST(ShardFileTest, BlockCorruptionCaughtByChecksums) {
   std::remove(path.c_str());
 }
 
+// No checksum covers the zero padding after the header fields or between
+// the checksum table and the first row group, so VerifyChecksums (behind
+// `halk_store verify` and eager opens) requires it to be zero. One row
+// group of 100 rows makes a 12,288-byte file: header page, table page, one
+// group page; byte 6,144 lies between the table's end and the data.
+TEST(ShardFileTest, NonZeroPaddingFailsVerification) {
+  const std::string path = TempPath("padding.halkstore");
+  WriteTestShardFile(path, 4, 0, 100, /*rows_per_group=*/128);
+  ASSERT_EQ(SlurpFile(path).size(), 3 * kPageBytes);
+  MappedShardFile::OpenOptions lazy;
+  lazy.verify_checksums = false;
+  MappedShardFile::OpenOptions eager;
+  eager.verify_checksums = true;
+  {
+    auto opened = MappedShardFile::Open(path, lazy);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const ShardFileHeader& h = (*opened)->header();
+    ASSERT_LT(h.checksum_table_offset + h.num_groups * sizeof(uint64_t),
+              6144u);
+    ASSERT_GT(h.data_offset, 6144u);
+    EXPECT_TRUE((*opened)->VerifyChecksums().ok());
+  }
+  for (const long offset : {static_cast<long>(kHeaderBytes) + 8, 2048L,
+                            6144L}) {
+    FlipByteAt(path, offset);
+    // Headers still parse, so a lazy open succeeds; verification does not.
+    auto opened = MappedShardFile::Open(path, lazy);
+    ASSERT_TRUE(opened.ok()) << offset << ": " << opened.status().ToString();
+    const Status verified = (*opened)->VerifyChecksums();
+    EXPECT_EQ(verified.code(), StatusCode::kParseError) << offset;
+    EXPECT_NE(verified.message().find("offset " + std::to_string(offset)),
+              std::string::npos)
+        << verified.ToString();
+    EXPECT_EQ(MappedShardFile::Open(path, eager).status().code(),
+              StatusCode::kParseError)
+        << offset;
+    FlipByteAt(path, offset);  // restore
+    EXPECT_TRUE((*opened)->VerifyChecksums().ok()) << offset;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ShardFileTest, ParseHeaderRejectsFieldTampering) {
   const std::string path = TempPath("header_fields.halkstore");
   WriteTestShardFile(path, 4, 0, 100, 16);
