@@ -4,6 +4,13 @@
 #include <cstdlib>
 #include <ctime>
 
+// bench/CMakeLists.txt regenerates halk_git_sha.h on every build; a build
+// that defines HALK_GIT_SHA itself (bench_e2e/CMakeLists.txt, at configure
+// time) keeps its own.
+#ifndef HALK_GIT_SHA
+#include "halk_git_sha.h"
+#endif
+
 namespace halk::bench {
 
 using query::StructureId;
@@ -24,7 +31,7 @@ std::string Utcnow() {
 BenchJson::BenchJson(const std::string& name) : name_(name) {
   fields_.emplace_back("bench", "\"" + name + "\"");
   // Provenance: which build produced the number, and when. The sha is the
-  // commit seen at CMake configure time ("unknown" outside a git clone).
+  // commit seen at build time ("unknown" outside a git clone).
   fields_.emplace_back("git_sha", "\"" HALK_GIT_SHA "\"");
   fields_.emplace_back("timestamp", "\"" + Utcnow() + "\"");
 }

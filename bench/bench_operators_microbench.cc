@@ -15,15 +15,18 @@
 #include "core/scan_filter.h"
 #include "core/scan_kernel.h"
 #include "halk/halk.h"
+#include "tensor/tape.h"
 
 namespace {
 
+/// A HaLk model with d = `dim` and h = 2·dim: d = 16 is a small model;
+/// d = 32, h = 64 is `cold_scan`'s served model (bench_e2e).
 struct Fixture {
-  Fixture() : rng(1) {
+  explicit Fixture(int64_t dim) : rng(1) {
     config.num_entities = 1000;
     config.num_relations = 20;
-    config.dim = 16;
-    config.hidden = 32;
+    config.dim = dim;
+    config.hidden = 2 * dim;
     config.seed = 5;
     grouping = std::make_unique<halk::kg::NodeGrouping>(
         halk::kg::NodeGrouping::Random(config.num_entities, 16, &rng));
@@ -54,49 +57,67 @@ struct Fixture {
   std::unique_ptr<halk::core::HalkModel> model;
 };
 
-Fixture& F() {
-  static Fixture* fixture = new Fixture();
-  return *fixture;
+Fixture& F(int64_t dim) {
+  static Fixture* small = new Fixture(16);
+  static Fixture* served = new Fixture(32);
+  return dim == 16 ? *small : *served;
+}
+
+/// Times `call` (one operator call on a batch of state.range(0) rows of
+/// model F(state.range(1))) under the NoGradGuard that PlanExecutor::Run
+/// holds, then makes one more call under a TapeAccounting to report
+/// `ops_per_call`, the tensor ops one call runs.
+template <typename Call>
+void RunOperator(benchmark::State& state, Call call) {
+  halk::tensor::NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(call());
+  }
+  halk::tensor::TapeAccounting accounting;
+  benchmark::DoNotOptimize(call());
+  state.counters["ops_per_call"] =
+      static_cast<double>(accounting.stats().forward_nodes);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
 void BM_Projection(benchmark::State& state) {
+  Fixture& f = F(state.range(1));
   const int64_t batch = state.range(0);
-  auto in = F().Anchors(batch);
-  auto rels = F().Relations(batch);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(F().model->Projection(in, rels));
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
+  auto in = f.Anchors(batch);
+  auto rels = f.Relations(batch);
+  RunOperator(state, [&] { return f.model->Projection(in, rels); });
 }
 
 void BM_Intersection(benchmark::State& state) {
+  Fixture& f = F(state.range(1));
   const int64_t batch = state.range(0);
-  auto a = F().model->Projection(F().Anchors(batch), F().Relations(batch));
-  auto b = F().model->Projection(F().Anchors(batch), F().Relations(batch));
-  auto c = F().model->Projection(F().Anchors(batch), F().Relations(batch));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(F().model->Intersection({a, b, c}, {}));
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
+  auto a = f.model->Projection(f.Anchors(batch), f.Relations(batch));
+  auto b = f.model->Projection(f.Anchors(batch), f.Relations(batch));
+  auto c = f.model->Projection(f.Anchors(batch), f.Relations(batch));
+  RunOperator(state, [&] { return f.model->Intersection({a, b, c}, {}); });
 }
 
 void BM_Difference(benchmark::State& state) {
+  Fixture& f = F(state.range(1));
   const int64_t batch = state.range(0);
-  auto a = F().model->Projection(F().Anchors(batch), F().Relations(batch));
-  auto b = F().model->Projection(F().Anchors(batch), F().Relations(batch));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(F().model->Difference({a, b}));
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
+  auto a = f.model->Projection(f.Anchors(batch), f.Relations(batch));
+  auto b = f.model->Projection(f.Anchors(batch), f.Relations(batch));
+  RunOperator(state, [&] { return f.model->Difference({a, b}); });
 }
 
 void BM_Negation(benchmark::State& state) {
+  Fixture& f = F(state.range(1));
   const int64_t batch = state.range(0);
-  auto a = F().model->Projection(F().Anchors(batch), F().Relations(batch));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(F().model->Negation(a));
+  auto a = f.model->Projection(f.Anchors(batch), f.Relations(batch));
+  RunOperator(state, [&] { return f.model->Negation(a); });
+}
+
+/// Batch sizes 1, 32 and 128 at d = 16 and at the served d = 32.
+void OperatorArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"B", "d"});
+  for (int64_t dim : {16, 32}) {
+    for (int64_t batch : {1, 32, 128}) b->Args({batch, dim});
   }
-  state.SetItemsProcessed(state.iterations() * batch);
 }
 
 /// The ranking scan at serving scale: 10^5 entities, d = 32 (ROADMAP item
@@ -291,10 +312,10 @@ void BM_ShardedTopK(benchmark::State& state) {
       static_cast<double>(survivors) / static_cast<double>(state.iterations());
 }
 
-BENCHMARK(BM_Projection)->Arg(1)->Arg(32)->Arg(128);
-BENCHMARK(BM_Intersection)->Arg(1)->Arg(32)->Arg(128);
-BENCHMARK(BM_Difference)->Arg(1)->Arg(32)->Arg(128);
-BENCHMARK(BM_Negation)->Arg(1)->Arg(32)->Arg(128);
+BENCHMARK(BM_Projection)->Apply(OperatorArgs);
+BENCHMARK(BM_Intersection)->Apply(OperatorArgs);
+BENCHMARK(BM_Difference)->Apply(OperatorArgs);
+BENCHMARK(BM_Negation)->Apply(OperatorArgs);
 BENCHMARK(BM_DistancesToAllEntities)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScanKernel_portable)
     ->Name("BM_ScanKernel/portable")

@@ -219,9 +219,14 @@ struct FilterPass {
 /// The entities scored before stage two, ascending: the uncoded ones, which
 /// the filter cannot drop, and the `want` lowest sums (lower ids first
 /// among ties), which most likely hold the top-k and so set a tight bound
-/// before the rest is filtered. Marks each kSeeded in `pass`.
+/// before the rest is filtered. A sum above `threshold` (the filter
+/// threshold of the accumulator's bound at pick time) is never picked:
+/// the bound only falls, so stage two would drop that entity anyway, and
+/// with a shared bound across shards most seeds are ruled out this way.
+/// Marks each kSeeded in `pass`.
 std::vector<int64_t> PickSeeds(const EntityCodes& codes, int64_t begin,
-                               int64_t end, int64_t want, FilterPass* pass) {
+                               int64_t end, int64_t want, int64_t threshold,
+                               FilterPass* pass) {
   std::vector<int64_t> seeds;
   for (auto it = std::lower_bound(codes.always_scored.begin(),
                                   codes.always_scored.end(), begin);
@@ -242,11 +247,13 @@ std::vector<int64_t> PickSeeds(const EntityCodes& codes, int64_t begin,
     // Max-heap of (sum, entity): the lowest `want` seen so far.
     std::vector<std::pair<uint16_t, int64_t>> heap;
     for (int64_t first = pass->base; first < end; first += kScanLanes) {
-      if (pass->block_min_of(first) > cut) continue;
+      const uint16_t block_min = pass->block_min_of(first);
+      if (block_min > cut || block_min > threshold) continue;
       const int64_t hi = std::min(end, first + kScanLanes);
       for (int64_t e = std::max(begin, first); e < hi; ++e) {
         const std::pair<uint16_t, int64_t> key{pass->sum(e), e};
-        if (key.first == kSeeded) continue;
+        // kSeeded is above every threshold.
+        if (key.first > threshold) continue;
         if (static_cast<int64_t>(heap.size()) < want) {
           heap.push_back(key);
           std::push_heap(heap.begin(), heap.end());
@@ -272,9 +279,10 @@ void TwoStageTopK(const EntityTable& table,
                   const FilterTables& tables, int64_t begin, int64_t end,
                   float* partial, TopKAccumulator* acc, ScanStats* stats) {
   FilterPass pass(table, tables, begin, end);
-  const std::vector<int64_t> seeds = PickSeeds(
-      table.codes, begin, end,
-      acc->k() - static_cast<int64_t>(acc->size()), &pass);
+  const std::vector<int64_t> seeds =
+      PickSeeds(table.codes, begin, end,
+                acc->k() - static_cast<int64_t>(acc->size()),
+                tables.Threshold(acc->bound()), &pass);
 
   const auto first = SegmentFor(table.segments, begin);
   const auto last =

@@ -6,6 +6,7 @@
 #include "core/topk.h"
 #include "obs/profiler.h"
 #include "query/dnf.h"
+#include "tensor/tensor.h"
 
 namespace halk::core {
 
@@ -16,6 +17,8 @@ Evaluator::Evaluator(QueryModel* model) : model_(model) {
 std::vector<float> Evaluator::ScoreAllEntities(
     const query::QueryGraph& query) {
   HALK_PROFILE_SCOPE("eval/score_all");
+  // Ranking only: the embedding never reaches Backward.
+  tensor::NoGradGuard no_grad;
   std::vector<float> best;
   for (const query::QueryGraph& branch : query::ToDnf(query)) {
     std::vector<const query::QueryGraph*> single = {&branch};

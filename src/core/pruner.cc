@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "tensor/tensor.h"
 
 namespace halk::core {
 
@@ -15,6 +16,8 @@ Pruner::Pruner(HalkModel* model) : model_(model) {
 PruneResult Pruner::Prune(const query::QueryGraph& query,
                           const kg::KnowledgeGraph& graph, int64_t top_k) {
   HALK_CHECK(graph.finalized());
+  // The arcs only rank candidates; no autograd graph.
+  tensor::NoGradGuard no_grad;
   std::vector<EmbeddingBatch> arcs = model_->EmbedAllNodes(query);
 
   std::unordered_set<int64_t> selected;

@@ -152,6 +152,9 @@ ExecSchedule PlanExecutor::Prepare(const Plan& plan,
 core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
                                        ExecSchedule* schedule,
                                        const obs::TraceContext& trace) const {
+  // Served rows never reach Backward: the operators run their usual op
+  // code but record no autograd graph.
+  tensor::NoGradGuard no_grad;
   ExecSchedule& sched = *schedule;
   const size_t n = plan.nodes.size();
   const int64_t dim = model_->config().dim;

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "query/dnf.h"
+#include "tensor/tensor.h"
 
 namespace halk::shard {
 
@@ -195,7 +196,8 @@ ShardedTopK ShardCoordinator::TopK(const query::QueryGraph& query, int64_t k,
                                    std::chrono::microseconds timeout) {
   // One single-row EmbedQueries per DNF branch, exactly as
   // Evaluator::ScoreAllEntities does, so rankings match the brute-force
-  // evaluator bit-for-bit.
+  // evaluator bit-for-bit. Ranking only, so no autograd graph.
+  tensor::NoGradGuard no_grad;
   BranchSet branches;
   for (const query::QueryGraph& branch : query::ToDnf(query)) {
     std::vector<const query::QueryGraph*> single = {&branch};

@@ -1,5 +1,6 @@
 #include "tensor/ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -102,6 +103,12 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, const char* name, F f,
   float* out_data = out.data();
   const float* da = a.data();
   const float* db = b.data();
+  if (ka == Broadcast::kNone && kb == Broadcast::kNone) {
+    // Same shapes (the common case): the same f per element, without the
+    // per-element index mapping.
+    for (int64_t i = 0; i < n; ++i) out_data[i] = f(da[i], db[i]);
+    return out;
+  }
   for (int64_t i = 0; i < n; ++i) {
     out_data[i] = f(da[MapIndex(ka, i, cols)], db[MapIndex(kb, i, cols)]);
   }
@@ -384,7 +391,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         }
       });
 
+  // Op results start uninitialized; the product accumulates into zeros.
   float* oc = out.data();
+  std::fill(oc, oc + rows * cols, 0.0f);
   const float* da = a.data();
   const float* db = b.data();
   for (int64_t r = 0; r < rows; ++r) {
@@ -402,6 +411,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 Tensor Concat(const std::vector<Tensor>& parts, int axis) {
   HALK_CHECK(!parts.empty());
   const int rank = parts[0].shape().rank();
+  // The backward closures read each part's size from its input node, so
+  // building the op copies no per-part vectors.
   if (rank == 1) {
     HALK_CHECK_EQ(axis, 0);
     int64_t total = 0;
@@ -409,14 +420,12 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
       HALK_CHECK_EQ(p.shape().rank(), 1);
       total += p.numel();
     }
-    std::vector<int64_t> sizes;
-    for (const Tensor& p : parts) sizes.push_back(p.numel());
     Tensor out = MakeOpResult(
-        Shape({total}), "concat0", parts, [sizes](TensorImpl* self) {
+        Shape({total}), "concat0", parts, [](TensorImpl* self) {
           size_t off = 0;
           for (size_t p = 0; p < self->inputs.size(); ++p) {
             TensorImpl* ip = self->inputs[p].get();
-            const size_t n = static_cast<size_t>(sizes[p]);
+            const size_t n = ip->data.size();
             if (ip->requires_grad) {
               ip->EnsureGrad();
               for (size_t i = 0; i < n; ++i) ip->grad[i] += self->grad[off + i];
@@ -436,20 +445,18 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
   HALK_CHECK_EQ(axis, 1);
   const int64_t rows = parts[0].shape().dim(0);
   int64_t total_cols = 0;
-  std::vector<int64_t> widths;
   for (const Tensor& p : parts) {
     HALK_CHECK_EQ(p.shape().rank(), 2);
     HALK_CHECK_EQ(p.shape().dim(0), rows);
-    widths.push_back(p.shape().dim(1));
     total_cols += p.shape().dim(1);
   }
   Tensor out = MakeOpResult(
       Shape({rows, total_cols}), "concat1", parts,
-      [rows, total_cols, widths](TensorImpl* self) {
+      [rows, total_cols](TensorImpl* self) {
         int64_t col_off = 0;
         for (size_t p = 0; p < self->inputs.size(); ++p) {
           TensorImpl* ip = self->inputs[p].get();
-          const int64_t w = widths[p];
+          const int64_t w = ip->shape.dim(1);
           if (ip->requires_grad) {
             ip->EnsureGrad();
             for (int64_t r = 0; r < rows; ++r) {
@@ -464,9 +471,9 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
       });
   float* oc = out.data();
   int64_t col_off = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    const float* d = parts[p].data();
-    const int64_t w = widths[p];
+  for (const Tensor& p : parts) {
+    const float* d = p.data();
+    const int64_t w = p.shape().dim(1);
     for (int64_t r = 0; r < rows; ++r) {
       std::copy(d + r * w, d + (r + 1) * w, oc + r * total_cols + col_off);
     }
@@ -553,7 +560,9 @@ Tensor SumDim(const Tensor& a, int dim) {
           }
         }
       });
+  // Op results start uninitialized; the sums accumulate into zeros.
   float* oc = out.data();
+  std::fill(oc, oc + out.numel(), 0.0f);
   const float* d = a.data();
   for (int64_t r = 0; r < rows; ++r) {
     for (int64_t c = 0; c < cols; ++c) {

@@ -8,8 +8,9 @@
 
 namespace halk::tensor {
 
-// All ops are differentiable (reverse-mode) unless noted. Binary elementwise
-// ops support limited broadcasting:
+// All ops are differentiable (reverse-mode) unless noted. Under a
+// NoGradGuard (tensor.h) the same ops run the same float operations and
+// record no graph. Binary elementwise ops support limited broadcasting:
 //   * identical shapes;
 //   * either operand a scalar (numel == 1);
 //   * a `[B, d]` matrix with a `[d]` row vector (broadcast over rows).

@@ -1,8 +1,17 @@
 #include "tensor/shape.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace halk::tensor {
+
+Shape::Shape(std::initializer_list<int64_t> dims)
+    : rank_(static_cast<int>(dims.size())) {
+  HALK_CHECK_LE(dims.size(), static_cast<size_t>(kMaxRank))
+      << "Shape supports rank <= " << kMaxRank;
+  std::copy(dims.begin(), dims.end(), dims_.begin());
+}
 
 int64_t Shape::dim(int i) const {
   HALK_CHECK_GE(i, 0);
@@ -10,17 +19,11 @@ int64_t Shape::dim(int i) const {
   return dims_[static_cast<size_t>(i)];
 }
 
-int64_t Shape::numel() const {
-  int64_t n = 1;
-  for (int64_t d : dims_) n *= d;
-  return n;
-}
-
 std::string Shape::ToString() const {
   std::string out = "[";
-  for (size_t i = 0; i < dims_.size(); ++i) {
+  for (int i = 0; i < rank_; ++i) {
     if (i > 0) out += ", ";
-    out += std::to_string(dims_[i]);
+    out += std::to_string(dims_[static_cast<size_t>(i)]);
   }
   out += "]";
   return out;

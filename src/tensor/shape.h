@@ -1,36 +1,45 @@
 #ifndef HALK_TENSOR_SHAPE_H_
 #define HALK_TENSOR_SHAPE_H_
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
-#include <vector>
 
 namespace halk::tensor {
 
 /// Dimensions of a Tensor. The library works with rank-1 vectors `[d]` and
 /// rank-2 batched matrices `[B, d]`; scalars are rank-1 tensors of size 1.
+/// The dimensions live inline (rank ≤ kMaxRank, checked at construction),
+/// so building or copying a Shape never allocates.
 class Shape {
  public:
-  Shape() = default;
-  Shape(std::initializer_list<int64_t> dims) : dims_(dims) {}
-  explicit Shape(std::vector<int64_t> dims) : dims_(std::move(dims)) {}
+  static constexpr int kMaxRank = 4;
 
-  int rank() const { return static_cast<int>(dims_.size()); }
+  Shape() = default;
+  Shape(std::initializer_list<int64_t> dims);
+
+  int rank() const { return rank_; }
   int64_t dim(int i) const;
-  const std::vector<int64_t>& dims() const { return dims_; }
 
   /// Total number of elements (1 for rank-0).
-  int64_t numel() const;
+  int64_t numel() const {
+    int64_t n = 1;
+    for (int i = 0; i < rank_; ++i) n *= dims_[static_cast<size_t>(i)];
+    return n;
+  }
 
-  bool operator==(const Shape& other) const { return dims_ == other.dims_; }
+  bool operator==(const Shape& other) const {
+    return rank_ == other.rank_ && dims_ == other.dims_;
+  }
   bool operator!=(const Shape& other) const { return !(*this == other); }
 
   /// e.g. "[32, 16]".
   std::string ToString() const;
 
  private:
-  std::vector<int64_t> dims_;
+  std::array<int64_t, kMaxRank> dims_{};  // zero past rank_
+  int rank_ = 0;
 };
 
 }  // namespace halk::tensor

@@ -1,33 +1,86 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "common/logging.h"
 #include "tensor/tape.h"
 
 namespace halk::tensor {
 
 namespace {
-std::shared_ptr<TensorImpl> NewLeaf(const Shape& shape) {
-  auto impl = std::make_shared<TensorImpl>();
+
+/// Whether op results on this thread may record a graph (NoGradGuard).
+thread_local bool t_grad_enabled = true;
+
+/// Allocator for std::allocate_shared that places `floats` floats after
+/// the shared_ptr control block (which holds the TensorImpl), so a node
+/// and its buffer are one heap allocation. allocate_shared allocates
+/// exactly one block, before the TensorImpl is constructed, and reports
+/// where the floats start through `out`.
+template <typename T>
+struct TrailingFloats {
+  using value_type = T;
+
+  TrailingFloats(size_t floats, float** out) : floats(floats), out(out) {}
+  template <typename U>
+  TrailingFloats(const TrailingFloats<U>& other)  // the rebinding copy
+      : floats(other.floats), out(other.out) {}
+
+  T* allocate(size_t n) {
+    constexpr size_t kAlign = alignof(std::max_align_t);
+    const size_t head = (n * sizeof(T) + kAlign - 1) / kAlign * kAlign;
+    char* block =
+        static_cast<char*>(::operator new(head + floats * sizeof(float)));
+    *out = reinterpret_cast<float*>(block + head);
+    return reinterpret_cast<T*>(block);
+  }
+  void deallocate(T* p, size_t) { ::operator delete(p); }
+
+  template <typename U>
+  bool operator==(const TrailingFloats<U>& other) const {
+    return floats == other.floats;
+  }
+
+  size_t floats;
+  float** out;
+};
+
+/// A node of `shape` with an uninitialized buffer in its own allocation.
+std::shared_ptr<TensorImpl> NewNode(const Shape& shape) {
+  const size_t n = static_cast<size_t>(shape.numel());
+  float* floats = nullptr;
+  auto impl = std::allocate_shared<TensorImpl>(
+      TrailingFloats<TensorImpl>(n, &floats));
   impl->shape = shape;
-  impl->data.assign(static_cast<size_t>(shape.numel()), 0.0f);
+  impl->data = Buffer(floats, n);
   return impl;
 }
+
 }  // namespace
 
-Tensor Tensor::Zeros(const Shape& shape) { return Tensor(NewLeaf(shape)); }
+NoGradGuard::NoGradGuard() : previous_(t_grad_enabled) {
+  t_grad_enabled = false;
+}
+
+NoGradGuard::~NoGradGuard() { t_grad_enabled = previous_; }
+
+bool NoGradGuard::GradEnabled() { return t_grad_enabled; }
+
+Tensor Tensor::Zeros(const Shape& shape) { return Full(shape, 0.0f); }
 
 Tensor Tensor::Full(const Shape& shape, float value) {
-  auto impl = NewLeaf(shape);
+  auto impl = NewNode(shape);
   std::fill(impl->data.begin(), impl->data.end(), value);
-  return Tensor(impl);
+  return Tensor(std::move(impl));
 }
 
 Tensor Tensor::FromVector(const Shape& shape, std::vector<float> values) {
   HALK_CHECK_EQ(shape.numel(), static_cast<int64_t>(values.size()));
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = shape;
-  impl->data = std::move(values);
-  return Tensor(impl);
+  impl->data = Buffer(std::move(values));
+  return Tensor(std::move(impl));
 }
 
 Tensor Tensor::Scalar(float value) { return Full(Shape({1}), value); }
@@ -95,39 +148,44 @@ void Tensor::ZeroGrad() {
 
 Tensor Tensor::Detach() const {
   HALK_CHECK(defined());
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = impl_->shape;
-  impl->data = impl_->data;
+  auto impl = NewNode(impl_->shape);
+  std::copy(impl_->data.begin(), impl_->data.end(), impl->data.begin());
   impl->op_name = "detach";
-  return Tensor(impl);
+  return Tensor(std::move(impl));
 }
 
 std::vector<float> Tensor::ToVector() const {
   HALK_CHECK(defined());
-  return impl_->data;
+  return std::vector<float>(impl_->data.begin(), impl_->data.end());
 }
 
-Tensor MakeOpResult(const Shape& shape, const char* op_name,
-                    std::vector<Tensor> inputs,
-                    std::function<void(TensorImpl*)> backward) {
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = shape;
-  impl->data.assign(static_cast<size_t>(shape.numel()), 0.0f);
+namespace internal {
+
+std::shared_ptr<TensorImpl> NewOpNode(const Shape& shape, const char* op_name,
+                                      const OpInputs& inputs) {
+  std::shared_ptr<TensorImpl> impl = NewNode(shape);
   impl->op_name = op_name;
   bool needs_grad = false;
-  impl->inputs.reserve(inputs.size());
-  for (const Tensor& t : inputs) {
-    HALK_CHECK(t.defined());
-    needs_grad = needs_grad || t.requires_grad();
-    impl->inputs.push_back(t.impl());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    HALK_CHECK(inputs[i].defined());
+    needs_grad = needs_grad || inputs[i].requires_grad();
   }
-  impl->requires_grad = needs_grad;
-  if (needs_grad) impl->backward = std::move(backward);
+  impl->requires_grad = needs_grad && t_grad_enabled;
   // One thread-local pointer load when accounting is off.
-  if (TapeAccounting* accounting = TapeAccounting::Active()) {
-    accounting->RecordForward(*impl);
+  TapeAccounting* accounting = TapeAccounting::Active();
+  if (impl->requires_grad || accounting != nullptr) {
+    impl->inputs.reserve(inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      impl->inputs.push_back(inputs[i].impl());
+    }
   }
-  return Tensor(impl);
+  if (accounting != nullptr) {
+    accounting->RecordForward(*impl);
+    if (!impl->requires_grad) impl->inputs = {};
+  }
+  return impl;
 }
+
+}  // namespace internal
 
 }  // namespace halk::tensor

@@ -1,9 +1,12 @@
 #ifndef HALK_TENSOR_TENSOR_H_
 #define HALK_TENSOR_TENSOR_H_
 
+#include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -13,10 +16,12 @@ namespace halk::tensor {
 struct TensorImpl;
 
 /// Value-semantic handle to a node in the autograd graph. Copying a Tensor
-/// copies the handle, not the buffer. Each differentiable op produced by
-/// `halk::tensor` ops records its inputs and a backward closure; calling
-/// `Backward(loss)` (tape.h) runs reverse-mode accumulation into `grad()`
-/// of every reachable tensor with `requires_grad()`.
+/// copies the handle, not the buffer. An op result that needs a gradient
+/// (some input has `requires_grad()` and no NoGradGuard is alive on the
+/// thread) records its inputs and a backward closure; `Backward(loss)`
+/// (tape.h) runs reverse-mode accumulation into `grad()` of every reachable
+/// tensor with `requires_grad()`. Any other op result is a plain value: it
+/// keeps no inputs and no closure, so building it records no graph.
 class Tensor {
  public:
   /// Null handle; `defined()` is false.
@@ -51,28 +56,58 @@ class Tensor {
   const std::vector<float>& grad_vector() const;
   void ZeroGrad();
 
-  /// A tensor sharing this buffer but cut off from the autograd graph.
+  /// A copy of this tensor's values, cut off from the autograd graph.
   Tensor Detach() const;
 
   /// Copies out the contents.
   std::vector<float> ToVector() const;
 
-  std::shared_ptr<TensorImpl> impl() const { return impl_; }
+  const std::shared_ptr<TensorImpl>& impl() const { return impl_; }
 
  private:
   std::shared_ptr<TensorImpl> impl_;
+};
+
+/// The float storage of one node: either memory allocated together with
+/// the node (op results and the Zeros/Full factories, one allocation per
+/// tensor) or a vector adopted by FromVector.
+class Buffer {
+ public:
+  Buffer() = default;
+  Buffer(float* data, size_t size) : data_(data), size_(size) {}
+  explicit Buffer(std::vector<float> owned)
+      : owned_(std::move(owned)), data_(owned_.data()), size_(owned_.size()) {}
+  Buffer(Buffer&&) = default;
+  Buffer& operator=(Buffer&&) = default;
+
+  float* data() { return data_; }
+  const float* data() const { return data_; }
+  size_t size() const { return size_; }
+  float& operator[](size_t i) { return data_[i]; }
+  float operator[](size_t i) const { return data_[i]; }
+  float* begin() { return data_; }
+  float* end() { return data_ + size_; }
+  const float* begin() const { return data_; }
+  const float* end() const { return data_ + size_; }
+
+ private:
+  std::vector<float> owned_;
+  float* data_ = nullptr;
+  size_t size_ = 0;
 };
 
 /// Internal node storage. Public because ops.cc and tape.cc manipulate it;
 /// library users interact with Tensor only.
 struct TensorImpl {
   Shape shape;
-  std::vector<float> data;
+  Buffer data;
   std::vector<float> grad;  // empty until needed
   bool requires_grad = false;
   const char* op_name = "leaf";
+  /// Empty unless the node needs a gradient.
   std::vector<std::shared_ptr<TensorImpl>> inputs;
-  /// Propagates this node's grad into inputs' grads. Null for leaves.
+  /// Propagates this node's grad into inputs' grads. Null for leaves and
+  /// for nodes that need no gradient.
   std::function<void(TensorImpl*)> backward;
 
   void EnsureGrad() {
@@ -80,10 +115,87 @@ struct TensorImpl {
   }
 };
 
-/// Creates a non-leaf op result over `inputs`; requires_grad is inherited.
+/// Scoped, thread-local switch that turns graph recording off: while an
+/// instance is alive on a thread, every op result on that thread has
+/// `requires_grad() == false` and keeps no inputs and no backward closure,
+/// whatever its inputs. Guards nest (the previous mode returns on
+/// destruction) and never affect another thread. Ranking and serving hold
+/// one around their forward passes; they run the same op code as training.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+  /// False while a guard is alive on this thread.
+  static bool GradEnabled();
+
+ private:
+  bool previous_;
+};
+
+namespace internal {
+
+/// The inputs of one op, viewed without copying their handles.
+class OpInputs {
+ public:
+  OpInputs(const std::reference_wrapper<const Tensor>* refs, size_t size)
+      : refs_(refs), size_(size) {}
+  OpInputs(const Tensor* tensors, size_t size)
+      : tensors_(tensors), size_(size) {}
+
+  size_t size() const { return size_; }
+  const Tensor& operator[](size_t i) const {
+    return refs_ != nullptr ? refs_[i].get() : tensors_[i];
+  }
+
+ private:
+  const std::reference_wrapper<const Tensor>* refs_ = nullptr;
+  const Tensor* tensors_ = nullptr;
+  size_t size_ = 0;
+};
+
+/// A non-leaf node of `shape` over `inputs` whose buffer is left
+/// uninitialized (the op writes every element). `requires_grad` is set
+/// when grad mode is on and some input requires grad; only such a node
+/// keeps its inputs. An active TapeAccounting records the node while the
+/// inputs are still linked (the matmul FLOP estimate reads their shapes).
+std::shared_ptr<TensorImpl> NewOpNode(const Shape& shape, const char* op_name,
+                                      const OpInputs& inputs);
+
+/// Stores `backward` (as a std::function) only when the node needs a
+/// gradient, so an op outside the graph builds no closure.
+template <typename Backward>
+Tensor FinishOp(std::shared_ptr<TensorImpl> impl, Backward&& backward) {
+  if (impl->requires_grad) impl->backward = std::forward<Backward>(backward);
+  return Tensor(std::move(impl));
+}
+
+}  // namespace internal
+
+/// Creates a non-leaf op result over a braced list `{a, b}` of inputs; the
+/// list binds references, so no handle is copied and nothing is allocated
+/// for it. `backward` runs only if the result needs a gradient.
+template <typename Backward>
+Tensor MakeOpResult(
+    const Shape& shape, const char* op_name,
+    std::initializer_list<std::reference_wrapper<const Tensor>> inputs,
+    Backward&& backward) {
+  return internal::FinishOp(
+      internal::NewOpNode(shape, op_name, {inputs.begin(), inputs.size()}),
+      std::forward<Backward>(backward));
+}
+
+/// The same over a vector of inputs (Concat).
+template <typename Backward>
 Tensor MakeOpResult(const Shape& shape, const char* op_name,
-                    std::vector<Tensor> inputs,
-                    std::function<void(TensorImpl*)> backward);
+                    const std::vector<Tensor>& inputs, Backward&& backward) {
+  return internal::FinishOp(
+      internal::NewOpNode(shape, op_name, {inputs.data(), inputs.size()}),
+      std::forward<Backward>(backward));
+}
 
 }  // namespace halk::tensor
 

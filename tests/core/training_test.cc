@@ -2,6 +2,7 @@
 // KG must reduce the loss and beat an untrained model on ranking metrics.
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "core/trainer.h"
 #include "kg/synthetic.h"
 #include "query/executor.h"
+#include "serving/server.h"
 #include "tensor/tape.h"
 
 namespace halk::core {
@@ -112,6 +114,62 @@ TEST_F(TrainingTest, TrainingReducesLoss) {
   EXPECT_EQ(stats->steps, 160);
   EXPECT_LT(stats->final_loss, stats->mean_loss);
   EXPECT_TRUE(std::isfinite(stats->final_loss));
+}
+
+// Serving between two training runs leaves no trace in the parameters:
+// the served forward records no graph and touches no gradient, so
+// train -> serve -> train ends bit-identical to train -> train.
+TEST_F(TrainingTest, ServingBetweenTrainingRunsChangesNoParameterBit) {
+  TrainerOptions opt;
+  opt.steps = 20;
+  opt.batch_size = 8;
+  opt.num_negatives = 4;
+  opt.learning_rate = 5e-3f;
+  opt.structures = {StructureId::k1p, StructureId::k2i, StructureId::k2in};
+  opt.queries_per_structure = 20;
+  opt.seed = 5;
+  auto train = [&](HalkModel* model) {
+    Trainer trainer(model, &dataset_->train, grouping_, opt);
+    ASSERT_TRUE(trainer.Train().ok());
+  };
+
+  HalkModel served(SmallConfig(), grouping_);
+  train(&served);
+  {
+    serving::ServerOptions options;
+    options.num_workers = 1;
+    options.cache_capacity = 0;
+    serving::QueryServer server(&served, &dataset_->train, options);
+    Evaluator evaluator(&served);
+    query::QuerySampler sampler(&dataset_->train, 71);
+    for (StructureId s : {StructureId::k2p, StructureId::k3i,
+                          StructureId::kPin, StructureId::k2u}) {
+      auto queries = sampler.SampleMany(s, 2);
+      ASSERT_TRUE(queries.ok());
+      for (const query::GroundedQuery& q : *queries) {
+        auto answer = server.Answer(q.graph, 5);
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        EXPECT_EQ(answer->entities, evaluator.TopK(q.graph, 5));
+      }
+    }
+  }
+  train(&served);
+
+  HalkModel reference(SmallConfig(), grouping_);
+  train(&reference);
+  train(&reference);
+
+  const std::vector<tensor::Tensor> got = served.Parameters();
+  const std::vector<tensor::Tensor> want = reference.Parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].numel(), want[i].numel());
+    EXPECT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          static_cast<size_t>(want[i].numel()) *
+                              sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
 }
 
 TEST_F(TrainingTest, TrainedModelBeatsUntrainedOnMrr) {

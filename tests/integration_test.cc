@@ -171,16 +171,5 @@ TEST_F(PipelineTest, SparqlToNeuralAnswers) {
   EXPECT_EQ(top.size(), 5u);
 }
 
-TEST_F(PipelineTest, RewrittenQueriesEmbedIdentically) {
-  // The planner's rewrites must be transparent to the neural executor
-  // in the union/negation-free case (same DAG up to flattening).
-  query::QuerySampler sampler(&dataset_->test, 19);
-  auto q = sampler.Sample(query::StructureId::kPi);
-  ASSERT_TRUE(q.ok());
-  query::QueryGraph normalized = plan::RewriteQuery(q->graph);
-  core::Evaluator evaluator(model_);
-  EXPECT_EQ(evaluator.TopK(q->graph, 10), evaluator.TopK(normalized, 10));
-}
-
 }  // namespace
 }  // namespace halk

@@ -8,7 +8,6 @@
 #include "kg/stats.h"
 #include "plan/cost_model.h"
 #include "plan/explain.h"
-#include "plan/rewrite.h"
 #include "serving/subtree_cache.h"
 
 namespace halk::plan {
@@ -212,21 +211,6 @@ TEST(PlannerTest, StatsDriveSelectivityOrderingWithinALevel) {
   EXPECT_EQ(plan.node(depth1[0]).payload, 1);
   EXPECT_EQ(plan.node(depth1[1]).payload, 0);
   EXPECT_LT(plan.node(depth1[0]).est_rows, plan.node(depth1[1]).est_rows);
-}
-
-// The planner never rewrites; a caller that wants the algebraic rewrites
-// applies RewriteQuery first and plans its output.
-TEST(PlannerTest, PlansRewrittenQueries) {
-  QueryGraph g;
-  int p = g.AddProjection(g.AddAnchor(1), 0);
-  g.SetTarget(g.AddNegation(g.AddNegation(p)));
-  Planner planner(nullptr, 100);
-  const QueryGraph rewritten = RewriteQuery(g);
-  Plan plan = planner.BuildPlan({{0, &rewritten}});
-  for (const PlanNode& n : plan.nodes) {
-    EXPECT_NE(n.op, OpType::kNegation);
-  }
-  EXPECT_EQ(plan.nodes.size(), 2u);
 }
 
 TEST(CostModelTest, PerOperatorEstimates) {

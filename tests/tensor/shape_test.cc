@@ -25,6 +25,23 @@ TEST(ShapeTest, Equality) {
   EXPECT_NE(Shape({3}), Shape({4}));
 }
 
+TEST(ShapeTest, HoldsUpToMaxRankInline) {
+  Shape s = {2, 3, 4, 5};
+  EXPECT_EQ(s.rank(), Shape::kMaxRank);
+  EXPECT_EQ(s.numel(), 120);
+  EXPECT_EQ(s.dim(3), 5);
+  EXPECT_EQ(s.ToString(), "[2, 3, 4, 5]");
+}
+
+TEST(ShapeTest, RankAboveMaxDies) {
+  EXPECT_DEATH(
+      {
+        Shape s({1, 2, 3, 4, 5});
+        (void)s;
+      },
+      "rank");
+}
+
 TEST(ShapeTest, ToString) {
   EXPECT_EQ(Shape({2, 5}).ToString(), "[2, 5]");
   EXPECT_EQ(Shape({}).ToString(), "[]");
