@@ -36,10 +36,9 @@ EmbeddingBatch HalkV1Model::Difference(
   // no cardinality constraint: the length is free in [0, 2πρ].
   std::vector<Tensor> features;
   for (size_t j = 1; j < inputs.size(); ++j) {
-    features.push_back(tensor::Concat(
-        {tensor::Sub(inputs[0].a, inputs[j].a),
-         tensor::Sub(inputs[0].b, inputs[j].b)},
-        1));
+    const Tensor da = tensor::Sub(inputs[0].a, inputs[j].a);
+    const Tensor db = tensor::Sub(inputs[0].b, inputs[j].b);
+    features.push_back(tensor::Concat({da, db}, 1));
   }
   Tensor length = tensor::MulScalar(
       tensor::Sigmoid(v1_sets_->Forward(features)), kTwoPi * config_.rho);

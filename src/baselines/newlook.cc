@@ -110,10 +110,9 @@ EmbeddingBatch NewLookModel::Difference(
   }
   std::vector<Tensor> features;
   for (size_t j = 1; j < inputs.size(); ++j) {
-    features.push_back(tensor::Concat(
-        {tensor::Sub(inputs[0].a, inputs[j].a),
-         tensor::Sub(inputs[0].b, inputs[j].b)},
-        1));
+    const Tensor da = tensor::Sub(inputs[0].a, inputs[j].a);
+    const Tensor db = tensor::Sub(inputs[0].b, inputs[j].b);
+    features.push_back(tensor::Concat({da, db}, 1));
   }
   Tensor offset =
       tensor::Mul(inputs[0].b, tensor::Sigmoid(diff_sets_->Forward(features)));

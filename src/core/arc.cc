@@ -17,7 +17,9 @@ Tensor EndPoint(const EmbeddingBatch& arc, float rho) {
 }
 
 Tensor StartEndPair(const EmbeddingBatch& arc, float rho) {
-  return tensor::Concat({StartPoint(arc, rho), EndPoint(arc, rho)}, 1);
+  const Tensor start = StartPoint(arc, rho);
+  const Tensor end = EndPoint(arc, rho);
+  return tensor::Concat({start, end}, 1);
 }
 
 Tensor GFunction(const Tensor& x, float lambda) {

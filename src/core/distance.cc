@@ -33,11 +33,11 @@ Tensor ArcDistance(const Tensor& point, const EmbeddingBatch& arc, float rho,
 
   // Inside mask: to_center <= half_width, per coordinate, as a constant.
   const int64_t n = point.numel();
-  std::vector<float> mask(static_cast<size_t>(n));
+  Tensor outside_mask = Tensor::Zeros(point.shape());
+  float* mask = outside_mask.data();
   const float* c = to_center.data();
   const float* h = half_width.data();
-  for (int64_t i = 0; i < n; ++i) mask[static_cast<size_t>(i)] = c[i] > h[i] ? 1.0f : 0.0f;
-  Tensor outside_mask = Tensor::FromVector(point.shape(), std::move(mask));
+  for (int64_t i = 0; i < n; ++i) mask[i] = c[i] > h[i] ? 1.0f : 0.0f;
 
   Tensor d_o = tensor::SumDim(tensor::Mul(outside_raw, outside_mask), 1);
   Tensor d_i = tensor::SumDim(tensor::Minimum(to_center, half_width), 1);
@@ -219,14 +219,9 @@ struct FilterPass {
 /// The entities scored before stage two, ascending: the uncoded ones, which
 /// the filter cannot drop, and the `want` lowest sums (lower ids first
 /// among ties), which most likely hold the top-k and so set a tight bound
-/// before the rest is filtered. A sum above `threshold` (the filter
-/// threshold of the accumulator's bound at pick time) is never picked:
-/// the bound only falls, so stage two would drop that entity anyway, and
-/// with a shared bound across shards most seeds are ruled out this way.
-/// Marks each kSeeded in `pass`.
+/// before the rest is filtered. Marks each kSeeded in `pass`.
 std::vector<int64_t> PickSeeds(const EntityCodes& codes, int64_t begin,
-                               int64_t end, int64_t want, int64_t threshold,
-                               FilterPass* pass) {
+                               int64_t end, int64_t want, FilterPass* pass) {
   std::vector<int64_t> seeds;
   for (auto it = std::lower_bound(codes.always_scored.begin(),
                                   codes.always_scored.end(), begin);
@@ -247,13 +242,11 @@ std::vector<int64_t> PickSeeds(const EntityCodes& codes, int64_t begin,
     // Max-heap of (sum, entity): the lowest `want` seen so far.
     std::vector<std::pair<uint16_t, int64_t>> heap;
     for (int64_t first = pass->base; first < end; first += kScanLanes) {
-      const uint16_t block_min = pass->block_min_of(first);
-      if (block_min > cut || block_min > threshold) continue;
+      if (pass->block_min_of(first) > cut) continue;
       const int64_t hi = std::min(end, first + kScanLanes);
       for (int64_t e = std::max(begin, first); e < hi; ++e) {
         const std::pair<uint16_t, int64_t> key{pass->sum(e), e};
-        // kSeeded is above every threshold.
-        if (key.first > threshold) continue;
+        if (key.first == kSeeded) continue;
         if (static_cast<int64_t>(heap.size()) < want) {
           heap.push_back(key);
           std::push_heap(heap.begin(), heap.end());
@@ -279,10 +272,9 @@ void TwoStageTopK(const EntityTable& table,
                   const FilterTables& tables, int64_t begin, int64_t end,
                   float* partial, TopKAccumulator* acc, ScanStats* stats) {
   FilterPass pass(table, tables, begin, end);
-  const std::vector<int64_t> seeds =
-      PickSeeds(table.codes, begin, end,
-                acc->k() - static_cast<int64_t>(acc->size()),
-                tables.Threshold(acc->bound()), &pass);
+  const std::vector<int64_t> seeds = PickSeeds(
+      table.codes, begin, end,
+      acc->k() - static_cast<int64_t>(acc->size()), &pass);
 
   const auto first = SegmentFor(table.segments, begin);
   const auto last =

@@ -25,7 +25,7 @@ Tensor NegativeSamplingLoss(QueryModel* model, const EmbeddingBatch& embedding,
   for (float& p : pos_pen) p *= xi;
   Tensor pos_arg = tensor::Sub(
       tensor::AddScalar(tensor::Neg(d_pos), gamma),
-      Tensor::FromVector({b}, std::move(pos_pen)));
+      Tensor::FromVector({b}, pos_pen));
   Tensor loss = tensor::Softplus(tensor::Neg(pos_arg));
 
   // Negative terms: mean over m of softplus(-(d_neg + ξ·pen_neg - γ)).
@@ -42,7 +42,7 @@ Tensor NegativeSamplingLoss(QueryModel* model, const EmbeddingBatch& embedding,
     }
     Tensor d_neg = model->Distance(entities, embedding);
     Tensor neg_arg = tensor::AddScalar(
-        tensor::Add(d_neg, Tensor::FromVector({b}, std::move(pen))), -gamma);
+        tensor::Add(d_neg, Tensor::FromVector({b}, pen)), -gamma);
     Tensor term = tensor::Softplus(tensor::Neg(neg_arg));
     neg_sum = neg_sum.defined() ? tensor::Add(neg_sum, term) : term;
   }

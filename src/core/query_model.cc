@@ -82,18 +82,17 @@ std::vector<EmbeddingBatch> QueryModel::EmbedNodes(
         std::vector<Tensor> z;
         if (grouping != nullptr) {
           for (int in : n.inputs) {
-            std::vector<float> tiled(
-                static_cast<size_t>(batch * config_.dim));
+            Tensor tiled = Tensor::Zeros({batch, config_.dim});
+            float* dst = tiled.data();
             for (int64_t b = 0; b < batch; ++b) {
               const float zi = kg::NodeGrouping::Similarity(
                   groups[static_cast<size_t>(b)][static_cast<size_t>(in)],
                   groups[static_cast<size_t>(b)][static_cast<size_t>(id)]);
               for (int64_t c = 0; c < config_.dim; ++c) {
-                tiled[static_cast<size_t>(b * config_.dim + c)] = zi;
+                dst[b * config_.dim + c] = zi;
               }
             }
-            z.push_back(Tensor::FromVector({batch, config_.dim},
-                                           std::move(tiled)));
+            z.push_back(std::move(tiled));
           }
         }
         out = Intersection(inputs, z);

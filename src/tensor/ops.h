@@ -77,9 +77,9 @@ Tensor Mod2Pi(const Tensor& a);
 /// Matrix product: `[B, I] x [I, O] -> [B, O]`.
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// Concatenation. rank-1 inputs with axis 0, or rank-2 inputs (equal rows)
-/// with axis 1.
-Tensor Concat(const std::vector<Tensor>& parts, int axis);
+/// Concatenation of a braced list `{a, b}` of named tensors: rank-1
+/// inputs with axis 0, or rank-2 inputs (equal rows) with axis 1.
+Tensor Concat(TensorRefs parts, int axis);
 
 /// Columns [begin, end) of a rank-2 tensor.
 Tensor SliceCols(const Tensor& a, int64_t begin, int64_t end);

@@ -41,8 +41,11 @@ std::vector<TensorImpl*> TopoOrder(TensorImpl* root) {
 /// The innermost accounting installed on this thread (null = disabled).
 thread_local TapeAccounting* t_active_accounting = nullptr;
 
-/// Full-graph footprint (data + gradient buffers), counting every
-/// reachable node once, requires_grad or not.
+/// Full-graph footprint (data + gradient buffers), counting every node
+/// reachable through recorded inputs once. Only a node that needs a
+/// gradient links its inputs, so a result with none (a constant-only
+/// subgraph, or any op under a NoGradGuard) is a leaf here: its own
+/// buffer counts, the constants it was built from do not.
 int64_t GraphBytes(TensorImpl* root) {
   std::unordered_set<TensorImpl*> visited;
   std::vector<TensorImpl*> stack = {root};

@@ -75,11 +75,11 @@ Tensor Tensor::Full(const Shape& shape, float value) {
   return Tensor(std::move(impl));
 }
 
-Tensor Tensor::FromVector(const Shape& shape, std::vector<float> values) {
+Tensor Tensor::FromVector(const Shape& shape,
+                          const std::vector<float>& values) {
   HALK_CHECK_EQ(shape.numel(), static_cast<int64_t>(values.size()));
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = shape;
-  impl->data = Buffer(std::move(values));
+  auto impl = NewNode(shape);
+  std::copy(values.begin(), values.end(), impl->data.begin());
   return Tensor(std::move(impl));
 }
 
@@ -162,22 +162,20 @@ std::vector<float> Tensor::ToVector() const {
 namespace internal {
 
 std::shared_ptr<TensorImpl> NewOpNode(const Shape& shape, const char* op_name,
-                                      const OpInputs& inputs) {
+                                      TensorRefs inputs) {
   std::shared_ptr<TensorImpl> impl = NewNode(shape);
   impl->op_name = op_name;
   bool needs_grad = false;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    HALK_CHECK(inputs[i].defined());
-    needs_grad = needs_grad || inputs[i].requires_grad();
+  for (const Tensor& input : inputs) {
+    HALK_CHECK(input.defined());
+    needs_grad = needs_grad || input.requires_grad();
   }
   impl->requires_grad = needs_grad && t_grad_enabled;
   // One thread-local pointer load when accounting is off.
   TapeAccounting* accounting = TapeAccounting::Active();
   if (impl->requires_grad || accounting != nullptr) {
     impl->inputs.reserve(inputs.size());
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      impl->inputs.push_back(inputs[i].impl());
-    }
+    for (const Tensor& input : inputs) impl->inputs.push_back(input.impl());
   }
   if (accounting != nullptr) {
     accounting->RecordForward(*impl);

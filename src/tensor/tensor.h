@@ -31,7 +31,9 @@ class Tensor {
   /// Factory constructors. None of these require gradients by default.
   static Tensor Zeros(const Shape& shape);
   static Tensor Full(const Shape& shape, float value);
-  static Tensor FromVector(const Shape& shape, std::vector<float> values);
+  /// Copies `values` (row-major) into a new tensor.
+  static Tensor FromVector(const Shape& shape,
+                           const std::vector<float>& values);
   static Tensor Scalar(float value);
 
   bool defined() const { return impl_ != nullptr; }
@@ -68,15 +70,14 @@ class Tensor {
   std::shared_ptr<TensorImpl> impl_;
 };
 
-/// The float storage of one node: either memory allocated together with
-/// the node (op results and the Zeros/Full factories, one allocation per
-/// tensor) or a vector adopted by FromVector.
+/// The float storage of one node, allocated together with the node (one
+/// heap allocation per tensor) and freed with it.
 class Buffer {
  public:
   Buffer() = default;
   Buffer(float* data, size_t size) : data_(data), size_(size) {}
-  explicit Buffer(std::vector<float> owned)
-      : owned_(std::move(owned)), data_(owned_.data()), size_(owned_.size()) {}
+  // Not copyable, so a TensorImpl is not either: the floats belong to the
+  // node's allocation.
   Buffer(Buffer&&) = default;
   Buffer& operator=(Buffer&&) = default;
 
@@ -91,7 +92,6 @@ class Buffer {
   const float* end() const { return data_ + size_; }
 
  private:
-  std::vector<float> owned_;
   float* data_ = nullptr;
   size_t size_ = 0;
 };
@@ -136,26 +136,12 @@ class NoGradGuard {
   bool previous_;
 };
 
+/// The inputs of one op as a braced list `{a, b}` of references: no
+/// handle is copied and nothing is allocated for the list. An element
+/// must name a tensor; a temporary does not bind.
+using TensorRefs = std::initializer_list<std::reference_wrapper<const Tensor>>;
+
 namespace internal {
-
-/// The inputs of one op, viewed without copying their handles.
-class OpInputs {
- public:
-  OpInputs(const std::reference_wrapper<const Tensor>* refs, size_t size)
-      : refs_(refs), size_(size) {}
-  OpInputs(const Tensor* tensors, size_t size)
-      : tensors_(tensors), size_(size) {}
-
-  size_t size() const { return size_; }
-  const Tensor& operator[](size_t i) const {
-    return refs_ != nullptr ? refs_[i].get() : tensors_[i];
-  }
-
- private:
-  const std::reference_wrapper<const Tensor>* refs_ = nullptr;
-  const Tensor* tensors_ = nullptr;
-  size_t size_ = 0;
-};
 
 /// A non-leaf node of `shape` over `inputs` whose buffer is left
 /// uninitialized (the op writes every element). `requires_grad` is set
@@ -163,38 +149,20 @@ class OpInputs {
 /// keeps its inputs. An active TapeAccounting records the node while the
 /// inputs are still linked (the matmul FLOP estimate reads their shapes).
 std::shared_ptr<TensorImpl> NewOpNode(const Shape& shape, const char* op_name,
-                                      const OpInputs& inputs);
-
-/// Stores `backward` (as a std::function) only when the node needs a
-/// gradient, so an op outside the graph builds no closure.
-template <typename Backward>
-Tensor FinishOp(std::shared_ptr<TensorImpl> impl, Backward&& backward) {
-  if (impl->requires_grad) impl->backward = std::forward<Backward>(backward);
-  return Tensor(std::move(impl));
-}
+                                      TensorRefs inputs);
 
 }  // namespace internal
 
-/// Creates a non-leaf op result over a braced list `{a, b}` of inputs; the
-/// list binds references, so no handle is copied and nothing is allocated
-/// for it. `backward` runs only if the result needs a gradient.
-template <typename Backward>
-Tensor MakeOpResult(
-    const Shape& shape, const char* op_name,
-    std::initializer_list<std::reference_wrapper<const Tensor>> inputs,
-    Backward&& backward) {
-  return internal::FinishOp(
-      internal::NewOpNode(shape, op_name, {inputs.begin(), inputs.size()}),
-      std::forward<Backward>(backward));
-}
-
-/// The same over a vector of inputs (Concat).
+/// Creates a non-leaf op result over `inputs`. `backward` is stored (as a
+/// std::function) and run only if the result needs a gradient, so an op
+/// outside the graph builds no closure.
 template <typename Backward>
 Tensor MakeOpResult(const Shape& shape, const char* op_name,
-                    const std::vector<Tensor>& inputs, Backward&& backward) {
-  return internal::FinishOp(
-      internal::NewOpNode(shape, op_name, {inputs.data(), inputs.size()}),
-      std::forward<Backward>(backward));
+                    TensorRefs inputs, Backward&& backward) {
+  std::shared_ptr<TensorImpl> impl =
+      internal::NewOpNode(shape, op_name, inputs);
+  if (impl->requires_grad) impl->backward = std::forward<Backward>(backward);
+  return Tensor(std::move(impl));
 }
 
 }  // namespace halk::tensor

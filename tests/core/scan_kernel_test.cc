@@ -715,40 +715,5 @@ TEST(ScanKernelTest, EvaluateMatchesLibmKernelOnTrainedModel) {
   EXPECT_NEAR(got.hits10, want.hits10 / m, 1e-4);
 }
 
-// A shard that starts after the request's shared bound is already tight
-// picks no seed the bound rules out: with k candidates at distance 0
-// offered by another shard, only the uncoded entities (which the filter
-// cannot drop) reach the kernel, and nothing is admitted.
-TEST(ScanFilterTest, SeedsTheSharedBoundRulesOutAreNeverScored) {
-  Rng rng(61);
-  const int64_t n = 2000;
-  const int64_t dim = 16;
-  const std::vector<float> table = FilterTable(&rng, n, dim);
-  EntityTable coded = EntityTable::RowMajor(table.data(), n, dim);
-  coded.EncodeCodes(0, n);
-  std::vector<ArcConstants> arcs = FilterArcs(&rng, dim, 1.0f, 0.9f);
-  arcs.resize(1);
-  const int64_t begin = 1000;
-  const int64_t uncoded = std::count_if(
-      coded.codes.always_scored.begin(), coded.codes.always_scored.end(),
-      [&](int64_t e) { return e >= begin && e < n; });
-  for (const int64_t k : {int64_t{1}, int64_t{10}, int64_t{100}}) {
-    SharedTopK shared(k, 2);
-    TopKAccumulator first(k, &shared, 0);
-    for (int64_t e = 0; e < k; ++e) first.Push(e, 0.0f);
-    ASSERT_EQ(shared.bound(), 0.0f);
-
-    TopKAccumulator second(k, &shared, 1);
-    ScanStats stats;
-    coded.AccumulateTopK(arcs, begin, n, true, &second, &stats);
-    EXPECT_EQ(stats.entities_scanned, n - begin) << k;
-    EXPECT_EQ(stats.entities_scanned - stats.entities_filtered, uncoded)
-        << k;
-    for (const ScoredEntity& s : second.Take()) {
-      EXPECT_LE(s.distance, 0.0f) << k;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace halk::core

@@ -20,7 +20,8 @@ namespace {
 Tensor Chain(const Tensor& table, const Tensor& weight) {
   Tensor x = Gather(table, {0, 2});
   Tensor h = Tanh(MatMul(x, weight));
-  Tensor cat = Concat({h, Sin(h)}, 1);
+  Tensor sin_h = Sin(h);
+  Tensor cat = Concat({h, sin_h}, 1);
   Tensor y = Add(SliceCols(cat, 1, 4),
                  MulScalar(Sigmoid(SliceCols(cat, 2, 5)), 0.5f));
   return Add(SumDim(y, 1), MeanDim(Square(y), 1));
