@@ -233,19 +233,69 @@ void BM_BoundedScan(benchmark::State& state) {
   SetNsPerEntityDim(state);
 }
 
-/// The two-stage top-k (k = 10) over the coded table with state.range(0)
-/// arcs in one pass (the reported time), split into its layers by a
+/// A second coded table of the scan's shape whose entities sit in 32
+/// Gaussian clusters (σ = 0.1 rad per dimension, centers uniform on the
+/// circle), seeded and generated in-process, with four queries like a
+/// trained model's: one arc of half-width 0.1 rad (ρ = 1, η = 0.9) centered
+/// on a random entity's point each. A query's nearest entities then share
+/// its cluster, so about one cluster's worth survives the filter instead of
+/// the model table's fraction of a percent, and the gather dominates stage
+/// two (ROADMAP item 4).
+struct ClusteredTable {
+  static constexpr int64_t kClusters = 32;
+  static constexpr double kSigma = 0.1;
+
+  ClusteredTable() {
+    const int64_t n = ScanFixture::kEntities;
+    const int64_t d = ScanFixture::kDim;
+    halk::Rng rng(29);
+    std::vector<double> centers(static_cast<size_t>(kClusters * d));
+    for (double& c : centers) c = rng.Uniform(0.0, 2.0 * 3.14159265358979);
+    angles.resize(static_cast<size_t>(n * d));
+    for (int64_t e = 0; e < n; ++e) {
+      const int64_t c = static_cast<int64_t>(
+          rng.UniformInt(static_cast<uint64_t>(kClusters)));
+      for (int64_t j = 0; j < d; ++j) {
+        angles[static_cast<size_t>(e * d + j)] = static_cast<float>(
+            centers[static_cast<size_t>(c * d + j)] + kSigma * rng.Normal());
+      }
+    }
+    table = halk::core::EntityTable::RowMajor(angles.data(), n, d);
+    table.EncodeCodes(0, n);
+    // Arc length A_l spans A_l / ρ radians: 0.2 for half-width 0.1 at ρ = 1.
+    const std::vector<float> length(static_cast<size_t>(d), 0.2f);
+    for (int q = 0; q < 4; ++q) {
+      const int64_t e = static_cast<int64_t>(
+          rng.UniformInt(static_cast<uint64_t>(n)));
+      arcs.push_back(halk::core::MakeArcConstants(
+          angles.data() + e * d, length.data(), d, 1.0f, 0.9f));
+    }
+  }
+
+  std::vector<float> angles;
+  halk::core::EntityTable table;
+  std::vector<halk::core::ArcConstants> arcs;
+};
+
+const ClusteredTable& Clustered() {
+  static ClusteredTable* clustered = new ClusteredTable();
+  return *clustered;
+}
+
+/// The two-stage top-k (k = 10) over coded `table` with the first
+/// state.range(0) of `queries` in one pass (the reported time), split into its layers by a
 /// separate, untimed-for-the-report run of stage one:
 /// `filter_ns_per_entity_dim` is stage one alone (tables plus filter sums
 /// over every entity·dim),
 /// `survivor_ns_per_entity_dim` the rest of the pass (seeding, gathering
 /// and the kernel) per survivor entity·dim, and `survivor_fraction` the
 /// share of entities the filter let through to the kernel.
-void BM_FilteredScan(benchmark::State& state) {
+void RunFilteredScan(benchmark::State& state,
+                     const halk::core::EntityTable& table,
+                     const std::vector<halk::core::ArcConstants>& queries) {
   using Clock = std::chrono::steady_clock;
   const std::vector<halk::core::ArcConstants> arcs(
-      Scan().arcs.begin(), Scan().arcs.begin() + state.range(0));
-  const halk::core::EntityTable& table = Scan().coded;
+      queries.begin(), queries.begin() + state.range(0));
   const int64_t n = ScanFixture::kEntities;
   const int64_t d = ScanFixture::kDim;
   const halk::core::FilterKernelFn filter = halk::core::FilterKernel();
@@ -283,6 +333,15 @@ void BM_FilteredScan(benchmark::State& state) {
                            static_cast<double>(survivors * d);
   state.counters["survivor_fraction"] =
       static_cast<double>(survivors) / (iterations * static_cast<double>(n));
+}
+
+/// The model's own table (angles spread evenly over the circle) and arcs.
+void BM_FilteredScan(benchmark::State& state) {
+  RunFilteredScan(state, Scan().coded, Scan().arcs);
+}
+
+void BM_FilteredScanClustered(benchmark::State& state) {
+  RunFilteredScan(state, Clustered().table, Clustered().arcs);
 }
 
 /// One top-k request (k = 10, one arc) through a ShardCoordinator with
@@ -330,6 +389,14 @@ BENCHMARK(BM_BoundedScan)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FilteredScan)
+    ->ArgName("arcs")
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FilteredScanClustered)
+    ->Name("BM_FilteredScan/clustered")
     ->ArgName("arcs")
     ->Arg(1)
     ->Arg(2)

@@ -1,7 +1,9 @@
 #include "core/distance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -174,9 +176,20 @@ class GatheredBlock {
   ScanStats* stats_;
 };
 
-/// Marks an entity the second stage must skip: already pushed as a seed.
-/// Above every real sum (at most 255 · 256) and every threshold.
-constexpr uint16_t kSeeded = 0xffff;
+/// Stage two's candidates whose rows are in flight: a candidate's row is
+/// prefetched when it is queued and copied into the gathered block this
+/// many candidates later, so the copies overlap the misses.
+constexpr size_t kGatherRing = 8;
+
+/// Asks for every cache line of one entity row. A prefetch never faults.
+void PrefetchRow(const float* row, int64_t dim) {
+  constexpr uintptr_t kLine = 64;
+  const uintptr_t last = reinterpret_cast<uintptr_t>(row + dim) - 1;
+  for (uintptr_t line = reinterpret_cast<uintptr_t>(row) & ~(kLine - 1);
+       line <= last; line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
+}
 
 /// Stage one over [begin, end): every entity's filter sum (minimum over the
 /// arcs), written per whole code block, and each block's minimum over its
@@ -306,25 +319,48 @@ void TwoStageTopK(const EntityTable& table,
   // across segment boundaries and are scored only when full, so the
   // blocks, and the bound each is scored against, are those of a
   // one-segment table.
+  //
+  // One compare per code block picks the candidates, whose rows are
+  // prefetched and queued in a ring; each is tested again when it leaves
+  // the ring, against the threshold as of then. The bound only tightens,
+  // so the queued candidates are a superset of the survivors, and the
+  // second test, made in entity order after every earlier survivor's Add,
+  // is the one a one-sum-at-a-time walk makes: the same survivors, blocks
+  // and distances. The ring is drained at every segment end, before the
+  // segment is released.
   int64_t threshold = tables.Threshold(acc->bound());
   int64_t gathered = 0;
+  const auto take = [&](const Segment& s, int64_t e) {
+    if (pass.sum(e) > threshold) return;
+    ++gathered;
+    if (block.Add(Row(s, e, dim), e)) {
+      threshold = tables.Threshold(acc->bound());
+    }
+  };
+  const SurvivorMaskFn survivors = SurvivorMask();
+  int64_t ring[kGatherRing];
+  size_t queued = 0;
+  size_t taken = 0;
   for (auto s = first; s != last; ++s) {
     const int64_t hi = std::min(end, s->first + s->rows);
     for (int64_t e = std::max(begin, s->first); e < hi;) {
-      const int64_t block_end = std::min(
-          hi, pass.base + ((e - pass.base) / kScanLanes + 1) * kScanLanes);
-      if (pass.block_min_of(e) > threshold) {
-        e = block_end;
-        continue;
-      }
-      for (; e < block_end; ++e) {
-        if (pass.sum(e) > threshold) continue;
-        ++gathered;
-        if (block.Add(Row(*s, e, dim), e)) {
-          threshold = tables.Threshold(acc->bound());
+      const int64_t block_first = e - (e - pass.base) % kScanLanes;
+      const int64_t block_end = std::min(hi, block_first + kScanLanes);
+      if (pass.block_min_of(e) <= threshold) {
+        uint64_t mask = survivors(&pass.sum(block_first), threshold) &
+                        LaneRange(e - block_first, block_end - block_first);
+        for (; mask != 0; mask &= mask - 1) {
+          const int64_t c = block_first + std::countr_zero(mask);
+          PrefetchRow(Row(*s, c, dim), dim);
+          if (queued - taken == kGatherRing) {
+            take(*s, ring[taken++ % kGatherRing]);
+          }
+          ring[queued++ % kGatherRing] = c;
         }
       }
+      e = block_end;
     }
+    while (taken < queued) take(*s, ring[taken++ % kGatherRing]);
     if (table.release != nullptr) table.release(*s, dim);
   }
   block.Flush();

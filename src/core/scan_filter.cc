@@ -153,6 +153,41 @@ __attribute__((target("avx2"))) uint16_t FilterAvx2(const uint8_t* lut,
 }
 #endif
 
+uint64_t SurvivorMaskPortable(const uint16_t* sums, int64_t threshold) {
+  uint64_t mask = 0;
+  for (int64_t i = 0; i < kScanLanes; ++i) {
+    mask |= static_cast<uint64_t>(sums[i] <= threshold) << i;
+  }
+  return mask;
+}
+
+#if defined(__x86_64__)
+/// sums[i] <= t as min(sums[i], t) == sums[i] (AVX2 has no unsigned 16-bit
+/// compare), 32 lanes at a time: the two 16-lane results pack to bytes,
+/// whose sign bits `movemask` gathers. `packs` interleaves the 128-bit
+/// halves of its operands, which the 64-bit permute puts back in order.
+__attribute__((target("avx2"))) uint64_t SurvivorMaskAvx2(
+    const uint16_t* sums, int64_t threshold) {
+  if (threshold < 0) return 0;
+  const __m256i t = _mm256_set1_epi16(static_cast<int16_t>(threshold));
+  uint64_t mask = 0;
+  for (int half = 0; half < 2; ++half) {
+    const __m256i a = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(sums + 32 * half));
+    const __m256i b = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(sums + 32 * half + 16));
+    const __m256i keep_a = _mm256_cmpeq_epi16(_mm256_min_epu16(a, t), a);
+    const __m256i keep_b = _mm256_cmpeq_epi16(_mm256_min_epu16(b, t), b);
+    const __m256i bytes = _mm256_permute4x64_epi64(
+        _mm256_packs_epi16(keep_a, keep_b), 0xd8);
+    mask |= static_cast<uint64_t>(
+                static_cast<uint32_t>(_mm256_movemask_epi8(bytes)))
+            << (32 * half);
+  }
+  return mask;
+}
+#endif
+
 }  // namespace
 
 void ResetCodes(int64_t num_entities, int64_t dim, EntityCodes* codes) {
@@ -271,6 +306,23 @@ FilterKernelFn Avx2FilterKernel() {
 #if defined(__x86_64__)
   // One CPU check for both kernels: the scan kernel's.
   return Avx2ScanKernel() != nullptr ? &FilterAvx2 : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+SurvivorMaskFn SurvivorMask() {
+  static const SurvivorMaskFn mask = Avx2SurvivorMask() != nullptr
+                                         ? Avx2SurvivorMask()
+                                         : PortableSurvivorMask();
+  return mask;
+}
+
+SurvivorMaskFn PortableSurvivorMask() { return &SurvivorMaskPortable; }
+
+SurvivorMaskFn Avx2SurvivorMask() {
+#if defined(__x86_64__)
+  return Avx2ScanKernel() != nullptr ? &SurvivorMaskAvx2 : nullptr;
 #else
   return nullptr;
 #endif

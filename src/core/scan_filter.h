@@ -95,6 +95,34 @@ FilterKernelFn FilterKernel();
 FilterKernelFn PortableFilterKernel();
 FilterKernelFn Avx2FilterKernel();
 
+/// A filter sum that marks an entity stage two must skip (already scored
+/// as a seed): above every real sum (at most 255 · 256) and every
+/// threshold.
+inline constexpr uint16_t kSeeded = 0xffff;
+
+/// Stage two's survivor test over one code block: bit i is set iff
+/// sums[i] <= threshold, i < kScanLanes, for a threshold in [-1, 0xfffe]
+/// (FilterTables::Threshold's range). So -1 sets no bit and a kSeeded lane
+/// is never set.
+using SurvivorMaskFn = uint64_t (*)(const uint16_t* sums, int64_t threshold);
+
+/// The survivor test chosen for this CPU, resolved once per process, and
+/// its two builds: portable (one compare per lane) and, on x86-64 CPUs with
+/// AVX2, four 16-lane compares (nullptr elsewhere). They return the same
+/// mask.
+SurvivorMaskFn SurvivorMask();
+SurvivorMaskFn PortableSurvivorMask();
+SurvivorMaskFn Avx2SurvivorMask();
+
+/// Lanes [lo, hi) of a code block as a mask, 0 <= lo < kScanLanes and
+/// lo <= hi <= kScanLanes: clips a survivor mask to a block's part of a
+/// range or segment.
+inline uint64_t LaneRange(int64_t lo, int64_t hi) {
+  const uint64_t below_hi =
+      hi == kScanLanes ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
+  return below_hi & ~((uint64_t{1} << lo) - 1);
+}
+
 /// Builds the tables for the DNF branches `arcs`. Returns false, and the
 /// filter must not run, unless the kernel's terms are non-negative and
 /// finite (ρ > 0, η >= 0, finite arc constants) and 1 <= dim <= 256.

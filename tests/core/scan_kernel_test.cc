@@ -3,8 +3,9 @@
 // ArcDistance, exactness of bound-aware pruning, and Evaluate metrics
 // against the libm form of the distance it replaced. The filter of the
 // two-stage scan (core/scan_filter.h): its lower bound never exceeds the
-// kernel's distance, its builds agree, coded tables rank identically, and
-// a table cut into segments gathers exactly like one segment.
+// kernel's distance, its builds (and those of stage two's survivor test)
+// agree, coded tables rank identically, a table cut into segments gathers
+// exactly like one segment, and stage two's survivor counts are pinned.
 
 #include "core/scan_kernel.h"
 
@@ -15,6 +16,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -474,6 +476,71 @@ TEST(ScanFilterTest, PortableAndAvx2FiltersAgree) {
             FilterSums(avx2, tables, coded.codes));
 }
 
+// Stage two's survivor test: both builds return the one-sum-at-a-time
+// answer over random sums (kSeeded lanes and ties included), at the edge
+// thresholds -1 (no bit), 0 and 0xfffe (every lane but kSeeded ones), and
+// clipped to the partial first and last blocks of a range.
+TEST(ScanFilterTest, SurvivorMaskBuildsAgree) {
+  std::vector<SurvivorMaskFn> builds = {PortableSurvivorMask()};
+  if (Avx2SurvivorMask() != nullptr) builds.push_back(Avx2SurvivorMask());
+  EXPECT_TRUE(SurvivorMask() == builds.front() ||
+              SurvivorMask() == builds.back());
+  const auto one_at_a_time = [](const uint16_t* sums, int64_t threshold,
+                                int64_t lo, int64_t hi) {
+    uint64_t mask = 0;
+    for (int64_t i = lo; i < hi; ++i) {
+      if (sums[i] <= threshold) mask |= uint64_t{1} << i;
+    }
+    return mask;
+  };
+  EXPECT_EQ(LaneRange(0, kScanLanes), ~uint64_t{0});
+  EXPECT_EQ(LaneRange(5, 5), uint64_t{0});
+  EXPECT_EQ(LaneRange(63, 64), uint64_t{1} << 63);
+  Rng rng(83);
+  // One spare element, so the block can start off the buffer's alignment.
+  std::vector<uint16_t> buffer(kScanLanes + 1);
+  for (int round = 0; round < 300; ++round) {
+    uint16_t* sums = buffer.data() + round % 2;
+    for (int64_t i = 0; i < kScanLanes; ++i) {
+      const double u = rng.Uniform();
+      sums[i] = u < 0.1    ? kSeeded
+                : u < 0.15 ? 0
+                : u < 0.2  ? 0xfffe
+                           : static_cast<uint16_t>(rng.Next() & 0xffff);
+    }
+    const int64_t tie = sums[rng.UniformInt(uint64_t{kScanLanes})];
+    for (const int64_t threshold :
+         {int64_t{-1}, int64_t{0}, int64_t{0xfffe}, std::min<int64_t>(tie, 0xfffe),
+          static_cast<int64_t>(rng.UniformInt(uint64_t{0xffff}))}) {
+      const uint64_t want =
+          one_at_a_time(sums, threshold, 0, kScanLanes);
+      for (const SurvivorMaskFn build : builds) {
+        const uint64_t got = build(sums, threshold);
+        ASSERT_EQ(got, want) << "round " << round << ", threshold "
+                             << threshold;
+        if (threshold == -1) ASSERT_EQ(got, uint64_t{0});
+        if (threshold == 0xfffe) {
+          ASSERT_EQ(got, one_at_a_time(sums, kSeeded - 1, 0, kScanLanes));
+          for (int64_t i = 0; i < kScanLanes; ++i) {
+            ASSERT_EQ((got >> i) & 1, sums[i] == kSeeded ? 0u : 1u) << i;
+          }
+        }
+        // A range's partial first block [lo, 64) and last block [0, hi),
+        // and a block cut at both ends.
+        for (const auto& [lo, hi] :
+             {std::pair<int64_t, int64_t>{37, kScanLanes},
+              std::pair<int64_t, int64_t>{0, 11},
+              std::pair<int64_t, int64_t>{1, 63},
+              std::pair<int64_t, int64_t>{63, kScanLanes}}) {
+          ASSERT_EQ(got & LaneRange(lo, hi),
+                    one_at_a_time(sums, threshold, lo, hi))
+              << "lanes [" << lo << ", " << hi << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(ScanFilterTest, FilterRefusesArcsItCannotBound) {
   Rng rng(47);
   const int64_t dim = 4;
@@ -619,6 +686,116 @@ TEST(ScanFilterTest, SegmentedTableGathersLikeOneSegment) {
       }
     }
   }
+}
+
+/// The two tables the survivor counts below are pinned on: random angles
+/// over one turn, and FilterTable's several turns with uncoded rows.
+std::vector<float> PinnedTable(int which, int64_t n, int64_t dim) {
+  Rng rng(which == 0 ? 67 : 71);
+  return which == 0 ? RandomAngles(&rng, n * dim, 0.0f, 2 * kPi)
+                    : FilterTable(&rng, n, dim);
+}
+
+// Stage two's survivors (entities_scanned - entities_filtered: the seeds
+// plus the gathered entities) and entities_pruned per query, pinned at the
+// values of the gather that tested one filter sum at a time. The equality
+// tests above compare two tables that both run today's gather, so a
+// survivor taken against a stale threshold (more survivors) or a mask that
+// drops a live one (fewer) would pass them; these constants would not. A
+// table cut into 65-row segments with a release hook gives the same counts.
+TEST(ScanFilterTest, SurvivorCountsArePinned) {
+  struct Pinned {
+    int table;
+    int branches;
+    int64_t k;
+    int64_t begin;
+    int64_t end;
+    int64_t survivors;
+    int64_t pruned;
+  };
+  // {table, branches, k, begin, end, survivors, pruned}
+  const Pinned pinned[] = {
+      {0, 1, 1, 37, 5989, 9, 5951},
+      {0, 1, 1, 1029, 4444, 4, 3414},
+      {0, 1, 10, 37, 5989, 123, 5940},
+      {0, 1, 10, 1029, 4444, 101, 3403},
+      {0, 1, 100, 37, 5989, 653, 5833},
+      {0, 1, 100, 1029, 4444, 548, 3291},
+      {0, 3, 1, 37, 5989, 10, 5951},
+      {0, 3, 1, 1029, 4444, 6, 3414},
+      {0, 3, 10, 37, 5989, 172, 5940},
+      {0, 3, 10, 1029, 4444, 143, 3400},
+      {0, 3, 100, 37, 5989, 982, 5813},
+      {0, 3, 100, 1029, 4444, 716, 3299},
+      {1, 1, 1, 37, 5989, 26, 5947},
+      {1, 1, 1, 1029, 4444, 30, 3414},
+      {1, 1, 10, 37, 5989, 165, 5934},
+      {1, 1, 10, 1029, 4444, 111, 3404},
+      {1, 1, 100, 37, 5989, 671, 5828},
+      {1, 1, 100, 1029, 4444, 549, 3291},
+      {1, 3, 1, 37, 5989, 35, 5948},
+      {1, 3, 1, 1029, 4444, 19, 3414},
+      {1, 3, 10, 37, 5989, 188, 5933},
+      {1, 3, 10, 1029, 4444, 147, 3402},
+      {1, 3, 100, 37, 5989, 904, 5815},
+      {1, 3, 100, 1029, 4444, 788, 3294},
+  };
+  constexpr int64_t n = 6000;
+  constexpr int64_t dim = 16;
+  const Pinned* want = pinned;
+  for (int which : {0, 1}) {
+    const std::vector<float> table = PinnedTable(which, n, dim);
+    EntityTable whole = EntityTable::RowMajor(table.data(), n, dim);
+    whole.EncodeCodes(0, n);
+    std::vector<std::vector<float>> buffers;
+    EntityTable cut;
+    cut.num_entities = n;
+    cut.dim = dim;
+    cut.release = CountRelease;
+    for (int64_t first = 0; first < n; first += 65) {
+      const int64_t last = std::min(n, first + 65);
+      buffers.emplace_back(table.begin() + first * dim,
+                           table.begin() + last * dim);
+      cut.segments.push_back({first, last - first, buffers.back().data()});
+    }
+    cut.EncodeCodes(0, n);
+    Rng rng(which == 0 ? 73 : 79);
+    for (int branches : {1, 3}) {
+      const std::vector<ArcConstants> arcs =
+          RandomArcs(&rng, dim, branches, 1.0f, 0.9f);
+      for (const int64_t k : {int64_t{1}, int64_t{10}, int64_t{100}}) {
+        // Both ranges start mid-block, as a shard's does.
+        for (const auto& [begin, end] :
+             {std::pair<int64_t, int64_t>{37, n - 11},
+              std::pair<int64_t, int64_t>{1029, 4444}}) {
+          ASSERT_LT(want, std::end(pinned));
+          ASSERT_EQ(want->table, which);
+          ASSERT_EQ(want->branches, branches);
+          ASSERT_EQ(want->k, k);
+          ASSERT_EQ(want->begin, begin);
+          ASSERT_EQ(want->end, end);
+          for (const EntityTable* t : {&whole, &cut}) {
+            TopKAccumulator acc(k);
+            ScanStats stats;
+            t->AccumulateTopK(arcs, begin, end, true, &acc, &stats);
+            const std::string label =
+                "table " + std::to_string(which) + ", " +
+                std::to_string(branches) + " branches, k " +
+                std::to_string(k) + ", [" + std::to_string(begin) + ", " +
+                std::to_string(end) + "), segments " +
+                std::to_string(t->segments.size());
+            EXPECT_EQ(stats.entities_scanned, end - begin) << label;
+            EXPECT_EQ(stats.entities_scanned - stats.entities_filtered,
+                      want->survivors)
+                << label;
+            EXPECT_EQ(stats.entities_pruned, want->pruned) << label;
+          }
+          ++want;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(want, std::end(pinned));
 }
 
 TEST(ScanKernelTest, EvaluateMatchesLibmKernelOnTrainedModel) {
